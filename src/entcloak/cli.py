@@ -20,7 +20,7 @@ Normative keys and defaults:
     symmetry        = none           or mirror-z, z-axis-rotation-4fold
     target          = concurrence    or negativity
     pump_ratio      = 0.005          P / gamma, held fixed during design
-    solver_method   = auto           or dense, iterative
+    solver_method   = iterative      or dense (the LU oracle)
     solver_rtol     = 1e-10
     d12_list        = 0.25           list for sweep/freespace; either
                                      comma-separated values or

@@ -25,6 +25,7 @@ from .errors import CoincidentPointsError, SolverInconsistencyError
 __all__ = [
     "UnitSystem",
     "CouplingSet",
+    "dyadic_green",
     "free_space_green",
     "couplings_from_green",
     "aligned_gamma12",
@@ -103,6 +104,35 @@ class CouplingSet:
         return self
 
 
+def dyadic_green(disp, k=2.0 * np.pi):
+    """Vacuum dyadic Green's tensor for an array of displacements.
+
+    Maps displacements r1 - r2 of shape (..., 3) to the tensors
+    G0(r1, r2) of shape (..., 3, 3).  Entries with R = 0 are set to zero:
+    the coincident limit is the caller's self term.  This is the one
+    implementation of G0; `free_space_green` and every kernel of the VIE
+    solver evaluate it here.
+    """
+    d = np.asarray(disp, dtype=float)
+    R = np.linalg.norm(d, axis=-1)
+    zero = R < 1e-300
+    Rsafe = np.where(zero, 1.0, R)
+    x = k * Rsafe
+    rhat = d / Rsafe[..., None]
+    phase = np.where(zero, 0.0, np.exp(1j * x) / (4.0 * np.pi * Rsafe))
+    ca = phase * (1.0 + (1j * x - 1.0) / x**2)
+    cb = phase * ((3.0 - 3j * x - x**2) / x**2)
+    G = np.empty((3, 3) + R.shape, dtype=complex)
+    for a in range(3):
+        for b in range(a, 3):
+            G[a, b] = cb * rhat[..., a] * rhat[..., b]
+            G[b, a] = G[a, b]
+        G[a, a] += ca
+    # Stored component-major, so each component G[..., a, b] is one
+    # contiguous block (the FFT kernel transforms them one at a time).
+    return np.moveaxis(G, (0, 1), (-2, -1))
+
+
 def free_space_green(r1, r2, k=2.0 * np.pi):
     """Dyadic Green's tensor of vacuum between two points.
 
@@ -127,22 +157,14 @@ def free_space_green(r1, r2, k=2.0 * np.pi):
         If |r1 - r2| < COINCIDENT_THRESHOLD; the caller must use the
         regularized self-term path instead.
     """
-    r1 = as_position(r1)
-    r2 = as_position(r2)
-    d = r1 - r2
+    d = as_position(r1) - as_position(r2)
     R = float(np.linalg.norm(d))
     if R < COINCIDENT_THRESHOLD:
         raise CoincidentPointsError(
             f"separation {R:.3e} below threshold {COINCIDENT_THRESHOLD:.0e}; "
             "use the self-term path for coincident points"
         )
-    x = k * R
-    rhat = d / R
-    outer = np.outer(rhat, rhat)
-    phase = np.exp(1j * x) / (4.0 * np.pi * R)
-    ca = 1.0 + (1j * x - 1.0) / x**2
-    cb = (3.0 - 3j * x - x**2) / x**2
-    return phase * (ca * np.eye(3) + cb * outer)
+    return dyadic_green(d, k)
 
 
 def couplings_from_green(G11, G22, G12, p_hat, k=2.0 * np.pi):

@@ -30,7 +30,7 @@ import numpy as np
 from . import quantum
 from .emcore import CouplingSet, as_position
 from .errors import SolverInconsistencyError
-from .vie import PermittivityGrid, solve_green_block
+from .vie import SOLVER_METHODS, PermittivityGrid, pair_tensors, solve_green_block
 
 __all__ = [
     "DesignConfig",
@@ -71,7 +71,7 @@ class DesignConfig:
     target: str = "concurrence"
     pump_ratio: float = 5e-3  # P / gamma11, held fixed
     p_hat: tuple = (0.0, 0.0, 1.0)
-    solver_method: str = "auto"
+    solver_method: str = "iterative"  # or "dense", the LU oracle
     solver_rtol: float = 1e-10
 
     def __post_init__(self):
@@ -87,6 +87,8 @@ class DesignConfig:
             raise ValueError(f"sweep_mode must be one of {_SWEEP_MODES}")
         if self.symmetry not in _SYMMETRIES:
             raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
+        if self.solver_method not in SOLVER_METHODS:
+            raise ValueError(f"solver_method must be one of {SOLVER_METHODS}")
 
     def witness(self):
         return quantum.concurrence if self.target == "concurrence" else quantum.negativity
@@ -195,15 +197,10 @@ def compute_state(grid, emitters, config, k=2.0 * np.pi):
     """Full solve at the current map plus everything the sweep consumes."""
     r1, r2 = (as_position(r) for r in emitters)
     p = np.asarray(config.p_hat, dtype=complex)
-    sol1 = solve_green_block(grid, r1, k, method=config.solver_method,
-                             rtol=config.solver_rtol)
-    sol2 = solve_green_block(grid, r2, k, method=config.solver_method,
-                             rtol=config.solver_rtol)
-    G11 = sol1.self_green()
-    G22 = sol2.self_green()
-    G12 = sol2.green_at(r1)
-    f1 = sol1.column(p)
-    f2 = sol2.column(p)
+    sol1, sol2 = solve_green_block(grid, (r1, r2), k,
+                                   method=config.solver_method,
+                                   rtol=config.solver_rtol)
+    G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2, p)
     q11 = complex(p.conj() @ G11 @ p)
     q22 = complex(p.conj() @ G22 @ p)
     q12 = complex(p.conj() @ G12 @ p)

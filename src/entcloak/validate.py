@@ -164,11 +164,8 @@ def check_passivity_reciprocity(rng):
         span = g.spacing * max(g.dims)
         r1 = np.array([0.0, 0.0, -0.6 * span - 0.05])
         r2 = np.array([0.0, 0.0, 0.6 * span + 0.08])
-        s1 = vie.solve_green_block(g, r1, method="dense")
-        s2 = vie.solve_green_block(g, r2, method="dense")
-        G11 = s1.self_green()
-        G22 = s2.self_green()
-        G12 = s2.green_at(r1)
+        s1, s2 = vie.solve_green_block(g, (r1, r2), method="dense")
+        G11, G22, G12, _, _ = vie.pair_tensors(s1, s2, zhat)
         cs = emcore.couplings_from_green(G11, G22, G12, zhat)  # raises if unphysical
         if cs.gamma11 <= 0 or cs.gamma22 <= 0:
             return False, "non-positive decay rate on a lossless grid"

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from .emcore import as_position, free_space_green
+from .emcore import as_position, dyadic_green, free_space_green
 from .errors import CoincidentPointsError, ConvergenceError, GridTooLargeError
 
 __all__ = [
@@ -39,12 +39,18 @@ __all__ = [
     "fft_matvec",
     "solve_fields",
     "solve_green_block",
+    "pair_tensors",
     "scattered_green_pair",
     "DENSE_UNKNOWN_LIMIT",
+    "SOLVER_METHODS",
 ]
 
 #: Dense assembly is refused above this many scalar unknowns (3 per voxel).
 DENSE_UNKNOWN_LIMIT = 6000
+
+#: Linear solvers behind the VIE: the FFT/BiCGStab path, which every
+#: caller uses unless it asks otherwise, and the dense LU oracle.
+SOLVER_METHODS = ("iterative", "dense")
 
 #: Default Krylov iteration cap.
 MAX_KRYLOV_ITER = 2000
@@ -148,47 +154,6 @@ def self_interaction(spacing, k):
     return (-1.0 + 2.0 * ((1.0 - 1j * ka) * np.exp(1j * ka) - 1.0)) / (3.0 * k**2)
 
 
-def _pairwise_components(points_a, points_b, k):
-    """Vacuum dyadic components between two point sets.
-
-    Returns (R, parts) where parts[a][b] yields the (Na, Nb) complex
-    array of G0 component (a, b); entries with R == 0 are set to zero
-    (used only for same-set assembly where the diagonal is replaced by
-    the self term).
-    """
-    diff = points_a[:, None, :] - points_b[None, :, :]
-    R = np.linalg.norm(diff, axis=-1)
-    same = R < 1e-300
-    Rsafe = np.where(same, 1.0, R)
-    x = k * Rsafe
-    with np.errstate(invalid="ignore"):
-        rhat = diff / Rsafe[..., None]
-    phase = np.exp(1j * x) / (4.0 * np.pi * Rsafe)
-    ca = phase * (1.0 + (1j * x - 1.0) / x**2)
-    cb = phase * ((3.0 - 3j * x - x**2) / x**2)
-    comps = {}
-    for a in range(3):
-        for b in range(a, 3):
-            c = cb * rhat[..., a] * rhat[..., b]
-            if a == b:
-                c = c + ca
-            c[same] = 0.0
-            comps[(a, b)] = c
-    return comps
-
-
-def _green_blocks(points_a, points_b, k):
-    """(Na, Nb, 3, 3) vacuum dyadic blocks; zero where points coincide."""
-    comps = _pairwise_components(points_a, points_b, k)
-    na, nb = comps[(0, 0)].shape
-    G = np.empty((na, nb, 3, 3), dtype=complex)
-    for a in range(3):
-        for b in range(a, 3):
-            G[..., a, b] = comps[(a, b)]
-            G[..., b, a] = comps[(a, b)]
-    return G
-
-
 def assemble_dense(grid, k=2.0 * np.pi):
     """Dense operator [I - k^2 (G0 chi dV + self term)] over voxel fields.
 
@@ -203,17 +168,11 @@ def assemble_dense(grid, k=2.0 * np.pi):
         )
     pts = grid.centers()
     chi = grid.chi()
-    dV = grid.voxel_volume
     m = self_interaction(grid.spacing, k)
-    comps = _pairwise_components(pts, pts, k)
-    A = np.zeros((n, 3, n, 3), dtype=complex)
-    scale = -(k**2) * dV
-    for a in range(3):
-        for b in range(a, 3):
-            block = comps[(a, b)] * chi[None, :]
-            A[:, a, :, b] = scale * block
-            if a != b:
-                A[:, b, :, a] = scale * block
+    G = dyadic_green(pts[:, None, :] - pts[None, :, :], k)
+    G *= chi[None, :, None, None]
+    G *= -(k**2) * grid.voxel_volume
+    A = np.ascontiguousarray(G.transpose(0, 2, 1, 3))
     diag_idx = np.arange(n)
     for a in range(3):
         A[diag_idx, a, diag_idx, a] += 1.0 - k**2 * m * chi
@@ -234,23 +193,9 @@ class _FftInteraction:
             idx = np.arange(p)
             lag.append(np.where(idx < n, idx, idx - p))
         LX, LY, LZ = np.meshgrid(*lag, indexing="ij")
-        disp = spacing * np.stack([LX, LY, LZ], axis=-1).reshape(-1, 3)
-        R = np.linalg.norm(disp, axis=-1)
-        zero = R < 1e-300
-        Rsafe = np.where(zero, 1.0, R)
-        x = k * Rsafe
-        rhat = disp / Rsafe[:, None]
-        phase = np.exp(1j * x) / (4.0 * np.pi * Rsafe)
-        ca = phase * (1.0 + (1j * x - 1.0) / x**2)
-        cb = phase * ((3.0 - 3j * x - x**2) / x**2)
-        self.khat = {}
-        for a in range(3):
-            for b in range(a, 3):
-                comp = cb * rhat[:, a] * rhat[:, b]
-                if a == b:
-                    comp = comp + ca
-                comp[zero] = 0.0
-                self.khat[(a, b)] = sfft.fftn(comp.reshape(px, py, pz))
+        G = dyadic_green(spacing * np.stack([LX, LY, LZ], axis=-1), k)
+        self.khat = {(a, b): sfft.fftn(G[..., a, b])
+                     for a in range(3) for b in range(a, 3)}
         self.pad_shape = (px, py, pz)
 
     def apply(self, w):
@@ -284,20 +229,27 @@ def _get_kernel(grid, k):
     return kern
 
 
+def _fft_operator(grid, k):
+    """[I - k^2 (G0 chi dV + self term)] on (N, 3) fields of one map."""
+    kern = _get_kernel(grid, k)
+    chi = grid.chi()
+    m = self_interaction(grid.spacing, k)
+    w_scale = (chi * grid.voxel_volume)[:, None]
+
+    def apply(xv):
+        return xv - k**2 * (kern.apply(xv * w_scale) + m * chi[:, None] * xv)
+
+    return apply
+
+
 def fft_matvec(grid, x, k=2.0 * np.pi):
     """Apply [I - k^2 (G0 chi dV + self term)] to a voxel field vector.
 
     Matches the dense matvec to floating-point roundoff; x may be flat
     (3N,) or shaped (N, 3).
     """
-    n = grid.n_voxels
-    xv = np.asarray(x, dtype=complex).reshape(n, 3)
-    kern = _get_kernel(grid, k)
-    chi = grid.chi()
-    m = self_interaction(grid.spacing, k)
-    w = xv * (chi * grid.voxel_volume)[:, None]
-    out = xv - k**2 * (kern.apply(w) + m * chi[:, None] * xv)
-    return out.reshape(np.asarray(x).shape)
+    xv = np.asarray(x, dtype=complex).reshape(grid.n_voxels, 3)
+    return _fft_operator(grid, k)(xv).reshape(np.asarray(x).shape)
 
 
 def _source_columns(grid, source, k):
@@ -308,26 +260,24 @@ def _source_columns(grid, source, k):
         # Same threshold as free_space_green; emitters are placed off-center
         # by construction, so this only trips on misconfigured inputs.
         raise CoincidentPointsError("source coincides with a voxel center")
-    return _green_blocks(pts, src, k)[:, 0]
+    return dyadic_green(pts - src, k)
 
 
 def _solve_system(grid, B, k, method, rtol, maxiter):
     """Solve the VIE for each column of B ((N, 3, m) right-hand sides)."""
+    if method not in SOLVER_METHODS:
+        raise ValueError(f"method must be one of {SOLVER_METHODS}, got {method!r}")
     n = grid.n_voxels
     nrhs = B.shape[2]
-    X = np.empty_like(B)
     if method == "dense":
         A = assemble_dense(grid, k)
         sol = np.linalg.solve(A, B.reshape(3 * n, nrhs))
         return sol.reshape(n, 3, nrhs)
-    kern = _get_kernel(grid, k)
-    chi = grid.chi()
-    m = self_interaction(grid.spacing, k)
-    w_scale = (chi * grid.voxel_volume)[:, None]
+    X = np.empty_like(B)
+    apply = _fft_operator(grid, k)
 
     def matvec(v):
-        xv = v.reshape(n, 3)
-        return (xv - k**2 * (kern.apply(xv * w_scale) + m * chi[:, None] * xv)).ravel()
+        return apply(v.reshape(n, 3)).ravel()
 
     op = LinearOperator((3 * n, 3 * n), matvec=matvec, dtype=complex)
     for c in range(nrhs):
@@ -345,13 +295,17 @@ def _solve_system(grid, B, k, method, rtol, maxiter):
     return X
 
 
-def solve_fields(grid, source, p_hat, k=2.0 * np.pi, method="auto",
+def solve_fields(grid, source, p_hat, k=2.0 * np.pi, method="iterative",
                  rtol=1e-8, maxiter=MAX_KRYLOV_ITER):
     """Total-field map of a unit point dipole inside the voxel map.
 
     Returns the (N, 3) array whose row k is the Green's column
     G(r_k, r_source) p_hat of the structured medium.  For an all-vacuum
     grid this equals the free-space columns exactly.
+
+    `method` is "iterative" (FFT matvec + BiCGStab, the default) or
+    "dense" (LU of the assembled operator, the oracle; refused above
+    DENSE_UNKNOWN_LIMIT unknowns).
 
     The source should stay at least one voxel spacing away from centers
     of voxels with eps > 1 (recommended, not enforced).
@@ -363,8 +317,6 @@ def solve_fields(grid, source, p_hat, k=2.0 * np.pi, method="auto",
         `maxiter` steps (the error carries the final residual).
     """
     p = np.asarray(p_hat, dtype=complex)
-    if method == "auto":
-        method = "dense" if 3 * grid.n_voxels <= DENSE_UNKNOWN_LIMIT else "iterative"
     cols = _source_columns(grid, source, k)
     b = (cols @ p)[:, :, None]
     return _solve_system(grid, b, k, method, rtol, maxiter)[:, :, 0]
@@ -398,7 +350,7 @@ class GreenSolution:
         if not np.any(active):
             return np.zeros((3, 3), dtype=complex)
         pts = self.grid.centers()[active]
-        G0 = _green_blocks(as_position(r)[None, :], pts, self.k)[0]
+        G0 = dyadic_green(as_position(r) - pts, self.k)
         return self.k**2 * np.einsum("jab,jbc->ac", G0, w[active])
 
     def green_at(self, r):
@@ -417,34 +369,49 @@ class GreenSolution:
         return self.block @ np.asarray(p_hat, dtype=complex)
 
 
-def solve_green_block(grid, source, k=2.0 * np.pi, method="auto",
+def solve_green_block(grid, source, k=2.0 * np.pi, method="iterative",
                       rtol=1e-8, maxiter=MAX_KRYLOV_ITER):
-    """Solve the VIE for all three source orientations of one emitter."""
-    if method == "auto":
-        method = "dense" if 3 * grid.n_voxels <= DENSE_UNKNOWN_LIMIT else "iterative"
-    src = as_position(source)
-    B = _source_columns(grid, src, k)
+    """Solve the VIE for all three orientations of one or several sources.
+
+    `source` is one position, which gives one GreenSolution, or a
+    sequence of m positions, which gives a list of m GreenSolutions.
+    All 3m right-hand sides are solved against one operator: one dense
+    LU factorization, or one FFT kernel shared by the Krylov solves.
+    `method` is "iterative" (the default) or "dense" (the oracle).
+    """
+    single = np.ndim(source) == 1
+    sources = [as_position(r) for r in ([source] if single else source)]
+    B = np.concatenate([_source_columns(grid, r, k) for r in sources], axis=2)
     X = _solve_system(grid, B, k, method, rtol, maxiter)
-    return GreenSolution(grid=grid, source=src, k=k, block=X)
+    sols = [GreenSolution(grid=grid, source=r, k=k, block=X[:, :, 3 * i:3 * i + 3])
+            for i, r in enumerate(sources)]
+    return sols[0] if single else sols
+
+
+def pair_tensors(sol1, sol2, p_hat):
+    """(G11, G22, G12, fields1, fields2) of two solved emitters.
+
+    The self tensors carry the analytic vacuum imaginary diagonal
+    k/(6 pi) plus the scattered correction at the source point,
+    G12 = G(r1, r2) in the structured medium, and fields1/fields2 are
+    the (N, 3) p_hat field maps used by the optimizer's perturbative
+    updates.
+    """
+    return (sol1.self_green(), sol2.self_green(), sol2.green_at(sol1.source),
+            sol1.column(p_hat), sol2.column(p_hat))
 
 
 def scattered_green_pair(grid, r1, r2, p_hat=(0.0, 0.0, 1.0), k=2.0 * np.pi,
-                         method="auto", rtol=1e-8, maxiter=MAX_KRYLOV_ITER):
-    """All Green's tensors the two-emitter model needs, from two solves.
+                         method="iterative", rtol=1e-8, maxiter=MAX_KRYLOV_ITER):
+    """All Green's tensors the two-emitter model needs, from one operator.
 
-    Returns (G11, G22, G12, fields1, fields2): the self tensors carry
-    the analytic vacuum imaginary diagonal k/(6 pi) plus the scattered
-    correction at the source point, G12 = G(r1, r2) in the structured
-    medium, and fields1/fields2 are the (N, 3) p_hat field maps used by
-    the optimizer's perturbative updates.
+    Returns `pair_tensors` of the two emitters, solved together by
+    `solve_green_block` with `method` "iterative" (the default) or
+    "dense" (the oracle).
     """
     r1 = as_position(r1)
     r2 = as_position(r2)
     if np.linalg.norm(r1 - r2) < 1e-6:
         raise ValueError("emitters must be separated")
-    sol1 = solve_green_block(grid, r1, k, method, rtol, maxiter)
-    sol2 = solve_green_block(grid, r2, k, method, rtol, maxiter)
-    G11 = sol1.self_green()
-    G22 = sol2.self_green()
-    G12 = sol2.green_at(r1)
-    return G11, G22, G12, sol1.column(p_hat), sol2.column(p_hat)
+    sol1, sol2 = solve_green_block(grid, (r1, r2), k, method, rtol, maxiter)
+    return pair_tensors(sol1, sol2, p_hat)

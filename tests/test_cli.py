@@ -165,6 +165,16 @@ class TestOptimizeCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["dens", "auto"])
+    def test_unknown_solver_method_exit_2(self, tmp_path, capsys, method):
+        cfg_path = write_config(tmp_path, TINY_CONFIG + f"solver_method = {method}\n")
+        out = tmp_path / "never"
+        rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "iterative" in err and "dense" in err
+
     def test_deterministic_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -65,6 +65,32 @@ class TestBornDeltaGreen:
         assert rel == pytest.approx(0.1 / 3, rel=0.15)
 
 
+class TestComputeState:
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        from entcloak import vie
+        calls = []
+        real = vie.assemble_dense
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vie, "assemble_dense", counting)
+        return calls
+
+    def test_dense_path_assembles_once_for_both_emitters(self, dense_calls):
+        grid, emitters, cfg = toy(dims=(4, 4, 4), solver_method="dense")
+        compute_state(grid, emitters, cfg)
+        assert len(dense_calls) == 1
+
+    def test_default_path_never_assembles_dense(self, dense_calls):
+        grid, emitters, cfg = toy(dims=(8, 8, 8))
+        assert cfg.solver_method == "iterative"
+        compute_state(grid, emitters, cfg)
+        assert dense_calls == []
+
+
 class TestEvaluateCandidate:
     def test_zero_increment_returns_current(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
@@ -327,6 +353,9 @@ class TestOptimize:
             DesignConfig(target="fidelity")
         with pytest.raises(ValueError):
             DesignConfig(sweep_mode="parallel")
+        for method in ("dens", "auto"):
+            with pytest.raises(ValueError, match="iterative.*dense"):
+                DesignConfig(solver_method=method)
 
     def test_negativity_target_improves_negativity(self):
         grid, emitters, cfg = toy(dims=(6, 6, 6), target="negativity",

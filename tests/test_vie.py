@@ -204,6 +204,22 @@ class TestScatteredGreenPair:
             G12_b = s1.green_at(r2).T
             assert np.max(np.abs(G12_a - G12_b)) / np.max(np.abs(G12_a)) < 1e-8
 
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_stacked_sources_match_single_solves(self, rng, method):
+        g = random_grid(rng, (4, 3, 5))
+        r1, r2 = np.array([0.0, 0.0, -0.4]), np.array([0.03, 0.0, 0.45])
+        pair = solve_green_block(g, (r1, r2), K, method=method, rtol=1e-12)
+        for sol, r in zip(pair, (r1, r2)):
+            ref = solve_green_block(g, r, K, method=method, rtol=1e-12)
+            assert np.array_equal(sol.source, ref.source)
+            assert np.max(np.abs(sol.block - ref.block)) / np.max(np.abs(ref.block)) < 1e-10
+
+    def test_unknown_method_rejected(self):
+        g = PermittivityGrid.vacuum((2, 2, 2), 0.03)
+        for method in ("auto", "dens"):
+            with pytest.raises(ValueError, match="iterative.*dense"):
+                solve_green_block(g, (0, 0, 0.4), K, method=method)
+
     def test_passivity_random_grids(self, rng):
         for _ in range(20):
             g = random_grid(rng, tuple(rng.integers(2, 5, 3)), contrast=4.0)
