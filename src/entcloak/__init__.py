@@ -8,7 +8,6 @@ analytic free-space references in `emcore` and a batch CLI in `cli`.
 
 from .emcore import (
     CouplingSet,
-    UnitSystem,
     aligned_g12,
     aligned_gamma12,
     couplings_from_green,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CouplingSet",
-    "UnitSystem",
     "aligned_g12",
     "aligned_gamma12",
     "couplings_from_green",

@@ -26,7 +26,8 @@ Normative keys and defaults:
                                      comma-separated values or
                                      'logspace:min,max,count'
     pump_list       = 0.005          same forms
-    seed            = 0
+    seed            = 0              recorded in design.meta.json only; the
+                                     design itself is deterministic
 
 All emitted numbers are dimensionless (lambda, gamma0 units); column
 headers carry the unit names.  Exit codes: 0 success, 1 validation
@@ -40,13 +41,13 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import quantum, validate as validate_mod
-from .emcore import couplings_from_green, free_space_green
+from .emcore import couplings_from_green, free_space_green, vacuum_self_green
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -54,7 +55,7 @@ from .errors import (
     EntcloakError,
     SolverInconsistencyError,
 )
-from .optimizer import DesignConfig, optimize, _params_from_couplings
+from .optimizer import DesignConfig, optimize, pump_params
 from .vie import PermittivityGrid
 
 META_SCHEMA = {
@@ -108,6 +109,11 @@ class RunConfig:
     def __post_init__(self):
         if self.design is None:
             self.design = DesignConfig()
+        if not self.spacing > 0:
+            raise ConfigError("spacing must be positive")
+        if self.origin != "auto" and (len(self.origin) != 3
+                                      or not np.all(np.isfinite(self.origin))):
+            raise ConfigError("origin must be 'auto' or three finite numbers x,y,z")
         if self.d12 <= 0:
             raise ConfigError("d12 must be positive")
         if len(self.d12_list) == 0 or any(d <= 0 for d in self.d12_list):
@@ -352,22 +358,16 @@ def _witness_triple(rho):
 def _sweep_point(args):
     """One (d12, pump) optimization; returns the sweep.csv row values."""
     cfg, d12, pump = args
-    design = DesignConfig(**{**_design_as_dict(cfg.design),
-                             "pump_ratio": pump})
+    design = replace(cfg.design, pump_ratio=pump)
     grid, emitters = build_grid(cfg, d12=d12)
     record = optimize(grid, emitters, design)
     cs = record.entries[-1].couplings
     rho = record.final_rho
     C, N, SL = _witness_triple(rho)
-    rho0 = quantum.steady_state(
-        _params_from_couplings(record.entries[0].couplings, pump))
+    rho0 = quantum.steady_state(pump_params(record.entries[0].couplings, pump))
     C0, N0, SL0 = _witness_triple(rho0)
     return [d12, pump, C, C0, C - C0, cs.gamma12 / cs.gamma11,
             cs.g12 / cs.gamma11, cs.gamma11, SL, SL0, N, N0]
-
-
-def _design_as_dict(design):
-    return {f.name: getattr(design, f.name) for f in dc_fields(DesignConfig)}
 
 
 def cmd_sweep(cfg, out_dir, threads=1):
@@ -426,7 +426,7 @@ def cmd_freespace(cfg, out_dir):
     with open(out_dir / "freespace.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        vac_self = 1j * 2 * np.pi / (6 * np.pi) * np.eye(3)
+        vac_self = vacuum_self_green()
         for d in cfg.d12_list:
             G12 = free_space_green((0, 0, 0), (0, 0, d))
             cs = couplings_from_green(vac_self, vac_self, G12, _ZHAT)
@@ -469,34 +469,38 @@ def _build_parser():
                     "entanglement; emits CSV/JSON data only.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("optimize", True), ("sweep", True),
-                               ("freespace", True), ("mems", False),
-                               ("validate", False)):
-        p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="key=value config file")
+    opt, sweep, fs, mems, val = (sub.add_parser(name) for name in
+                                 ("optimize", "sweep", "freespace", "mems",
+                                  "validate"))
+    for p in (opt, sweep, fs):
+        p.add_argument("--config", required=True, help="key=value config file")
+    for p in (opt, sweep, fs, mems):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        if name == "validate":
-            p.add_argument("--corrupt-self-term", action="store_true",
-                           help=argparse.SUPPRESS)  # negative-control fixture
+    opt.add_argument("--seed", type=int, default=None,
+                     help="seed recorded in design.meta.json "
+                          "(overrides the config seed)")
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="worker processes, one sweep point each")
+    val.add_argument("--seed", type=int, default=0,
+                     help="seed of the randomized checks")
+    val.add_argument("--corrupt-self-term", action="store_true",
+                     help=argparse.SUPPRESS)  # negative-control fixture
     return ap
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out)
     try:
+        if args.command == "validate":
+            return cmd_validate(seed=args.seed,
+                                corrupt_self_term=args.corrupt_self_term)
+        out_dir = Path(args.out)
         if args.command == "mems":
             return cmd_mems(out_dir)
-        if args.command == "validate":
-            return cmd_validate(seed=args.seed or 0,
-                                corrupt_self_term=args.corrupt_self_term)
-        cfg = parse_config(args.config, seed_override=args.seed)
         if args.command == "optimize":
-            return cmd_optimize(cfg, out_dir)
+            return cmd_optimize(parse_config(args.config, seed_override=args.seed),
+                                out_dir)
+        cfg = parse_config(args.config)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, threads=max(1, args.threads))
         if args.command == "freespace":

@@ -23,10 +23,12 @@ import numpy as np
 from .errors import CoincidentPointsError, SolverInconsistencyError
 
 __all__ = [
-    "UnitSystem",
     "CouplingSet",
     "dyadic_green",
     "free_space_green",
+    "vacuum_self_green",
+    "project",
+    "couplings_from_q",
     "couplings_from_green",
     "aligned_gamma12",
     "aligned_g12",
@@ -38,21 +40,6 @@ COINCIDENT_THRESHOLD = 1e-6
 
 #: Tolerance on the cross-spectral positivity bound |gamma12| <= sqrt(g11*g22).
 POSITIVITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Reference units: all lengths in lambda0, all rates in gamma0."""
-
-    lambda0: float = 1.0
-    k0: float = 2.0 * np.pi
-    rate_unit: float = 1.0
-
-    def __post_init__(self):
-        if not np.isclose(self.k0 * self.lambda0, 2.0 * np.pi, rtol=0, atol=1e-15):
-            raise ValueError("k0 * lambda0 must equal 2*pi exactly")
-        if self.rate_unit != 1.0:
-            raise ValueError("gamma0 is 1 by construction in internal units")
 
 
 def as_position(r):
@@ -167,6 +154,36 @@ def free_space_green(r1, r2, k=2.0 * np.pi):
     return dyadic_green(d, k)
 
 
+def vacuum_self_green(k=2.0 * np.pi):
+    """G at the source point in vacuum: the analytic imaginary diagonal
+    i k/(6 pi) I (the divergent real part is a Lamb-type shift and is
+    dropped)."""
+    return 1j * k / (6.0 * np.pi) * np.eye(3)
+
+
+def project(G, p_hat):
+    """The p-projected Green's scalar q = p^* . G . p."""
+    p = np.asarray(p_hat, dtype=complex)
+    return complex(p.conj() @ np.asarray(G) @ p)
+
+
+def couplings_from_q(q11, q22, q12, k=2.0 * np.pi):
+    """Coupling rates from the p-projected Green's scalars.
+
+    gamma_ij = (6 pi / k) Im q_ij and g12 = (3 pi / k) Re q12.  Returns
+    the validated CouplingSet; raises SolverInconsistencyError (naming
+    the offending rate) when the set is unphysical.
+    """
+    pref = 6.0 * np.pi / k
+    cs = CouplingSet(
+        gamma11=pref * q11.imag,
+        gamma22=pref * q22.imag,
+        gamma12=pref * q12.imag,
+        g12=0.5 * pref * q12.real,
+    )
+    return cs.validate()
+
+
 def couplings_from_green(G11, G22, G12, p_hat, k=2.0 * np.pi):
     """Convert Green's tensor samples to normalized coupling rates.
 
@@ -197,18 +214,7 @@ def couplings_from_green(G11, G22, G12, p_hat, k=2.0 * np.pi):
     norm = np.linalg.norm(p)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"p_hat must be normalized, |p|={norm!r}")
-
-    def project(G):
-        return complex(np.conjugate(p) @ np.asarray(G) @ p)
-
-    pref = 6.0 * np.pi / k
-    cs = CouplingSet(
-        gamma11=pref * project(G11).imag,
-        gamma22=pref * project(G22).imag,
-        gamma12=pref * project(G12).imag,
-        g12=0.5 * pref * project(G12).real,
-    )
-    return cs.validate()
+    return couplings_from_q(project(G11, p), project(G22, p), project(G12, p), k)
 
 
 def aligned_gamma12(d, k=2.0 * np.pi):

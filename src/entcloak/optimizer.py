@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .emcore import CouplingSet, as_position
+from .emcore import CouplingSet, as_position, couplings_from_q, project
 from .errors import SolverInconsistencyError
 from .vie import SOLVER_METHODS, PermittivityGrid, pair_tensors, solve_green_block
 
@@ -37,6 +37,7 @@ __all__ = [
     "IterationEntry",
     "DesignRecord",
     "born_delta_green",
+    "pump_params",
     "evaluate_candidate",
     "sweep_once",
     "verify_convergence",
@@ -138,37 +139,29 @@ def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume, k=2.0 * np.pi):
     return (k**2 * delta_eps * voxel_volume) * (np.asarray(G_ik) @ np.asarray(G_kj))
 
 
-def _params_from_couplings(cs, pump_ratio):
+def pump_params(cs, pump_ratio):
+    """Master-equation rates of a coupling set with the pump held at
+    P = pump_ratio * gamma11."""
     return quantum.MasterEqParams(
         gamma11=cs.gamma11, gamma22=cs.gamma22, gamma12=cs.gamma12,
         g12=cs.g12, P=pump_ratio * cs.gamma11,
     )
 
 
-def _value_from_q(q11, q22, q12, k, config, return_state=False):
-    """Witness value from the p-projected Green's scalars.
+def _value_from_q(q11, q22, q12, k, config):
+    """(witness value, CouplingSet) from the p-projected Green's scalars.
 
     Returns None for candidates whose perturbed couplings leave the
     physical manifold (negative decay rate or positivity-bound
     violation); the caller treats those as rejected.
     """
-    pref = 6.0 * np.pi / k
-    cs = CouplingSet(
-        gamma11=pref * q11.imag,
-        gamma22=pref * q22.imag,
-        gamma12=pref * q12.imag,
-        g12=0.5 * pref * q12.real,
-    )
     try:
-        cs.validate()
-        params = _params_from_couplings(cs, config.pump_ratio)
+        cs = couplings_from_q(q11, q22, q12, k)
+        params = pump_params(cs, config.pump_ratio)
     except (SolverInconsistencyError, ValueError):
         return None
     rho = quantum.steady_state(params, check=False)
-    value = config.witness()(rho)
-    if return_state:
-        return value, cs, rho
-    return value, cs
+    return config.witness()(rho), cs
 
 
 @dataclass
@@ -201,15 +194,9 @@ def compute_state(grid, emitters, config, k=2.0 * np.pi):
                                    method=config.solver_method,
                                    rtol=config.solver_rtol)
     G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2, p)
-    q11 = complex(p.conj() @ G11 @ p)
-    q22 = complex(p.conj() @ G22 @ p)
-    q12 = complex(p.conj() @ G12 @ p)
-    out = _value_from_q(q11, q22, q12, k, config, return_state=True)
-    if out is None:
-        raise SolverInconsistencyError(
-            "solved Green's tensors yield an unphysical coupling set"
-        )
-    value, cs, rho = out
+    q11, q22, q12 = (project(G, p) for G in (G11, G22, G12))
+    cs = couplings_from_q(q11, q22, q12, k)  # raises if unphysical
+    rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
     return IterationState(
         grid=grid, emitters=(r1, r2), k=k, p_hat=p, sol1=sol1, sol2=sol2,
         tensors={(1, 1): G11, (2, 2): G22, (1, 2): G12},
@@ -217,7 +204,7 @@ def compute_state(grid, emitters, config, k=2.0 * np.pi):
         s11=np.einsum("ka,ka->k", f1, f1),
         s22=np.einsum("ka,ka->k", f2, f2),
         s12=np.einsum("ka,ka->k", f1, f2),
-        couplings=cs, target_value=value, rho=rho,
+        couplings=cs, target_value=config.witness()(rho), rho=rho,
     )
 
 
@@ -232,10 +219,7 @@ def evaluate_candidate(G11, G22, G12, fields1, fields2, voxel, delta_eps,
     (value, CouplingSet), or (None, None) when the perturbed couplings
     leave the physical manifold.
     """
-    p = np.asarray(config.p_hat, dtype=complex)
-    q11 = complex(p.conj() @ np.asarray(G11) @ p)
-    q22 = complex(p.conj() @ np.asarray(G22) @ p)
-    q12 = complex(p.conj() @ np.asarray(G12) @ p)
+    q11, q22, q12 = (project(G, config.p_hat) for G in (G11, G22, G12))
     f1k = np.asarray(fields1)[voxel]
     f2k = np.asarray(fields2)[voxel]
     scale = k**2 * delta_eps * voxel_volume

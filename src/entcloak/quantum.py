@@ -71,34 +71,19 @@ def _spre_spost(A, B):
     return np.kron(B.T, A)
 
 
-def _dissipator(c):
-    """Superoperator of rho -> c rho c+ - (c+c rho + rho c+c)/2."""
-    cd = c.conj().T
-    cdc = cd @ c
-    return (
-        _spre_spost(c, cd)
-        - 0.5 * _spre_spost(cdc, _I4)
-        - 0.5 * _spre_spost(_I4, cdc)
-    )
+def _lindblad(a, b):
+    """Superoperator of rho -> b rho a+ - (a+ b rho + rho a+ b)/2 at unit rate.
 
-
-def _cross_dissipator(ci, cj):
-    """Superoperator of the (i, j) cross Lindblad term at unit rate.
-
-    rho -> c_j rho c_i+ - (c_i+ c_j rho + rho c_i+ c_j)/2, plus the
-    transposed (j, i) term; both cross terms always appear together with
-    the same rate for non-chiral coupling.
+    a = b gives the diagonal dissipator of one jump operator; the (i, j)
+    cross term of correlated decay is _lindblad(s_i, s_j).
     """
-    out = np.zeros((16, 16), dtype=complex)
-    for a, b in ((ci, cj), (cj, ci)):
-        ad = a.conj().T
-        adb = ad @ b
-        out += (
-            _spre_spost(b, ad)
-            - 0.5 * _spre_spost(adb, _I4)
-            - 0.5 * _spre_spost(_I4, adb)
-        )
-    return out
+    ad = a.conj().T
+    adb = ad @ b
+    return (
+        _spre_spost(b, ad)
+        - 0.5 * _spre_spost(adb, _I4)
+        - 0.5 * _spre_spost(_I4, adb)
+    )
 
 
 def _hamiltonian_part():
@@ -107,10 +92,12 @@ def _hamiltonian_part():
 
 
 # Constant generator pieces; build_liouvillian is a linear combination.
-_L_G11 = _dissipator(_S1)
-_L_G22 = _dissipator(_S2)
-_L_G12 = _cross_dissipator(_S1, _S2)
-_L_PUMP = _dissipator(_S1.conj().T) + _dissipator(_S2.conj().T)
+_L_G11 = _lindblad(_S1, _S1)
+_L_G22 = _lindblad(_S2, _S2)
+# both cross terms appear together with the same rate for non-chiral coupling
+_L_G12 = _lindblad(_S1, _S2) + _lindblad(_S2, _S1)
+_L_PUMP = (_lindblad(_S1.conj().T, _S1.conj().T)
+           + _lindblad(_S2.conj().T, _S2.conj().T))
 _L_COH = _hamiltonian_part()
 
 #: Row vector implementing rho -> Tr(rho) on vec(rho); used for trace checks.

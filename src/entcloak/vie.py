@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from .emcore import as_position, dyadic_green, free_space_green
+from .emcore import as_position, dyadic_green, free_space_green, vacuum_self_green
 from .errors import CoincidentPointsError, ConvergenceError, GridTooLargeError
 
 __all__ = [
@@ -358,11 +358,9 @@ class GreenSolution:
         return free_space_green(as_position(r), self.source, self.k) + self.scattered_at(r)
 
     def self_green(self):
-        """G at the source point: analytic imaginary vacuum diagonal
-        i k/(6 pi) I plus the scattered correction (the divergent real
-        vacuum part is a Lamb-type shift and is dropped)."""
-        vac = 1j * self.k / (6.0 * np.pi) * np.eye(3)
-        return vac + self.scattered_at(self.source)
+        """G at the source point: the vacuum self tensor plus the
+        scattered correction."""
+        return vacuum_self_green(self.k) + self.scattered_at(self.source)
 
     def column(self, p_hat):
         """FieldMap for one source orientation: (N, 3) rows G(r_k, src) p."""

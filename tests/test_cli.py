@@ -109,12 +109,6 @@ class TestOptimizeCommand:
         meta = json.loads((out / "design.meta.json").read_text())
         jsonschema.validate(meta, cli.META_SCHEMA)
 
-    def test_shipped_schema_file_matches_module(self):
-        from pathlib import Path
-        schema_path = (Path(__file__).parent.parent / "schemas"
-                       / "design.meta.schema.json")
-        assert json.loads(schema_path.read_text()) == cli.META_SCHEMA
-
     def test_corrupted_meta_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -158,8 +152,11 @@ class TestOptimizeCommand:
         assert len(rows) == 1
         assert int(rows[0]["accepted_count"]) == 0
 
-    def test_malformed_config_exit_2_no_outputs(self, tmp_path):
-        cfg_path = write_config(tmp_path, "dims = 4,4\n", name="bad.cfg")
+    @pytest.mark.parametrize("line", ["dims = 4,4", "spacing = -0.0625",
+                                      "origin = 0.1,0.2"],
+                             ids=["dims", "spacing", "origin"])
+    def test_malformed_config_exit_2_no_outputs(self, tmp_path, line):
+        cfg_path = write_config(tmp_path, line + "\n", name="bad.cfg")
         out = tmp_path / "never"
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
@@ -174,6 +171,15 @@ class TestOptimizeCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "iterative" in err and "dense" in err
+
+    def test_unphysical_couplings_exit_3_no_outputs(self, tmp_path, capsys,
+                                                    lossy_pair_tensors):
+        out = tmp_path / "never"
+        rc = cli.main(["optimize", "--config", str(write_config(tmp_path)),
+                       "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "gamma11=" in capsys.readouterr().err
 
     def test_deterministic_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path)

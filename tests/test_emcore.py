@@ -135,14 +135,3 @@ class TestCouplingsFromGreen:
         vac = self._vac_self()
         with pytest.raises(ValueError):
             emcore.couplings_from_green(vac, vac, vac, (0, 0, 2.0), K)
-
-
-class TestUnitSystem:
-    def test_defaults_consistent(self):
-        u = emcore.UnitSystem()
-        assert u.k0 * u.lambda0 == pytest.approx(2 * np.pi, abs=1e-15)
-        assert u.rate_unit == 1.0
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            emcore.UnitSystem(lambda0=2.0, k0=2 * np.pi)

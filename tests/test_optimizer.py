@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from entcloak import quantum
-from entcloak.emcore import free_space_green
+from entcloak.emcore import couplings_from_green, free_space_green
+from entcloak.errors import SolverInconsistencyError
 from entcloak.optimizer import (
     DesignConfig,
     born_delta_green,
@@ -90,6 +91,18 @@ class TestComputeState:
         compute_state(grid, emitters, cfg)
         assert dense_calls == []
 
+    def test_couplings_are_the_emcore_conversion_of_the_solve(self):
+        grid, emitters, cfg = toy(dims=(4, 4, 4))
+        grid.eps[:] = 2.0
+        st = compute_state(grid, emitters, cfg)
+        G11, G22, G12 = (st.tensors[key] for key in ((1, 1), (2, 2), (1, 2)))
+        assert st.couplings == couplings_from_green(G11, G22, G12, st.p_hat, K)
+
+    def test_unphysical_solve_raises_naming_the_rate(self, lossy_pair_tensors):
+        grid, emitters, cfg = toy(dims=(4, 4, 4))
+        with pytest.raises(SolverInconsistencyError, match="gamma11=-"):
+            compute_state(grid, emitters, cfg)
+
 
 class TestEvaluateCandidate:
     def test_zero_increment_returns_current(self):
@@ -129,6 +142,24 @@ class TestEvaluateCandidate:
                 cfg.pump_ratio * cs.gamma11)
             brute = quantum.concurrence(quantum.steady_state(params))
             assert value == pytest.approx(brute, abs=5e-3)
+
+    def test_unphysical_candidate_rejected(self):
+        grid, emitters, cfg = toy(dims=(4, 4, 4))
+        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        st = compute_state(grid, emitters, cfg)
+        f1 = st.sol1.column(st.p_hat)
+        f2 = st.sol2.column(st.p_hat)
+        kidx = int(np.argmax(np.abs(st.s11.imag) * ~grid.frozen))
+        # the delta_eps that takes Im q11 to minus its current value
+        delta_eps = -2 * st.q11.imag / (K**2 * grid.voxel_volume * st.s11[kidx].imag)
+        args = (st.tensors[(1, 1)], st.tensors[(2, 2)], st.tensors[(1, 2)],
+                f1, f2, kidx)
+        assert evaluate_candidate(*args, delta_eps=delta_eps, config=cfg,
+                                  voxel_volume=grid.voxel_volume) == (None, None)
+        # a quarter of that step only halves gamma11 and is scored
+        value, cs = evaluate_candidate(*args, delta_eps=delta_eps / 4, config=cfg,
+                                       voxel_volume=grid.voxel_volume)
+        assert value is not None and cs.gamma11 > 0
 
     def test_frozen_voxels_never_swept(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
