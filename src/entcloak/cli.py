@@ -372,15 +372,15 @@ def _sweep_point(args):
 
 def cmd_sweep(cfg, out_dir, threads=1):
     tasks = [(cfg, d, p) for d in cfg.d12_list for p in cfg.pump_list]
-    results = {}
-    failures = []
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for task, outcome in zip(tasks, pool.map(_sweep_point_safe, tasks)):
-                _record_outcome(task, outcome, results, failures)
+            outcomes = list(pool.map(_sweep_point_safe, tasks))
     else:
-        for task in tasks:
-            _record_outcome(task, _sweep_point_safe(task), results, failures)
+        outcomes = [_sweep_point_safe(task) for task in tasks]
+    # outcomes come back in task order, i.e. deterministic (d, P) order
+    rows = [out for out in outcomes if not isinstance(out, str)]
+    failures = [[d12, pump, out] for (_, d12, pump), out in zip(tasks, outcomes)
+                if isinstance(out, str)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["d12_over_lambda", "P_over_gamma", "C", "C0", "C_minus_C0",
@@ -389,10 +389,7 @@ def cmd_sweep(cfg, out_dir, threads=1):
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for task in tasks:  # deterministic (d, P) order
-            key = (task[1], task[2])
-            if key in results:
-                w.writerow([f"{v:.17g}" for v in results[key]])
+        w.writerows([f"{v:.17g}" for v in row] for row in rows)
     if failures:
         with open(out_dir / "failures.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -400,23 +397,16 @@ def cmd_sweep(cfg, out_dir, threads=1):
             w.writerows(failures)
         print(f"{len(failures)} sweep points failed; see failures.csv",
               file=sys.stderr)
-    print(f"sweep: {len(results)}/{len(tasks)} points written")
+    print(f"sweep: {len(rows)}/{len(tasks)} points written")
     return 0
 
 
 def _sweep_point_safe(task):
+    """The sweep.csv row of one point, or the error text if it failed."""
     try:
         return _sweep_point(task)
     except Exception as exc:  # record the point, keep the sweep alive
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
-def _record_outcome(task, outcome, results, failures):
-    _, d12, pump = task
-    if isinstance(outcome, tuple) and outcome and outcome[0] == "error":
-        failures.append([d12, pump, outcome[1]])
-    else:
-        results[(d12, pump)] = outcome
+        return f"{type(exc).__name__}: {exc}"
 
 
 def cmd_freespace(cfg, out_dir):

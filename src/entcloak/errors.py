@@ -48,5 +48,5 @@ class DegenerateSteadyStateError(EntcloakError):
         self.kernel_dim = kernel_dim
 
 
-class ConfigError(EntcloakError):
-    """A run configuration file is malformed or inconsistent."""
+class ConfigError(EntcloakError, ValueError):
+    """A run configuration is malformed or inconsistent (a ValueError)."""

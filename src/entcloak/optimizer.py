@@ -1,16 +1,18 @@
 """Greedy per-voxel topology optimization of the emitter-pair witness.
 
 One iteration: solve the two emitter field problems on the current
-permittivity map, sweep every eligible voxel once, score each trial
-increment +delta_eps through the first-Born perturbation of the three
-emitter Green's tensors
+map, visit each symmetry orbit of free voxels once (orbits are built
+once per design), score its trial step through the first-Born
+perturbation of the three emitter Green's tensors
 
     dG_ij = k^2 G(r_i, r_k) d_eps G(r_k, r_j) dV,
 
-keep the increment when the steady-state witness improves, then
-re-solve and verify that the accumulated perturbative estimate matches
-the re-solved tensors (the convergence identity of the scheme).  The
-pump is held at a fixed ratio P/gamma11 of the current device decay
+keep the step when the steady-state witness improves, apply the kept
+steps together, re-solve and verify that the accumulated perturbative
+estimate matches the re-solved tensors (the convergence identity).  The
+sequential and frozen-reference modes share that one loop; they differ
+only in whether later orbits are scored against the running estimate
+or the iteration-start tensors.  The pump is held at a fixed ratio P/gamma11 of the current device decay
 rate, so the steady state depends only on the coupling ratios and the
 loop effectively shapes (gamma12/gamma, g12/gamma) and the Purcell
 factor.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import quantum
 from .emcore import CouplingSet, as_position, couplings_from_q, project
-from .errors import SolverInconsistencyError
+from .errors import ConfigError, SolverInconsistencyError
 from .vie import SOLVER_METHODS, PermittivityGrid, pair_tensors, solve_green_block
 
 __all__ = [
@@ -90,6 +92,8 @@ class DesignConfig:
             raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
         if self.solver_method not in SOLVER_METHODS:
             raise ValueError(f"solver_method must be one of {SOLVER_METHODS}")
+        if not self.solver_rtol > 0:
+            raise ValueError("solver_rtol must be positive")
 
     def witness(self):
         return quantum.concurrence if self.target == "concurrence" else quantum.negativity
@@ -134,7 +138,8 @@ def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume, k=2.0 * np.pi):
     """First-Born Green's-tensor increment of one voxel perturbation.
 
     k^2 G(r_i, r_k) . delta_eps . G(r_k, r_j) . dV; exactly linear in
-    delta_eps.
+    delta_eps.  Broadcasts over leading axes: stacks of (3, 3) tensors
+    with delta_eps shaped (..., 1, 1) give one increment per voxel.
     """
     return (k**2 * delta_eps * voxel_volume) * (np.asarray(G_ik) @ np.asarray(G_kj))
 
@@ -148,20 +153,15 @@ def pump_params(cs, pump_ratio):
     )
 
 
-def _value_from_q(q11, q22, q12, k, config):
-    """(witness value, CouplingSet) from the p-projected Green's scalars.
+def _score(q11, q22, q12, k, config):
+    """(witness value, CouplingSet, rho) of the p-projected Green's scalars.
 
-    Returns None for candidates whose perturbed couplings leave the
-    physical manifold (negative decay rate or positivity-bound
-    violation); the caller treats those as rejected.
+    Unphysical couplings raise emcore's SolverInconsistencyError, which
+    names the rate; MasterEqParams' bound is never tighter than emcore's.
     """
-    try:
-        cs = couplings_from_q(q11, q22, q12, k)
-        params = pump_params(cs, config.pump_ratio)
-    except (SolverInconsistencyError, ValueError):
-        return None
-    rho = quantum.steady_state(params, check=False)
-    return config.witness()(rho), cs
+    cs = couplings_from_q(q11, q22, q12, k)
+    rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
+    return config.witness()(rho), cs, rho
 
 
 @dataclass
@@ -195,8 +195,7 @@ def compute_state(grid, emitters, config, k=2.0 * np.pi):
                                    rtol=config.solver_rtol)
     G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2, p)
     q11, q22, q12 = (project(G, p) for G in (G11, G22, G12))
-    cs = couplings_from_q(q11, q22, q12, k)  # raises if unphysical
-    rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
+    target_value, cs, rho = _score(q11, q22, q12, k, config)
     return IterationState(
         grid=grid, emitters=(r1, r2), k=k, p_hat=p, sol1=sol1, sol2=sol2,
         tensors={(1, 1): G11, (2, 2): G22, (1, 2): G12},
@@ -204,7 +203,7 @@ def compute_state(grid, emitters, config, k=2.0 * np.pi):
         s11=np.einsum("ka,ka->k", f1, f1),
         s22=np.einsum("ka,ka->k", f2, f2),
         s12=np.einsum("ka,ka->k", f1, f2),
-        couplings=cs, target_value=config.witness()(rho), rho=rho,
+        couplings=cs, target_value=target_value, rho=rho,
     )
 
 
@@ -223,111 +222,102 @@ def evaluate_candidate(G11, G22, G12, fields1, fields2, voxel, delta_eps,
     f1k = np.asarray(fields1)[voxel]
     f2k = np.asarray(fields2)[voxel]
     scale = k**2 * delta_eps * voxel_volume
-    out = _value_from_q(
-        q11 + scale * (f1k @ f1k),
-        q22 + scale * (f2k @ f2k),
-        q12 + scale * (f1k @ f2k),
-        k, config,
-    )
-    if out is None:
+    try:
+        value, cs, _ = _score(q11 + scale * (f1k @ f1k),
+                              q22 + scale * (f2k @ f2k),
+                              q12 + scale * (f1k @ f2k), k, config)
+    except SolverInconsistencyError:
         return None, None
-    return out
+    return value, cs
 
 
-def sweep_once(grid, config, state, delta_eps=None, order=None):
-    """Visit every eligible voxel once; returns (grid, sum_dG, accepted).
+def sweep_once(grid, config, state, delta_eps=None, orbits=None):
+    """Visit every orbit once; returns (grid, sum_dG, accepted).
 
-    Sequential mode folds each accepted increment into the running
-    tensor estimate before scoring later voxels; frozen-reference mode
-    scores every voxel against the iteration-start tensors and applies
-    all accepted increments jointly (order independent).  With
-    `config.bidirectional`, each voxel's +delta_eps step is scored first
-    and the -delta_eps step (clipped so eps stays >= 1) is scored only
-    when the increment is not accepted.  The grid is updated in place.
-    sum_dG maps the pair keys (1,1), (2,2), (1,2) to the accumulated
-    first-Born tensor increments consumed by `verify_convergence`.
+    `orbits` rows are the visiting order (default `_symmetry_orbits`).
+    Each orbit's +delta_eps step is scored first; with
+    `config.bidirectional` the -delta_eps step (clipped so eps stays
+    >= 1) is scored only when the increment is not accepted.  Sequential
+    mode folds each accepted step into the running estimate before
+    scoring later orbits; frozen-reference mode scores every orbit
+    against the iteration-start tensors (order independent).  Accepted
+    steps are added to the grid in place when the sweep ends.  sum_dG
+    maps the pair keys (1,1), (2,2), (1,2) to the accumulated first-Born
+    tensor increments consumed by `verify_convergence`.
     """
     if delta_eps is None:
         delta_eps = config.delta_eps
-    k = state.k
-    dV = grid.voxel_volume
-    kk2 = k**2 * dV
+    if orbits is None:
+        orbits = _symmetry_orbits(grid, config, state.emitters)
+    kk2 = state.k**2 * grid.voxel_volume
 
-    orbits = _symmetry_orbits(grid, config, state.emitters)
-    reps = sorted(orbits)
-    if order is not None:
-        order = list(order)
-        if sorted(order) != reps:
-            raise ValueError("order must be a permutation of the orbit representatives")
-        reps = order
+    # orbits are disjoint, so no orbit's eps moves before its own visit:
+    # its headrooms and summed field products are fixed at sweep start;
+    # sum() adds an orbit's members one at a time, in ascending order
+    s = sum(_by_member(np.stack([state.s11, state.s22, state.s12], axis=1),
+                       orbits, 0))
+    up = np.minimum(delta_eps, _by_member(config.eps_max - grid.eps, orbits,
+                                          np.inf).min(axis=0))
+    down = -np.minimum(delta_eps, _by_member(grid.eps - 1.0, orbits,
+                                             np.inf).min(axis=0))
+    trials = (up, down) if config.bidirectional else (up,)
 
-    q11, q22, q12 = state.q11, state.q22, state.q12
+    q = np.array([state.q11, state.q22, state.q12])
     current = state.target_value
-    sum_dG = {key: np.zeros((3, 3), dtype=complex) for key in state.tensors}
+    steps = np.zeros(grid.n_voxels)
     accepted = 0
     rejected_unphysical = 0
-    pending = []  # frozen-reference: (members, signed delta_eps)
-
-    for rep in reps:
-        members = orbits[rep]
-        for sign in (1.0,) if not config.bidirectional else (1.0, -1.0):
-            if sign > 0:
-                headroom = min(config.eps_max - grid.eps[m] for m in members)
-            else:
-                headroom = min(grid.eps[m] - 1.0 for m in members)
-            step = sign * min(delta_eps, headroom)
+    for o, orbit in enumerate(orbits):
+        for step in (trial[o] for trial in trials):
             if abs(step) < 1e-15:
                 continue
-            dq11 = kk2 * step * sum(state.s11[m] for m in members)
-            dq22 = kk2 * step * sum(state.s22[m] for m in members)
-            dq12 = kk2 * step * sum(state.s12[m] for m in members)
-            out = _value_from_q(q11 + dq11, q22 + dq22, q12 + dq12, k, config)
-            if out is None:
+            dq = kk2 * step * s[o]
+            try:
+                value = _score(*(q + dq), state.k, config)[0]
+            except SolverInconsistencyError:
                 rejected_unphysical += 1
                 continue
-            value, _ = out
             if value - current <= config.tol_accept:
                 continue
-            # accepted
+            members = orbit[orbit >= 0]
+            steps[members] = step
             accepted += len(members)
             if config.sweep_mode == "sequential":
-                q11 += dq11
-                q22 += dq22
-                q12 += dq12
+                q += dq
                 current = value
-                for m in members:
-                    grid.eps[m] += step
-                _accumulate_dG(sum_dG, state, members, step, kk2)
-            else:
-                pending.append((members, step))
             break  # do not also try the opposite sign
 
-    if config.sweep_mode == "frozen-reference":
-        for members, step in pending:
-            for m in members:
-                grid.eps[m] += step
-            _accumulate_dG(sum_dG, state, members, step, kk2)
-
+    grid.eps += steps
     if rejected_unphysical:
         log.debug("sweep rejected %d candidates whose perturbed couplings "
                   "left the physical manifold", rejected_unphysical)
-    return grid, sum_dG, accepted
+    return grid, _sum_dG(state, steps), accepted
 
 
-def _accumulate_dG(sum_dG, state, members, step, kk2):
-    for m in members:
-        X1 = state.sol1.block[m]  # G(r_k, r1)
-        X2 = state.sol2.block[m]
-        sum_dG[(1, 1)] += kk2 * step * (X1.T @ X1)
-        sum_dG[(2, 2)] += kk2 * step * (X2.T @ X2)
-        sum_dG[(1, 2)] += kk2 * step * (X1.T @ X2)
+def _sum_dG(state, steps):
+    """First-Born increments of the (1,1), (2,2), (1,2) tensors for the
+    per-voxel permittivity steps `steps` on the map of `state`."""
+    changed = np.flatnonzero(steps)
+    X1 = state.sol1.block[changed]  # G(r_k, r1)
+    X2 = state.sol2.block[changed]
+    dG = born_delta_green(np.stack([X1, X2, X1]).swapaxes(-1, -2),
+                          np.stack([X1, X2, X2]), steps[changed, None, None],
+                          state.grid.voxel_volume, state.k)
+    return dict(zip([(1, 1), (2, 2), (1, 2)], dG.sum(axis=1)))
+
+
+def _by_member(values, orbits, fill):
+    """Per-voxel values of each orbit's members, shape (width, n_orbits,
+    ...); the -1 padding slots read `fill`."""
+    return np.concatenate([values, np.full_like(values[:1], fill)])[orbits.T]
 
 
 def _symmetry_orbits(grid, config, emitters):
-    """Map orbit representative -> member voxel indices (non-frozen only)."""
+    """Ascending member voxels of each orbit without a frozen member, one
+    row per orbit (padded with -1) in representative order; raises
+    ConfigError when the layout cannot carry the symmetry."""
     nx, ny, nz = grid.dims
-    n = grid.n_voxels
-    idx = np.arange(n)
+    idx = np.arange(grid.n_voxels)
     ix, iy, iz = np.unravel_index(idx, grid.dims)
 
     def flat(ax, ay, az):
@@ -340,20 +330,16 @@ def _symmetry_orbits(grid, config, emitters):
         groups = np.stack([idx, flat(ix, iy, nz - 1 - iz)], axis=1)
     else:  # z-axis-rotation-4fold
         if nx != ny:
-            raise ValueError("4-fold rotation symmetry requires nx == ny")
+            raise ConfigError("4-fold rotation symmetry requires nx == ny")
         _require_axis_symmetry(grid, emitters, mirror=False)
         g1 = flat(iy, nx - 1 - ix, iz)
         g2 = flat(nx - 1 - ix, ny - 1 - iy, iz)
         g3 = flat(ny - 1 - iy, ix, iz)
         groups = np.stack([idx, g1, g2, g3], axis=1)
 
-    orbits = {}
-    for row in groups:
-        members = sorted(set(int(m) for m in row))
-        rep = members[0]
-        if any(grid.frozen[m] for m in members):
-            continue
-        orbits[rep] = members
+    groups = np.sort(groups, axis=1)
+    orbits = groups[(groups[:, 0] == idx) & ~grid.frozen[groups].any(axis=1)]
+    orbits[:, 1:][orbits[:, 1:] == orbits[:, :-1]] = -1  # repeated members
     return orbits
 
 
@@ -365,13 +351,13 @@ def _require_axis_symmetry(grid, emitters, mirror):
     tol = 1e-9
     if abs(r1[0] - cx) > tol or abs(r1[1] - cy) > tol \
             or abs(r2[0] - cx) > tol or abs(r2[1] - cy) > tol:
-        raise ValueError("symmetry constraints require emitters on the grid's "
-                         "central z axis")
+        raise ConfigError("symmetry constraints require emitters on the "
+                          "grid's central z axis")
     if mirror:
         cz = grid.origin[2] + grid.spacing * (grid.dims[2] - 1) / 2.0
         if abs((r1[2] + r2[2]) / 2.0 - cz) > tol:
-            raise ValueError("mirror-z requires emitters placed symmetrically "
-                             "about the grid midplane")
+            raise ConfigError("mirror-z requires emitters placed "
+                              "symmetrically about the grid midplane")
 
 
 def _mismatch(old_tensors, sum_dG, new_tensors):
@@ -414,13 +400,16 @@ def optimize(grid0, emitters, config, k=2.0 * np.pi):
     """Run the greedy design loop; returns the full DesignRecord.
 
     Starts from grid0 (normally all vacuum), freezes the exclusion zone
-    around both emitters, and iterates sweep / re-solve / verify until
+    around both emitters, builds the symmetry orbits (raising
+    ConfigError, before any field solve, when the layout cannot carry
+    the symmetry), and iterates sweep / re-solve / verify until
     no voxel improves the target, the improvement falls below
     tol_accept, max_iterations is reached, or adaptive halving exhausts
     delta_eps.
     """
     grid = grid0.copy()
     freeze_exclusion_zone(grid, emitters, config.exclusion_radius)
+    orbits = _symmetry_orbits(grid, config, emitters)
 
     state = compute_state(grid, emitters, config, k)
     entries = [IterationEntry(
@@ -434,7 +423,7 @@ def optimize(grid0, emitters, config, k=2.0 * np.pi):
     while n < config.max_iterations:
         eps_backup = grid.eps.copy()
         grid, sum_dG, accepted = sweep_once(grid, config, state,
-                                            delta_eps=delta_eps)
+                                            delta_eps=delta_eps, orbits=orbits)
         if accepted == 0:
             break
         new_state = compute_state(grid, emitters, config, k)

@@ -1,5 +1,9 @@
+import argparse
 import csv
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,10 +156,21 @@ class TestOptimizeCommand:
         assert len(rows) == 1
         assert int(rows[0]["accepted_count"]) == 0
 
-    @pytest.mark.parametrize("line", ["dims = 4,4", "spacing = -0.0625",
-                                      "origin = 0.1,0.2"],
-                             ids=["dims", "spacing", "origin"])
-    def test_malformed_config_exit_2_no_outputs(self, tmp_path, line):
+    @pytest.mark.parametrize("line", [
+        "dims = 4,4", "spacing = -0.0625", "origin = 0.1,0.2", "solver_rtol = 0",
+        "dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
+        "dims = 4,4,4\norigin = 0.03,-0.09375,-0.09375\nsymmetry = mirror-z",
+    ], ids=["dims", "spacing", "origin", "solver_rtol", "rotation-dims",
+            "mirror-off-axis"])
+    def test_malformed_config_exit_2_no_outputs(self, tmp_path, monkeypatch,
+                                                line):
+        # a configuration error must surface before any field solve
+        from entcloak import optimizer
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("field solve on a malformed configuration")
+
+        monkeypatch.setattr(optimizer, "solve_green_block", no_solve)
         cfg_path = write_config(tmp_path, line + "\n", name="bad.cfg")
         out = tmp_path / "never"
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
@@ -309,3 +324,29 @@ class TestValidateCommand:
         assert cli.main(["validate", "--corrupt-self-term"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "rayleigh" in out
+
+
+class TestDocDrift:
+    """The CLI documentation names exactly what the parser accepts."""
+
+    def test_docstring_key_table_matches_parse_config(self, tmp_path):
+        table = cli.__doc__.split("Normative keys and defaults:")[1]
+        table = table.split("\n\n")[1]
+        documented = dict(re.findall(r"^    (\w+)\s*=\s*(\S+)", table, re.M))
+        accepted = ({f.name for f in fields(cli.RunConfig)} - {"design"}) \
+            | cli._DESIGN_KEYS
+        assert set(documented) == accepted
+        # every key parses, and at its documented default
+        text = "".join(f"{key} = {val}\n" for key, val in documented.items())
+        assert cli.parse_config(write_config(tmp_path, text)) == cli.RunConfig()
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, parser in subparsers.choices.items():
+            flags = {opt for a in parser._actions if a.help != argparse.SUPPRESS
+                     for opt in a.option_strings if opt not in ("-h", "--help")}
+            row = re.search(rf"^\| `{name}` +\|(.*)\|$", readme, re.M)
+            assert row is not None, name
+            assert set(re.findall(r"--[a-z-]+", row.group(1))) == flags, name

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from entcloak import quantum
-from entcloak.emcore import couplings_from_green, free_space_green
+from entcloak.emcore import (
+    POSITIVITY_TOL,
+    CouplingSet,
+    couplings_from_green,
+    free_space_green,
+)
 from entcloak.errors import SolverInconsistencyError
 from entcloak.optimizer import (
     DesignConfig,
@@ -11,9 +16,10 @@ from entcloak.optimizer import (
     evaluate_candidate,
     freeze_exclusion_zone,
     optimize,
+    pump_params,
     sweep_once,
     verify_convergence,
-    _accumulate_dG,
+    _sum_dG,
     _symmetry_orbits,
 )
 from entcloak.vie import PermittivityGrid, scattered_green_pair
@@ -64,6 +70,19 @@ class TestBornDeltaGreen:
         assert rel < 0.05
         # the deviation is the Clausius-Mossotti local-field factor, not noise
         assert rel == pytest.approx(0.1 / 3, rel=0.15)
+
+
+class TestPumpParams:
+    @pytest.mark.parametrize("gammas", [(1.0, 1.0), (1e-3, 2e-3), (1.3e3, 0.7e3)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_set_on_the_emcore_positivity_bound_builds(self, gammas, sign):
+        # candidate scoring catches only emcore's SolverInconsistencyError,
+        # so every set emcore accepts must also build MasterEqParams
+        g11, g22 = gammas
+        g12 = sign * (np.sqrt(g11 * g22) + POSITIVITY_TOL)
+        cs = CouplingSet(g11, g22, g12, 0.1).validate()
+        params = pump_params(cs, 5e-3)
+        assert (params.gamma12, params.P) == (g12, 5e-3 * g11)
 
 
 class TestComputeState:
@@ -166,7 +185,7 @@ class TestEvaluateCandidate:
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
         orbits = _symmetry_orbits(grid, cfg, st.emitters)
-        swept = {m for members in orbits.values() for m in members}
+        swept = set(orbits[orbits >= 0].tolist())
         assert swept.isdisjoint(set(np.nonzero(grid.frozen)[0].tolist()))
         assert len(swept) == int((~grid.frozen).sum())
 
@@ -187,13 +206,12 @@ class TestSweepOnce:
         base_grid, emitters, cfg = toy(dims=(4, 4, 4),
                                        sweep_mode="frozen-reference")
         freeze_exclusion_zone(base_grid, emitters, cfg.exclusion_radius)
-        reps = sorted(_symmetry_orbits(base_grid, cfg, emitters))
+        orbits = _symmetry_orbits(base_grid, cfg, emitters)
         outcomes = set()
         for _ in range(5):
             g = base_grid.copy()
             st = compute_state(g, emitters, cfg)
-            order = [int(r) for r in rng.permutation(reps)]
-            _, _, acc = sweep_once(g, cfg, st, order=order)
+            _, _, acc = sweep_once(g, cfg, st, orbits=rng.permutation(orbits))
             outcomes.add((acc, tuple(np.round(g.eps, 13))))
         assert len(outcomes) == 1
 
@@ -211,7 +229,7 @@ class TestSweepOnce:
         f2 = st.sol2.column(st.p_hat)
         current = st.target_value
         accepted_hand = []
-        for kidx in sorted(_symmetry_orbits(hand, cfg, emitters)):
+        for kidx in _symmetry_orbits(hand, cfg, emitters)[:, 0]:
             value, _ = evaluate_candidate(G11, G22, G12, f1, f2, kidx,
                                           cfg.delta_eps, cfg,
                                           hand.voxel_volume)
@@ -264,8 +282,8 @@ class TestSweepOnce:
         assert state.target_value < good_state.target_value
         before = spoiled.eps[victim]
         # victim first, so no earlier acceptance in the sweep shifts its score
-        order = [victim] + [int(m) for m in free if m != victim]
-        sweep_once(spoiled, bi_cfg, state, order=order)
+        orbits = np.array([[victim]] + [[m] for m in free if m != victim])
+        sweep_once(spoiled, bi_cfg, state, orbits=orbits)
         assert spoiled.eps[victim] < before
 
     def test_eps_max_cap_respected(self):
@@ -278,6 +296,29 @@ class TestSweepOnce:
         st = compute_state(grid, emitters, cfg)
         sweep_once(grid, cfg, st)
         assert np.all(grid.eps <= cfg.eps_max + 1e-12)
+
+    def test_sum_dG_is_the_born_sum_of_the_eps_changes(self):
+        # bidirectional mirror-z on a map half at eps = 2: the sweep takes
+        # steps of both signs on two-member orbits
+        grid, emitters, cfg = toy(dims=(6, 6, 6), symmetry="mirror-z",
+                                  bidirectional=True, exclusion_radius=1.0)
+        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        grid.eps[~grid.frozen & (grid.centers()[:, 0] > 0)] = 2.0
+        st = compute_state(grid, emitters, cfg)
+        before = grid.eps.copy()
+        _, sum_dG, _ = sweep_once(grid, cfg, st)
+        delta = grid.eps - before
+        changed = np.flatnonzero(delta)
+        assert (delta < 0).any() and (delta > 0).any()
+        orbits = _symmetry_orbits(grid, cfg, emitters)
+        assert (np.isin(orbits[:, 1], changed)).any()
+        for key in ((1, 1), (2, 2), (1, 2)):
+            sol_i, sol_j = (st.sol1 if n == 1 else st.sol2 for n in key)
+            expected = sum(born_delta_green(sol_i.block[m].T, sol_j.block[m],
+                                            delta[m], grid.voxel_volume, K)
+                           for m in changed)
+            assert np.linalg.norm(sum_dG[key] - expected) \
+                <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestVerifyConvergence:
@@ -295,8 +336,7 @@ class TestVerifyConvergence:
         kidx = int(np.argmax(~grid.frozen))
         g2 = grid.copy()
         g2.eps[kidx] += 0.05
-        sum_dG = {key: np.zeros((3, 3), dtype=complex) for key in st.tensors}
-        _accumulate_dG(sum_dG, st, [kidx], 0.05, K**2 * grid.voxel_volume)
+        sum_dG = _sum_dG(st, g2.eps - grid.eps)
         mism = verify_convergence(st.tensors, sum_dG, g2, emitters, cfg)
         assert 0 < mism <= 1e-3
 
@@ -308,11 +348,8 @@ class TestVerifyConvergence:
         st = compute_state(grid, emitters, cfg)
         free = np.nonzero(~grid.frozen)[0][:40]
         g2 = grid.copy()
-        sum_dG = {key: np.zeros((3, 3), dtype=complex) for key in st.tensors}
-        for kidx in free:
-            g2.eps[kidx] += 1.0
-            _accumulate_dG(sum_dG, st, [int(kidx)], 1.0,
-                           K**2 * grid.voxel_volume)
+        g2.eps[free] += 1.0
+        sum_dG = _sum_dG(st, g2.eps - grid.eps)
         mism = verify_convergence(st.tensors, sum_dG, g2, emitters, cfg)
         assert mism > cfg.eta_converge
 
@@ -387,6 +424,9 @@ class TestOptimize:
         for method in ("dens", "auto"):
             with pytest.raises(ValueError, match="iterative.*dense"):
                 DesignConfig(solver_method=method)
+        for rtol in (0.0, -1e-10):
+            with pytest.raises(ValueError, match="solver_rtol"):
+                DesignConfig(solver_rtol=rtol)
 
     def test_negativity_target_improves_negativity(self):
         grid, emitters, cfg = toy(dims=(6, 6, 6), target="negativity",
