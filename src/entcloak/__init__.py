@@ -32,7 +32,6 @@ from .optimizer import (
     verify_convergence,
 )
 from .quantum import (
-    DensityMatrix4,
     MasterEqParams,
     build_liouvillian,
     concurrence,
@@ -76,7 +75,6 @@ __all__ = [
     "optimize",
     "sweep_once",
     "verify_convergence",
-    "DensityMatrix4",
     "MasterEqParams",
     "build_liouvillian",
     "concurrence",

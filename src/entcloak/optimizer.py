@@ -46,6 +46,7 @@ __all__ = [
     "optimize",
     "compute_state",
     "freeze_exclusion_zone",
+    "P_HAT",
 ]
 
 log = logging.getLogger(__name__)
@@ -53,6 +54,10 @@ log = logging.getLogger(__name__)
 _TARGETS = ("concurrence", "negativity")
 _SWEEP_MODES = ("sequential", "frozen-reference")
 _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
+
+#: Dipole orientation of both emitters; the only validated configuration.
+P_HAT = np.array([0.0, 0.0, 1.0], dtype=complex)
+P_HAT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,6 @@ class DesignConfig:
     symmetry: str = "none"
     target: str = "concurrence"
     pump_ratio: float = 5e-3  # P / gamma11, held fixed
-    p_hat: tuple = (0.0, 0.0, 1.0)
     solver_method: str = "iterative"  # or "dense", the LU oracle
     solver_rtol: float = 1e-10
 
@@ -117,7 +121,7 @@ class DesignRecord:
 
     entries: list
     final_grid: PermittivityGrid
-    final_rho: quantum.DensityMatrix4
+    final_rho: np.ndarray
     target: str
     emitters: tuple
 
@@ -157,7 +161,7 @@ def _score(q11, q22, q12, k, config):
     """(witness value, CouplingSet, rho) of the p-projected Green's scalars.
 
     Unphysical couplings raise emcore's SolverInconsistencyError, which
-    names the rate; MasterEqParams' bound is never tighter than emcore's.
+    names the rate.
     """
     cs = couplings_from_q(q11, q22, q12, k)
     rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
@@ -183,21 +187,20 @@ class IterationState:
     s12: np.ndarray
     couplings: CouplingSet
     target_value: float
-    rho: quantum.DensityMatrix4
+    rho: np.ndarray
 
 
 def compute_state(grid, emitters, config, k=2.0 * np.pi):
     """Full solve at the current map plus everything the sweep consumes."""
     r1, r2 = (as_position(r) for r in emitters)
-    p = np.asarray(config.p_hat, dtype=complex)
     sol1, sol2 = solve_green_block(grid, (r1, r2), k,
                                    method=config.solver_method,
                                    rtol=config.solver_rtol)
-    G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2, p)
-    q11, q22, q12 = (project(G, p) for G in (G11, G22, G12))
+    G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2, P_HAT)
+    q11, q22, q12 = (project(G, P_HAT) for G in (G11, G22, G12))
     target_value, cs, rho = _score(q11, q22, q12, k, config)
     return IterationState(
-        grid=grid, emitters=(r1, r2), k=k, p_hat=p, sol1=sol1, sol2=sol2,
+        grid=grid, emitters=(r1, r2), k=k, p_hat=P_HAT, sol1=sol1, sol2=sol2,
         tensors={(1, 1): G11, (2, 2): G22, (1, 2): G12},
         q11=q11, q22=q22, q12=q12,
         s11=np.einsum("ka,ka->k", f1, f1),
@@ -212,13 +215,13 @@ def evaluate_candidate(G11, G22, G12, fields1, fields2, voxel, delta_eps,
     """Witness value if voxel `voxel` were incremented by delta_eps.
 
     Applies the first-Born update to all three emitter tensors through
-    the p_hat-projected field maps (reciprocity supplies the transposed
+    the P_HAT-projected field maps (reciprocity supplies the transposed
     factors), renormalizes the pump to P = pump_ratio * gamma11 of the
     candidate device, and solves the steady state.  Returns
     (value, CouplingSet), or (None, None) when the perturbed couplings
     leave the physical manifold.
     """
-    q11, q22, q12 = (project(G, config.p_hat) for G in (G11, G22, G12))
+    q11, q22, q12 = (project(G, P_HAT) for G in (G11, G22, G12))
     f1k = np.asarray(fields1)[voxel]
     f2k = np.asarray(fields2)[voxel]
     scale = k**2 * delta_eps * voxel_volume

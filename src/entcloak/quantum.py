@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .emcore import CouplingSet
 from .errors import ConvergenceError, DegenerateSteadyStateError
 
 __all__ = [
     "MasterEqParams",
-    "DensityMatrix4",
     "NonXStateWarning",
     "build_liouvillian",
     "steady_state",
@@ -100,89 +100,32 @@ _L_PUMP = (_lindblad(_S1.conj().T, _S1.conj().T)
            + _lindblad(_S2.conj().T, _S2.conj().T))
 _L_COH = _hamiltonian_part()
 
-#: Row vector implementing rho -> Tr(rho) on vec(rho); used for trace checks.
-TRACE_FUNCTIONAL = np.eye(4, dtype=complex).reshape(-1, order="F").conj()
-
 
 @dataclass(frozen=True)
-class MasterEqParams:
-    """Dimensionless master-equation rates, all in units of gamma0.
+class MasterEqParams(CouplingSet):
+    """Coupling rates plus the symmetric incoherent pump P applied to both
+    emitters, all in units of gamma0.
 
-    P is the symmetric incoherent pump applied to both emitters.
+    The rates obey emcore's positivity rule (SolverInconsistencyError
+    naming the rate); P must be non-negative.
     """
 
-    gamma11: float
-    gamma22: float
-    gamma12: float
-    g12: float
     P: float
 
     def __post_init__(self):
-        if not (self.gamma11 > 0 and self.gamma22 > 0):
-            raise ValueError("gamma11 and gamma22 must be positive")
+        self.validate()
         if self.P < 0:
             raise ValueError("pump rate must be non-negative")
-        bound = np.sqrt(self.gamma11 * self.gamma22) * (1 + 1e-12) + 1e-9
-        if abs(self.gamma12) > bound:
-            raise ValueError(
-                f"|gamma12|={abs(self.gamma12)} violates the positivity bound "
-                f"sqrt(gamma11*gamma22)={np.sqrt(self.gamma11 * self.gamma22)}"
-            )
 
 
-class DensityMatrix4:
-    """4x4 two-qubit density matrix in the basis {gg, eg, ge, ee}.
-
-    Thin wrapper over the ndarray with the named entries the witnesses
-    read.  `matrix` is the raw array; arithmetic should use it directly.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got {m.shape}")
-        self.matrix = m
-
-    @property
-    def rho00(self):
-        return self.matrix[0, 0].real
-
-    @property
-    def rho11(self):
-        return self.matrix[1, 1].real
-
-    @property
-    def rho22(self):
-        return self.matrix[2, 2].real
-
-    @property
-    def rho33(self):
-        return self.matrix[3, 3].real
-
-    @property
-    def rho12(self):
-        return self.matrix[1, 2]
-
-    def validate(self, herm_tol=1e-10, trace_tol=1e-10, eig_tol=1e-9):
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > herm_tol:
-            raise ValueError("density matrix not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -eig_tol:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-        return self
-
-    def __repr__(self):
-        return f"DensityMatrix4({self.matrix!r})"
-
-
-def _as_matrix(rho):
-    if isinstance(rho, DensityMatrix4):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
+def _check_state(m):
+    """Raise ValueError unless the 4x4 array m is a density matrix."""
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise ValueError("density matrix not Hermitian within tolerance")
+    if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
+        raise ValueError("density matrix trace differs from 1")
+    if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -1e-9:
+        raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
 def build_liouvillian(params):
@@ -206,7 +149,7 @@ _KERNEL_RTOL = 1e-12
 
 
 def steady_state(params, check=True):
-    """Unique steady state of the master equation.
+    """Unique steady state of the master equation, as a (4, 4) array.
 
     Solves L vec(rho) = 0 by smallest-singular-vector extraction and
     normalizes the trace.
@@ -231,16 +174,15 @@ def steady_state(params, check=True):
     rho = v.reshape(4, 4, order="F")
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
-    out = DensityMatrix4(rho)
     if check:
-        out.validate()
+        _check_state(rho)
         residual = np.linalg.norm(L @ rho.reshape(-1, order="F"))
         if residual > 1e-10 * max(1.0, s[0]):
             raise ConvergenceError(
                 f"steady-state residual {residual:.3e} above tolerance",
                 residual=residual,
             )
-    return out
+    return rho
 
 
 def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
@@ -249,9 +191,9 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
 
     Integrates drho/dt = L rho from rho0 (default: both emitters in the
     ground state) until ||L rho|| <= residual_tol, then returns the
-    final state.  Because L is linear, any stable fixed step converges
-    to the exact kernel direction; dt only has to satisfy the stated
-    precondition dt <= 0.01 / max rate.
+    final (4, 4) state.  Because L is linear, any stable fixed step
+    converges to the exact kernel direction; dt only has to satisfy the
+    stated precondition dt <= 0.01 / max rate.
 
     Raises
     ------
@@ -274,7 +216,7 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
     else:
-        rho = _as_matrix(rho0).copy()
+        rho = np.array(rho0, dtype=complex)
     v = rho.reshape(-1, order="F")
 
     n_steps = int(np.ceil(t_max / dt))
@@ -294,7 +236,7 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
         )
     rho = v.reshape(4, 4, order="F")
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix4(rho / np.trace(rho))
+    return rho / np.trace(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +246,15 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
 #: Magnitude above which a non-rho12 off-diagonal disqualifies the X closed form.
 _X_TOL = 1e-8
 
+#: True everywhere but the diagonal and rho12, rho21: the entries an X
+#: state leaves zero.  Built once; the validate suite reads it too.
+_OFF_X = np.ones((4, 4), dtype=bool)
+_OFF_X[np.diag_indices(4)] = False
+_OFF_X[1, 2] = _OFF_X[2, 1] = False
 
-def _is_x_state(m, tol=_X_TOL):
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[np.diag_indices(4)] = True
-    mask[1, 2] = mask[2, 1] = True
-    return np.max(np.abs(m[~mask])) <= tol
+
+def _is_x_state(rho):
+    return np.max(np.abs(rho[_OFF_X])) <= _X_TOL
 
 
 def concurrence(rho):
@@ -319,16 +264,16 @@ def concurrence(rho):
     states of this model; non-X input falls back to the general
     eigenvalue construction and emits NonXStateWarning.
     """
-    m = _as_matrix(rho)
-    if not _is_x_state(m):
+    if not _is_x_state(rho):
         warnings.warn(
             "density matrix is not X-type with a single rho12 coherence; "
             "falling back to the general Wootters construction",
             NonXStateWarning,
             stacklevel=2,
         )
-        return concurrence_wootters(m)
-    val = 2.0 * (abs(m[1, 2]) - np.sqrt(max(m[0, 0].real * m[3, 3].real, 0.0)))
+        return concurrence_wootters(rho)
+    pops = max(rho[0, 0].real * rho[3, 3].real, 0.0)
+    val = 2.0 * (abs(rho[1, 2]) - np.sqrt(pops))
     return max(0.0, float(val))
 
 
@@ -341,8 +286,7 @@ def concurrence_wootters(rho):
     max{0, l1 - l2 - l3 - l4} with l_i the decreasing square roots of
     the eigenvalues of rho (sy x sy) rho* (sy x sy).
     """
-    m = _as_matrix(rho)
-    R = m @ _SY2 @ m.conj() @ _SY2
+    R = rho @ _SY2 @ rho.conj() @ _SY2
     ev = np.linalg.eigvals(R).real
     lam = np.sqrt(np.abs(np.sort(ev)[::-1]))
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
@@ -355,32 +299,29 @@ def negativity(rho):
     Non-X input falls back to the partial-transpose construction and
     emits NonXStateWarning.
     """
-    m = _as_matrix(rho)
-    if not _is_x_state(m):
+    if not _is_x_state(rho):
         warnings.warn(
             "density matrix is not X-type with a single rho12 coherence; "
             "falling back to the partial-transpose construction",
             NonXStateWarning,
             stacklevel=2,
         )
-        return negativity_partial_transpose(m)
-    a, d = m[0, 0].real, m[3, 3].real
-    val = np.sqrt((a - d) ** 2 + 4.0 * abs(m[1, 2]) ** 2) - (a + d)
+        return negativity_partial_transpose(rho)
+    a, d = rho[0, 0].real, rho[3, 3].real
+    val = np.sqrt((a - d) ** 2 + 4.0 * abs(rho[1, 2]) ** 2) - (a + d)
     return max(0.0, float(val))
 
 
 def negativity_partial_transpose(rho):
     """Negativity from the partial transpose: 2 sum |negative eigenvalues|."""
-    m = _as_matrix(rho)
-    pt = m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     ev = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
     return float(2.0 * np.sum(np.abs(ev[ev < 0])))
 
 
 def linear_entropy(rho):
     """Linear entropy S_L = (4/3)(1 - Tr rho^2); 0 pure, 1 maximally mixed."""
-    m = _as_matrix(rho)
-    return float((4.0 / 3.0) * (1.0 - np.trace(m @ m).real))
+    return float((4.0 / 3.0) * (1.0 - np.trace(rho @ rho).real))
 
 
 def mems_curve(r):

@@ -93,7 +93,7 @@ def test_criterion_4_isolation_populations():
         P = rng.uniform(1e-4, 2.0)
         rho = quantum.steady_state(
             quantum.MasterEqParams(gam, gam, 0.0, 0.0, P), check=False)
-        worst = max(worst, abs(rho.rho11 + rho.rho33 - P / (P + gam)))
+        worst = max(worst, abs(rho[1, 1].real + rho[3, 3].real - P / (P + gam)))
     ok = worst <= 1e-12
     detail = (f"max |pop - P/(P+gamma)| = {worst:.2e} over 100 random pairs, "
               f"required <= 1e-12 [{time.time() - t0:.2f}s]")

@@ -246,6 +246,27 @@ class TestSweepCommand:
         assert len(failures) == 1
         assert float(failures[0]["d12_over_lambda"]) == 0.1875
 
+    @pytest.mark.parametrize("line", [
+        "dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
+        "dims = 4,4,4\norigin = 0.03,-0.09375,-0.09375\nsymmetry = mirror-z",
+    ], ids=["rotation-dims", "mirror-off-axis"])
+    def test_uncarriable_symmetry_exit_2_no_outputs(self, tmp_path, monkeypatch,
+                                                    line):
+        # the layout fails every point alike: a configuration error before
+        # any point starts, not one failures.csv row per point
+        from entcloak import optimizer
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("field solve on a malformed configuration")
+
+        monkeypatch.setattr(optimizer, "solve_green_block", no_solve)
+        text = line + "\nd12_list = 0.25,0.375\npump_list = 0.005,0.05\n"
+        cfg_path = write_config(tmp_path, text, name="bad.cfg")
+        out = tmp_path / "never"
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_worker_pool_matches_sequential(self, tmp_path):
         text = TINY_CONFIG + "d12_list = 0.25,0.375\npump_list = 0.005\n"
         cfg_path = write_config(tmp_path, text, name="sweep2.cfg")

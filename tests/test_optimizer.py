@@ -73,13 +73,22 @@ class TestBornDeltaGreen:
 
 
 class TestPumpParams:
-    @pytest.mark.parametrize("gammas", [(1.0, 1.0), (1e-3, 2e-3), (1.3e3, 0.7e3)])
+    # (gamma11, gamma22, excess of |gamma12| over the tolerated bound)
+    @pytest.mark.parametrize("gammas", [
+        (1.0, 1.0, 0.0), (1e-3, 2e-3, 0.0), (1.3e3, 0.7e3, 0.0),
+        (1.0, 1.0, 1e-9), (1e-3, 2e-3, 1e-9), (1.3e3, 0.7e3, 1e-9),
+    ])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_set_on_the_emcore_positivity_bound_builds(self, gammas, sign):
         # candidate scoring catches only emcore's SolverInconsistencyError,
-        # so every set emcore accepts must also build MasterEqParams
-        g11, g22 = gammas
-        g12 = sign * (np.sqrt(g11 * g22) + POSITIVITY_TOL)
+        # so every set emcore accepts must also build MasterEqParams, and
+        # MasterEqParams rejects a set just beyond the bound the same way
+        g11, g22, excess = gammas
+        g12 = sign * (np.sqrt(g11 * g22) + POSITIVITY_TOL + excess)
+        if excess:
+            with pytest.raises(SolverInconsistencyError, match="gamma12"):
+                quantum.MasterEqParams(g11, g22, g12, 0.1, 5e-3 * g11)
+            return
         cs = CouplingSet(g11, g22, g12, 0.1).validate()
         params = pump_params(cs, 5e-3)
         assert (params.gamma12, params.P) == (g12, 5e-3 * g11)
