@@ -38,9 +38,11 @@ state.
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields, replace
 from pathlib import Path
 
@@ -243,9 +245,25 @@ def build_grid(cfg, d12=None):
 # CSV / JSON export
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _atomic_open(path, newline=None):
+    """Text file handle whose contents replace `path` only when the block
+    completes; on any error `path` is left as it was and the temporary
+    file beside it is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_grid_csv(grid, path):
     """(ix, iy, iz, eps) rows; eps written with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["ix", "iy", "iz", "eps"])
         nx, ny, nz = grid.dims
@@ -305,7 +323,7 @@ def save_meta(cfg, grid, emitters, path, d12=None):
         "pump_ratio": cfg.design.pump_ratio,
         "seed": cfg.seed,
     }
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return meta
@@ -323,7 +341,7 @@ def _trace_rows(record):
 
 
 def save_trace_csv(record, path):
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "target_value", "accepted_count", "gamma12_over_gamma",
                     "g12_over_gamma", "purcell", "eq3_mismatch", "delta_eps"])
@@ -388,12 +406,12 @@ def cmd_sweep(cfg, out_dir, threads=1):
     header = ["d12_over_lambda", "P_over_gamma", "C", "C0", "C_minus_C0",
               "gamma12_over_gamma", "g12_over_gamma", "purcell",
               "S_L", "S_L0", "N", "N0"]
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+    with _atomic_open(out_dir / "sweep.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([f"{v:.17g}" for v in row] for row in rows)
     if failures:
-        with open(out_dir / "failures.csv", "w", newline="") as fh:
+        with _atomic_open(out_dir / "failures.csv", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["d12_over_lambda", "P_over_gamma", "error"])
             w.writerows(failures)
@@ -415,7 +433,7 @@ def cmd_freespace(cfg, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["d12_over_lambda", "gamma12_over_gamma0", "g12_over_gamma0"]
     header += [f"C0_P_over_gamma_{p:g}" for p in cfg.pump_list]
-    with open(out_dir / "freespace.csv", "w", newline="") as fh:
+    with _atomic_open(out_dir / "freespace.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         vac_self = vacuum_self_green()
@@ -433,7 +451,7 @@ def cmd_freespace(cfg, out_dir):
 
 def cmd_mems(out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "mems.csv", "w", newline="") as fh:
+    with _atomic_open(out_dir / "mems.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["r", "C", "S_L"])
         for r in np.linspace(0.0, 1.0, 201):

@@ -264,19 +264,24 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
     down = -np.minimum(delta_eps, _by_member(grid.eps - 1.0, orbits,
                                              np.inf).min(axis=0))
     trials = (up, down) if config.bidirectional else (up,)
+    # each trial sign's steps and Delta q of every orbit, as Python
+    # floats and complex values: numpy scalars would cost the scorer
+    # more than its own arithmetic
+    trials = [(t.tolist(), ((kk2 * t)[:, None] * s).tolist()) for t in trials]
 
-    q = np.array([state.q11, state.q22, state.q12])
+    q = [state.q11, state.q22, state.q12]
     current = state.target_value
     steps = np.zeros(grid.n_voxels)
     accepted = 0
     rejected_unphysical = 0
     for o, orbit in enumerate(orbits):
-        for step in (trial[o] for trial in trials):
+        for trial_steps, trial_dq in trials:
+            step = trial_steps[o]
             if abs(step) < 1e-15:
                 continue
-            dq = kk2 * step * s[o]
+            trial_q = [x + dx for x, dx in zip(q, trial_dq[o])]
             try:
-                value = _score(*(q + dq), state.k, config)[0]
+                value = _score(*trial_q, state.k, config)[0]
             except SolverInconsistencyError:
                 rejected_unphysical += 1
                 continue
@@ -286,7 +291,7 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
             steps[members] = step
             accepted += len(members)
             if config.sweep_mode == "sequential":
-                q += dq
+                q = trial_q
                 current = value
             break  # do not also try the opposite sign
 

@@ -13,9 +13,12 @@ every other generator conserves excitation number, so the steady state
 is frame independent.
 
 Steady states of this model are X-type: the only surviving coherence is
-rho12 = <e1 g2| rho |g1 e2>.  The closed-form witnesses below exploit
-that structure; the general (eigenvalue-based) constructions are kept as
-independent paths and cross-checked in the test suite.
+rho12 = <e1 g2| rho |g1 e2>.  `steady_state` and the witnesses exploit
+that structure in closed form.  The general constructions are kept as
+independent oracles and cross-checked in the test suite and by
+`entcloak validate`: the 16x16 Liouvillian kernel (`steady_state_svd`),
+RK4 time propagation (`propagate_to_steady`), and the Wootters and
+partial-transpose witnesses.
 """
 
 import warnings
@@ -31,6 +34,7 @@ __all__ = [
     "NonXStateWarning",
     "build_liouvillian",
     "steady_state",
+    "steady_state_svd",
     "propagate_to_steady",
     "concurrence",
     "concurrence_wootters",
@@ -118,16 +122,6 @@ class MasterEqParams(CouplingSet):
             raise ValueError("pump rate must be non-negative")
 
 
-def _check_state(m):
-    """Raise ValueError unless the 4x4 array m is a density matrix."""
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("density matrix not Hermitian within tolerance")
-    if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -1e-9:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
-
-
 def build_liouvillian(params):
     """16x16 matrix L with vec(drho/dt) = L vec(rho), column-stacked vec.
 
@@ -151,14 +145,86 @@ _KERNEL_RTOL = 1e-12
 def steady_state(params, check=True):
     """Unique steady state of the master equation, as a (4, 4) array.
 
-    Solves L vec(rho) = 0 by smallest-singular-vector extraction and
-    normalizes the trace.
+    The Liouvillian leaves the X block (the four populations and rho12,
+    rho21) invariant, so the steady state has a closed form.  With
+    a = gamma11, b = gamma22, c = gamma12, g = g12, u = a + b,
+    S = u + 2P and T = S^2 + 16 g^2 the unnormalized populations are
+
+        n1 = P S (b S^2 + 8 u g^2)                          rho11
+        n2 = P S (a S^2 + 8 u g^2)                          rho22
+        n3 = P^2 S T                                        rho33
+        n0 = (ab - c^2) u T + 2P (ab + c^2) S^2
+             + 8P g^2 (u^2 + 4c^2) + 4 g^2 u (a - b)^2      rho00
+
+    and rho12 = [-P c (u - 2P) T - 2i P g (a - b) S^2] / D with
+    D = n0 + n1 + n2 + n3.  D is homogeneous of degree 5 in the rates;
+    when it is not above _KERNEL_RTOL * S^3 T the kernel may not be
+    unique and the SVD oracle `steady_state_svd` decides.  check=True
+    verifies the state and its residual against build_liouvillian.
 
     Raises
     ------
     DegenerateSteadyStateError
         If the kernel dimension exceeds 1 (e.g. P = 0 with gamma12 =
         +/- gamma, which decouples a dark state).
+    """
+    a, b, c, g, P = (float(x) for x in (params.gamma11, params.gamma22,
+                                         params.gamma12, params.g12, params.P))
+    u = a + b
+    d = a - b
+    S = u + 2.0 * P
+    S2 = S * S
+    g2 = g * g
+    T = S2 + 16.0 * g2
+    n1 = P * S * (b * S2 + 8.0 * u * g2)
+    n2 = P * S * (a * S2 + 8.0 * u * g2)
+    n3 = P * P * S * T
+    n0 = ((a * b - c * c) * u * T + 2.0 * P * (a * b + c * c) * S2
+          + 8.0 * P * g2 * (u * u + 4.0 * c * c) + 4.0 * g2 * u * d * d)
+    D = n0 + n1 + n2 + n3
+    if not D > _KERNEL_RTOL * S2 * S * T:
+        return steady_state_svd(params, check=check)
+    rho12 = complex(-P * c * (u - 2.0 * P) * T, -2.0 * P * g * d * S2) / D
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = n0 / D
+    rho[1, 1] = n1 / D
+    rho[2, 2] = n2 / D
+    rho[3, 3] = n3 / D
+    rho[1, 2] = rho12
+    rho[2, 1] = rho12.conjugate()
+    if check:
+        L = build_liouvillian(params)
+        _check_state(rho, L, np.linalg.norm(L, 2))
+    return rho
+
+
+def _check_state(m, L, norm_L):
+    """Raise ValueError unless the 4x4 array m is a density matrix, and
+    ConvergenceError unless ||L vec(m)|| <= 1e-10 max(1, norm_L)."""
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise ValueError("density matrix not Hermitian within tolerance")
+    if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
+        raise ValueError("density matrix trace differs from 1")
+    if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -1e-9:
+        raise ValueError("density matrix has a significantly negative eigenvalue")
+    residual = np.linalg.norm(L @ m.reshape(-1, order="F"))
+    if residual > 1e-10 * max(1.0, norm_L):
+        raise ConvergenceError(
+            f"steady-state residual {residual:.3e} above tolerance",
+            residual=residual,
+        )
+
+
+def steady_state_svd(params, check=True):
+    """Independent steady-state oracle: the kernel of the 16x16 Liouvillian.
+
+    Takes the smallest right singular vector of build_liouvillian(params)
+    and normalizes its trace.
+
+    Raises
+    ------
+    DegenerateSteadyStateError
+        If the numerically measured kernel dimension exceeds 1.
     """
     L = build_liouvillian(params)
     _, s, vh = np.linalg.svd(L)
@@ -175,13 +241,7 @@ def steady_state(params, check=True):
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     if check:
-        _check_state(rho)
-        residual = np.linalg.norm(L @ rho.reshape(-1, order="F"))
-        if residual > 1e-10 * max(1.0, s[0]):
-            raise ConvergenceError(
-                f"steady-state residual {residual:.3e} above tolerance",
-                residual=residual,
-            )
+        _check_state(rho, L, s[0])
     return rho
 
 

@@ -193,6 +193,8 @@ def check_vacuum_power_ratio(rng):
 # ---------------------------------------------------------------------------
 
 def check_steady_state_invariants(rng):
+    """Closed-form steady states are Hermitian, unit-trace, positive,
+    X-type and in the kernel of build_liouvillian (the residual)."""
     worst = {"herm": 0.0, "trace": 0.0, "eig": 0.0, "resid": 0.0, "x": 0.0}
     for _ in range(10_000):
         params = quantum.random_params(rng)
@@ -210,7 +212,41 @@ def check_steady_state_invariants(rng):
     return ok, ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
 
 
+def check_steady_state_vs_svd(rng):
+    """Closed-form steady state against the 16x16 SVD kernel oracle, on
+    random sets and on sets near the dark-state degeneracy (|gamma12|
+    within 1e-9 of sqrt(gamma11 gamma22), P down to 1e-6)."""
+    worst_random = worst_near = 0.0
+    for _ in range(10_000):
+        params = quantum.random_params(rng)
+        worst_random = max(worst_random, _svd_gap(params))
+    for _ in range(1_000):
+        params = _near_degenerate_params(rng)
+        worst_near = max(worst_near, _svd_gap(params))
+    ok = worst_random <= 1e-12 and worst_near <= 1e-10
+    return ok, (f"max entrywise gap {worst_random:.1e} random (tol 1e-12), "
+                f"{worst_near:.1e} near-degenerate (tol 1e-10)")
+
+
+def _near_degenerate_params(rng):
+    """Random MasterEqParams with |gamma12| within 1e-9 below
+    sqrt(gamma11 gamma22) and P log-uniform in [1e-6, 1]."""
+    g11, g22 = rng.uniform(0.2, 2.0, 2)
+    bound = np.sqrt(g11 * g22)
+    return quantum.MasterEqParams(
+        gamma11=g11, gamma22=g22,
+        gamma12=rng.choice((-1.0, 1.0)) * (bound - rng.uniform(0.0, 1e-9)),
+        g12=rng.uniform(-2.0, 2.0), P=10.0 ** rng.uniform(-6.0, 0.0),
+    )
+
+
+def _svd_gap(params):
+    return np.max(np.abs(quantum.steady_state(params, check=False)
+                         - quantum.steady_state_svd(params, check=False)))
+
+
 def check_propagation_oracle(rng):
+    """Closed-form steady state against RK4 time propagation."""
     worst = 0.0
     for _ in range(100):
         params = quantum.random_params(rng, pump_range=(0.05, 1.0))
@@ -373,6 +409,7 @@ CHECKS = [
     ("vie/passivity-reciprocity", check_passivity_reciprocity),
     ("vie/vacuum-power-ratio", check_vacuum_power_ratio),
     ("quantum/steady-state-invariants", check_steady_state_invariants),
+    ("quantum/steady-state-vs-svd", check_steady_state_vs_svd),
     ("quantum/propagation-oracle", check_propagation_oracle),
     ("quantum/witness-equivalence", check_witness_equivalence),
     ("quantum/witness-threshold-agreement", check_witness_threshold_agreement),

@@ -4,13 +4,15 @@ import json
 import re
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from entcloak import cli, quantum
-from entcloak.emcore import aligned_g12, aligned_gamma12
+from entcloak.emcore import CouplingSet, aligned_g12, aligned_gamma12
 from entcloak.errors import ConfigError
+from entcloak.optimizer import IterationEntry
 
 TINY_CONFIG = """
 # toy design, kept tiny so the suite stays fast
@@ -333,6 +335,40 @@ class TestMemsCommand:
         sls = np.array([float(r["S_L"]) for r in rows])
         k = np.argmin(np.abs(rs - 2 / 3))
         assert abs(sls[k] - 16 / 27) <= (8 / 9) * abs(rs[k] - 2 / 3) + 1e-12
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def record(n_entries):
+        cs = CouplingSet(gamma11=1.5, gamma22=1.5, gamma12=0.3, g12=-0.2)
+        return SimpleNamespace(entries=[
+            IterationEntry(n=n, target_value=0.1 * n, accepted_count=n,
+                           couplings=cs, convergence_mismatch=1e-6,
+                           delta_eps_used=0.05)
+            for n in range(n_entries)])
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        cli.save_trace_csv(self.record(2), path)
+        before = path.read_bytes()
+        rows = cli._trace_rows
+
+        def one_row_then_fail(record):
+            yield next(rows(record))
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(cli, "_trace_rows", one_row_then_fail)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli.save_trace_csv(self.record(3), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        cli.save_trace_csv(self.record(2), path)
+        cli.save_trace_csv(self.record(3), path)
+        assert len(read_csv(path)) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
 class TestValidateCommand:

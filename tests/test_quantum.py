@@ -17,7 +17,9 @@ from entcloak.quantum import (
     random_params,
     random_x_state,
     steady_state,
+    steady_state_svd,
 )
+from entcloak.validate import _near_degenerate_params
 
 
 def collective_rate_steady_state(gamma, gamma12, P):
@@ -105,6 +107,9 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError) as err:
             steady_state(MasterEqParams(1.0, 1.0, 1.0, 0.0, 0.0))
         assert err.value.kernel_dim > 1
+        with pytest.raises(DegenerateSteadyStateError) as err:
+            steady_state_svd(MasterEqParams(1.0, 1.0, 1.0, 0.0, 0.0))
+        assert err.value.kernel_dim > 1
 
     def test_invariants_random_params(self, rng):
         mask = np.zeros((4, 4), dtype=bool)
@@ -128,6 +133,38 @@ class TestSteadyState:
                 kw[flip] = -kw[flip]
                 c1 = concurrence(steady_state(MasterEqParams(**kw), check=False))
                 assert abs(c0 - c1) < 1e-10
+
+
+class TestClosedFormVsSvd:
+    @staticmethod
+    def gap(params):
+        return np.max(np.abs(steady_state(params, check=False)
+                             - steady_state_svd(params, check=False)))
+
+    def test_random_sets(self, rng):
+        assert max(self.gap(random_params(rng)) for _ in range(10_000)) <= 1e-12
+
+    def test_near_degenerate_sets(self, rng):
+        # |gamma12| within 1e-9 of sqrt(gamma11 gamma22), P down to 1e-6
+        assert max(self.gap(_near_degenerate_params(rng))
+                   for _ in range(1_000)) <= 1e-10
+
+    def test_dark_state_without_pump_is_unique_when_detuned_by_g12(self):
+        # P = 0 with |gamma12| = sqrt(gamma11 gamma22) but unequal rates
+        # and g12 != 0: D > 0, so the closed form answers (the ground state)
+        params = MasterEqParams(1.0, 0.5, np.sqrt(0.5), 0.3, 0.0)
+        rho = steady_state(params)
+        assert abs(rho[0, 0] - 1.0) < 1e-12
+        assert self.gap(params) < 1e-12
+
+    def test_unchecked_path_builds_no_liouvillian(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form must not build or factor L")
+
+        monkeypatch.setattr(quantum, "build_liouvillian", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        for _ in range(100):
+            steady_state(random_params(rng), check=False)
 
 
 class TestPropagation:
