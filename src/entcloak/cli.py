@@ -51,8 +51,7 @@ import numpy as np
 from . import quantum, validate as validate_mod
 from .emcore import couplings_from_green, free_space_green, vacuum_self_green
 from .errors import ConfigError, DegenerateSteadyStateError, EntcloakError
-from .optimizer import (P_HAT, DesignConfig, _symmetry_orbits, optimize,
-                        pump_params)
+from .optimizer import DesignConfig, _symmetry_orbits, optimize, pump_params
 from .vie import PermittivityGrid
 
 META_SCHEMA = {
@@ -84,9 +83,6 @@ META_SCHEMA = {
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-_DESIGN_KEYS = {f.name for f in dc_fields(DesignConfig)}
-
 
 @dataclass
 class RunConfig:
@@ -140,6 +136,13 @@ def _parse_bool(text):
     raise ConfigError(f"bad boolean {text!r}")
 
 
+#: Config-value parser of each DesignConfig key, from its field's default.
+_DESIGN_PARSERS = {
+    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+    for f in dc_fields(DesignConfig)
+}
+
+
 def read_config_file(path):
     """Flat key=value file -> dict of raw string values."""
     raw = {}
@@ -182,14 +185,8 @@ def parse_config(path, seed_override=None):
                 run_kwargs[key] = _parse_scalar_list(val)
             elif key == "seed":
                 run_kwargs["seed"] = int(val)
-            elif key == "bidirectional":
-                design_kwargs[key] = _parse_bool(val)
-            elif key in ("sweep_mode", "symmetry", "target", "solver_method"):
-                design_kwargs[key] = val.strip()
-            elif key == "max_iterations":
-                design_kwargs[key] = int(val)
-            elif key in _DESIGN_KEYS:
-                design_kwargs[key] = float(val)
+            elif key in _DESIGN_PARSERS:
+                design_kwargs[key] = _DESIGN_PARSERS[key](val)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         except ConfigError:
@@ -410,11 +407,13 @@ def cmd_sweep(cfg, out_dir, threads=1):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([f"{v:.17g}" for v in row] for row in rows)
+    # written on every run, header only when no point failed, so no
+    # failure row of an earlier run in the same directory survives
+    with _atomic_open(out_dir / "failures.csv", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["d12_over_lambda", "P_over_gamma", "error"])
+        w.writerows(failures)
     if failures:
-        with _atomic_open(out_dir / "failures.csv", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["d12_over_lambda", "P_over_gamma", "error"])
-            w.writerows(failures)
         print(f"{len(failures)} sweep points failed; see failures.csv",
               file=sys.stderr)
     print(f"sweep: {len(rows)}/{len(tasks)} points written")
@@ -439,7 +438,7 @@ def cmd_freespace(cfg, out_dir):
         vac_self = vacuum_self_green()
         for d in cfg.d12_list:
             G12 = free_space_green((0, 0, 0), (0, 0, d))
-            cs = couplings_from_green(vac_self, vac_self, G12, P_HAT)
+            cs = couplings_from_green(vac_self, vac_self, G12)
             row = [d, cs.gamma12, cs.g12]
             for p in cfg.pump_list:
                 rho = quantum.steady_state(pump_params(cs, p))

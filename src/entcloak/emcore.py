@@ -1,10 +1,13 @@
 """Homogeneous-medium dyadic Green's tensor and coupling-rate conversion.
 
 Internal unit system: lengths are measured in units of the emitter
-wavelength (lambda0 = 1, so k0 = 2*pi), all rates in units of the
-free-space decay rate gamma0 = 1, and hbar = eps0 = c = 1.  Every
-quantity the quantum model consumes is a dimensionless ratio, so the
-dipole moment magnitude cancels and never appears.
+wavelength (lambda0 = 1, so the wavenumber is the constant K0 = 2*pi),
+all rates in units of the free-space decay rate gamma0 = 1, and
+hbar = eps0 = c = 1.  Both emitters share the dipole orientation P_HAT
+= z-hat, the only configuration entcloak designs for; `project` is its
+one reader.  Every quantity the quantum model consumes is a
+dimensionless ratio, so the dipole moment magnitude cancels and never
+appears.
 
 The dyadic convention is G = [I + grad grad / k^2] e^{ikR} / (4 pi R),
 for which Im G_aa(r, r) -> k / (6 pi) as R -> 0.  With that convention
@@ -12,7 +15,7 @@ for which Im G_aa(r, r) -> k / (6 pi) as R -> 0.  With that convention
     gamma_ij / gamma0 = (6 pi / k) Im{ p^* . G(r_i, r_j) . p }
     g_ij   / gamma0   = (3 pi / k) Re{ p^* . G(r_i, r_j) . p }   (i != j)
 
-with p a unit dipole orientation.  The factor-2 asymmetry between the
+with k = K0 and p = P_HAT.  The factor-2 asymmetry between the
 dissipative and coherent conversions is intentional and load-bearing.
 """
 
@@ -33,7 +36,16 @@ __all__ = [
     "aligned_gamma12",
     "aligned_g12",
     "COINCIDENT_THRESHOLD",
+    "K0",
+    "P_HAT",
 ]
+
+#: Vacuum wavenumber of the emitter transition (lambda0 = 1).
+K0 = 2.0 * np.pi
+
+#: Dipole orientation of both emitters.
+P_HAT = np.array([0.0, 0.0, 1.0], dtype=complex)
+P_HAT.setflags(write=False)
 
 #: Separations below this (in lambda0 units) are treated as coincident.
 COINCIDENT_THRESHOLD = 1e-6
@@ -91,7 +103,7 @@ class CouplingSet:
         return self
 
 
-def dyadic_green(disp, k=2.0 * np.pi):
+def dyadic_green(disp):
     """Vacuum dyadic Green's tensor for an array of displacements.
 
     Maps displacements r1 - r2 of shape (..., 3) to the tensors
@@ -104,7 +116,7 @@ def dyadic_green(disp, k=2.0 * np.pi):
     R = np.linalg.norm(d, axis=-1)
     zero = R < 1e-300
     Rsafe = np.where(zero, 1.0, R)
-    x = k * Rsafe
+    x = K0 * Rsafe
     rhat = d / Rsafe[..., None]
     phase = np.where(zero, 0.0, np.exp(1j * x) / (4.0 * np.pi * Rsafe))
     ca = phase * (1.0 + (1j * x - 1.0) / x**2)
@@ -120,15 +132,13 @@ def dyadic_green(disp, k=2.0 * np.pi):
     return np.moveaxis(G, (0, 1), (-2, -1))
 
 
-def free_space_green(r1, r2, k=2.0 * np.pi):
+def free_space_green(r1, r2):
     """Dyadic Green's tensor of vacuum between two points.
 
     Parameters
     ----------
     r1, r2 : array_like, shape (3,)
         Positions in lambda0 units.
-    k : float
-        Wavenumber (2*pi in internal units).
 
     Returns
     -------
@@ -151,40 +161,39 @@ def free_space_green(r1, r2, k=2.0 * np.pi):
             f"separation {R:.3e} below threshold {COINCIDENT_THRESHOLD:.0e}; "
             "use the self-term path for coincident points"
         )
-    return dyadic_green(d, k)
+    return dyadic_green(d)
 
 
-def vacuum_self_green(k=2.0 * np.pi):
+def vacuum_self_green():
     """G at the source point in vacuum: the analytic imaginary diagonal
-    i k/(6 pi) I (the divergent real part is a Lamb-type shift and is
+    i K0/(6 pi) I (the divergent real part is a Lamb-type shift and is
     dropped)."""
-    return 1j * k / (6.0 * np.pi) * np.eye(3)
+    return 1j * K0 / (6.0 * np.pi) * np.eye(3)
 
 
-def project(G, p_hat):
-    """The p-projected Green's scalar q = p^* . G . p."""
-    p = np.asarray(p_hat, dtype=complex)
-    return complex(p.conj() @ np.asarray(G) @ p)
+def project(G):
+    """The P_HAT-projected Green's scalar q = p^* . G . p."""
+    return complex(P_HAT.conj() @ np.asarray(G) @ P_HAT)
 
 
-def couplings_from_q(q11, q22, q12, k=2.0 * np.pi):
-    """Coupling rates from the p-projected Green's scalars.
+def couplings_from_q(q11, q22, q12):
+    """Coupling rates from the P_HAT-projected Green's scalars.
 
-    gamma_ij = (6 pi / k) Im q_ij and g12 = (3 pi / k) Re q12.  Returns
-    the validated CouplingSet; raises SolverInconsistencyError (naming
-    the offending rate) when the set is unphysical.
+    gamma_ij = (6 pi / K0) Im q_ij and g12 = (3 pi / K0) Re q12.  Only
+    the conversion: the CouplingSet is not validated here, so callers
+    validate it once (`couplings_from_green` does; the optimizer does so
+    through `quantum.MasterEqParams`).
     """
-    pref = 6.0 * np.pi / k
-    cs = CouplingSet(
+    pref = 6.0 * np.pi / K0
+    return CouplingSet(
         gamma11=pref * q11.imag,
         gamma22=pref * q22.imag,
         gamma12=pref * q12.imag,
         g12=0.5 * pref * q12.real,
     )
-    return cs.validate()
 
 
-def couplings_from_green(G11, G22, G12, p_hat, k=2.0 * np.pi):
+def couplings_from_green(G11, G22, G12):
     """Convert Green's tensor samples to normalized coupling rates.
 
     Parameters
@@ -194,15 +203,12 @@ def couplings_from_green(G11, G22, G12, p_hat, k=2.0 * np.pi):
         tensors only need a physically meaningful imaginary part (their
         real diagonal is a Lamb-type shift absorbed into the emitter
         frequency and never read).
-    p_hat : array_like, shape (3,)
-        Unit dipole orientation (normalized to 1e-12).
-    k : float
-        Wavenumber.
 
     Returns
     -------
     CouplingSet
-        gamma_ij = (6 pi / k) Im{p*.G.p}, g12 = (3 pi / k) Re{p*.G12.p}.
+        gamma_ij = (6 pi / K0) Im{p*.G.p}, g12 = (3 pi / K0) Re{p*.G12.p}
+        with p = P_HAT.
 
     Raises
     ------
@@ -210,26 +216,22 @@ def couplings_from_green(G11, G22, G12, p_hat, k=2.0 * np.pi):
         If gamma11/gamma22 are not positive or the positivity bound
         |gamma12| <= sqrt(gamma11 gamma22) is violated beyond tolerance.
     """
-    p = np.asarray(p_hat, dtype=complex)
-    norm = np.linalg.norm(p)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"p_hat must be normalized, |p|={norm!r}")
-    return couplings_from_q(project(G11, p), project(G22, p), project(G12, p), k)
+    return couplings_from_q(project(G11), project(G22), project(G12)).validate()
 
 
-def aligned_gamma12(d, k=2.0 * np.pi):
+def aligned_gamma12(d):
     """Closed-form gamma12/gamma0 for z-aligned dipoles separated by d along z.
 
-    3 (sin x - x cos x) / x^3 with x = k d.
+    3 (sin x - x cos x) / x^3 with x = K0 d.
     """
-    x = np.asarray(d, dtype=float) * k
+    x = np.asarray(d, dtype=float) * K0
     return 3.0 * (np.sin(x) - x * np.cos(x)) / x**3
 
 
-def aligned_g12(d, k=2.0 * np.pi):
+def aligned_g12(d):
     """Closed-form g12/gamma0 for the same configuration.
 
-    (3/2) (cos x + x sin x) / x^3 with x = k d.
+    (3/2) (cos x + x sin x) / x^3 with x = K0 d.
     """
-    x = np.asarray(d, dtype=float) * k
+    x = np.asarray(d, dtype=float) * K0
     return 1.5 * (np.cos(x) + x * np.sin(x)) / x**3

@@ -7,15 +7,16 @@ perturbation of the three emitter Green's tensors
 
     dG_ij = k^2 G(r_i, r_k) d_eps G(r_k, r_j) dV,
 
-keep the step when the steady-state witness improves, apply the kept
-steps together, re-solve and verify that the accumulated perturbative
+with k = emcore.K0 and every tensor projected on emcore.P_HAT, keep the
+step when the steady-state witness improves, apply the kept steps
+together, re-solve and verify that the accumulated perturbative
 estimate matches the re-solved tensors (the convergence identity).  The
 sequential and frozen-reference modes share that one loop; they differ
 only in whether later orbits are scored against the running estimate
-or the iteration-start tensors.  The pump is held at a fixed ratio P/gamma11 of the current device decay
-rate, so the steady state depends only on the coupling ratios and the
-loop effectively shapes (gamma12/gamma, g12/gamma) and the Purcell
-factor.
+or the iteration-start tensors.  The pump is held at a fixed ratio
+P/gamma11 of the current device decay rate, so the steady state depends
+only on the coupling ratios and the loop effectively shapes
+(gamma12/gamma, g12/gamma) and the Purcell factor.
 
 Safeguard: if a completed sweep lowers the re-solved target or breaks
 the convergence identity beyond eta_converge, the sweep is reverted and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .emcore import CouplingSet, as_position, couplings_from_q, project
+from .emcore import K0, CouplingSet, as_position, couplings_from_q, project
 from .errors import ConfigError, SolverInconsistencyError
 from .vie import SOLVER_METHODS, PermittivityGrid, pair_tensors, solve_green_block
 
@@ -46,7 +47,6 @@ __all__ = [
     "optimize",
     "compute_state",
     "freeze_exclusion_zone",
-    "P_HAT",
 ]
 
 log = logging.getLogger(__name__)
@@ -54,10 +54,6 @@ log = logging.getLogger(__name__)
 _TARGETS = ("concurrence", "negativity")
 _SWEEP_MODES = ("sequential", "frozen-reference")
 _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
-
-#: Dipole orientation of both emitters; the only validated configuration.
-P_HAT = np.array([0.0, 0.0, 1.0], dtype=complex)
-P_HAT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -138,14 +134,14 @@ class DesignRecord:
         return self.entries[0].target_value
 
 
-def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume, k=2.0 * np.pi):
+def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume):
     """First-Born Green's-tensor increment of one voxel perturbation.
 
-    k^2 G(r_i, r_k) . delta_eps . G(r_k, r_j) . dV; exactly linear in
+    K0^2 G(r_i, r_k) . delta_eps . G(r_k, r_j) . dV; exactly linear in
     delta_eps.  Broadcasts over leading axes: stacks of (3, 3) tensors
     with delta_eps shaped (..., 1, 1) give one increment per voxel.
     """
-    return (k**2 * delta_eps * voxel_volume) * (np.asarray(G_ik) @ np.asarray(G_kj))
+    return (K0**2 * delta_eps * voxel_volume) * (np.asarray(G_ik) @ np.asarray(G_kj))
 
 
 def pump_params(cs, pump_ratio):
@@ -157,13 +153,14 @@ def pump_params(cs, pump_ratio):
     )
 
 
-def _score(q11, q22, q12, k, config):
-    """(witness value, CouplingSet, rho) of the p-projected Green's scalars.
+def _score(q11, q22, q12, config):
+    """(witness value, CouplingSet, rho) of the P_HAT-projected Green's
+    scalars.
 
     Unphysical couplings raise emcore's SolverInconsistencyError, which
-    names the rate.
+    names the rate, from the one validation `pump_params` runs.
     """
-    cs = couplings_from_q(q11, q22, q12, k)
+    cs = couplings_from_q(q11, q22, q12)
     rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
     return config.witness()(rho), cs, rho
 
@@ -174,8 +171,6 @@ class IterationState:
 
     grid: PermittivityGrid
     emitters: tuple
-    k: float
-    p_hat: np.ndarray
     sol1: object
     sol2: object
     tensors: dict          # {(1,1): 3x3, (2,2): 3x3, (1,2): 3x3}
@@ -190,17 +185,17 @@ class IterationState:
     rho: np.ndarray
 
 
-def compute_state(grid, emitters, config, k=2.0 * np.pi):
+def compute_state(grid, emitters, config):
     """Full solve at the current map plus everything the sweep consumes."""
     r1, r2 = (as_position(r) for r in emitters)
-    sol1, sol2 = solve_green_block(grid, (r1, r2), k,
+    sol1, sol2 = solve_green_block(grid, (r1, r2),
                                    method=config.solver_method,
                                    rtol=config.solver_rtol)
-    G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2, P_HAT)
-    q11, q22, q12 = (project(G, P_HAT) for G in (G11, G22, G12))
-    target_value, cs, rho = _score(q11, q22, q12, k, config)
+    G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2)
+    q11, q22, q12 = (project(G) for G in (G11, G22, G12))
+    target_value, cs, rho = _score(q11, q22, q12, config)
     return IterationState(
-        grid=grid, emitters=(r1, r2), k=k, p_hat=P_HAT, sol1=sol1, sol2=sol2,
+        grid=grid, emitters=(r1, r2), sol1=sol1, sol2=sol2,
         tensors={(1, 1): G11, (2, 2): G22, (1, 2): G12},
         q11=q11, q22=q22, q12=q12,
         s11=np.einsum("ka,ka->k", f1, f1),
@@ -211,7 +206,7 @@ def compute_state(grid, emitters, config, k=2.0 * np.pi):
 
 
 def evaluate_candidate(G11, G22, G12, fields1, fields2, voxel, delta_eps,
-                       config, voxel_volume, k=2.0 * np.pi):
+                       config, voxel_volume):
     """Witness value if voxel `voxel` were incremented by delta_eps.
 
     Applies the first-Born update to all three emitter tensors through
@@ -221,14 +216,14 @@ def evaluate_candidate(G11, G22, G12, fields1, fields2, voxel, delta_eps,
     (value, CouplingSet), or (None, None) when the perturbed couplings
     leave the physical manifold.
     """
-    q11, q22, q12 = (project(G, P_HAT) for G in (G11, G22, G12))
+    q11, q22, q12 = (project(G) for G in (G11, G22, G12))
     f1k = np.asarray(fields1)[voxel]
     f2k = np.asarray(fields2)[voxel]
-    scale = k**2 * delta_eps * voxel_volume
+    scale = K0**2 * delta_eps * voxel_volume
     try:
         value, cs, _ = _score(q11 + scale * (f1k @ f1k),
                               q22 + scale * (f2k @ f2k),
-                              q12 + scale * (f1k @ f2k), k, config)
+                              q12 + scale * (f1k @ f2k), config)
     except SolverInconsistencyError:
         return None, None
     return value, cs
@@ -252,7 +247,7 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
         delta_eps = config.delta_eps
     if orbits is None:
         orbits = _symmetry_orbits(grid, config, state.emitters)
-    kk2 = state.k**2 * grid.voxel_volume
+    kk2 = K0**2 * grid.voxel_volume
 
     # orbits are disjoint, so no orbit's eps moves before its own visit:
     # its headrooms and summed field products are fixed at sweep start;
@@ -281,7 +276,7 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
                 continue
             trial_q = [x + dx for x, dx in zip(q, trial_dq[o])]
             try:
-                value = _score(*trial_q, state.k, config)[0]
+                value = _score(*trial_q, config)[0]
             except SolverInconsistencyError:
                 rejected_unphysical += 1
                 continue
@@ -310,7 +305,7 @@ def _sum_dG(state, steps):
     X2 = state.sol2.block[changed]
     dG = born_delta_green(np.stack([X1, X2, X1]).swapaxes(-1, -2),
                           np.stack([X1, X2, X2]), steps[changed, None, None],
-                          state.grid.voxel_volume, state.k)
+                          state.grid.voxel_volume)
     return dict(zip([(1, 1), (2, 2), (1, 2)], dG.sum(axis=1)))
 
 
@@ -378,8 +373,7 @@ def _mismatch(old_tensors, sum_dG, new_tensors):
     return worst
 
 
-def verify_convergence(old_tensors, sum_dG, grid_next, emitters, config=None,
-                       k=2.0 * np.pi):
+def verify_convergence(old_tensors, sum_dG, grid_next, emitters, config=None):
     """Re-solve at grid_next and measure the accumulated-vs-resolved mismatch.
 
     Pure measurement: returns the max relative Frobenius mismatch over
@@ -387,7 +381,7 @@ def verify_convergence(old_tensors, sum_dG, grid_next, emitters, config=None,
     """
     if config is None:
         config = DesignConfig()
-    new_state = compute_state(grid_next, emitters, config, k)
+    new_state = compute_state(grid_next, emitters, config)
     return _mismatch(old_tensors, sum_dG, new_state.tensors)
 
 
@@ -404,7 +398,7 @@ def freeze_exclusion_zone(grid, emitters, exclusion_radius):
     return grid
 
 
-def optimize(grid0, emitters, config, k=2.0 * np.pi):
+def optimize(grid0, emitters, config):
     """Run the greedy design loop; returns the full DesignRecord.
 
     Starts from grid0 (normally all vacuum), freezes the exclusion zone
@@ -419,7 +413,7 @@ def optimize(grid0, emitters, config, k=2.0 * np.pi):
     freeze_exclusion_zone(grid, emitters, config.exclusion_radius)
     orbits = _symmetry_orbits(grid, config, emitters)
 
-    state = compute_state(grid, emitters, config, k)
+    state = compute_state(grid, emitters, config)
     entries = [IterationEntry(
         n=0, target_value=state.target_value, accepted_count=0,
         couplings=state.couplings, convergence_mismatch=0.0,
@@ -434,7 +428,7 @@ def optimize(grid0, emitters, config, k=2.0 * np.pi):
                                             delta_eps=delta_eps, orbits=orbits)
         if accepted == 0:
             break
-        new_state = compute_state(grid, emitters, config, k)
+        new_state = compute_state(grid, emitters, config)
         mismatch = _mismatch(state.tensors, sum_dG, new_state.tensors)
         regressed = new_state.target_value < state.target_value
         if regressed or mismatch > config.eta_converge:

@@ -22,7 +22,7 @@ __all__ = ["run_all", "CHECKS"]
 @contextmanager
 def _corrupted_self_term():
     orig = vie.self_interaction
-    vie.self_interaction = lambda spacing, k: 0.0 * orig(spacing, k)
+    vie.self_interaction = lambda spacing: 0.0 * orig(spacing)
     try:
         yield
     finally:
@@ -38,14 +38,12 @@ def _quiet():
 # ---------------------------------------------------------------------------
 
 def check_aligned_closed_forms(rng):
-    k = 2 * np.pi
     ds = np.geomspace(0.05, 5.0, 100)
-    zhat = np.array([0.0, 0.0, 1.0])
-    vac = emcore.vacuum_self_green(k)
+    vac = emcore.vacuum_self_green()
     worst = 0.0
     for d in ds:
-        G = emcore.free_space_green((0, 0, 0), (0, 0, d), k)
-        cs = emcore.couplings_from_green(vac, vac, G, zhat, k)
+        G = emcore.free_space_green((0, 0, 0), (0, 0, d))
+        cs = emcore.couplings_from_green(vac, vac, G)
         worst = max(worst,
                     abs(cs.gamma12 / emcore.aligned_gamma12(d) - 1.0),
                     abs(cs.g12 / emcore.aligned_g12(d) - 1.0))
@@ -66,13 +64,11 @@ def check_green_reciprocity(rng):
 
 
 def check_self_limit_richardson(rng):
-    k = 2 * np.pi
-    zhat = np.array([0.0, 0.0, 1.0])
-    vac = emcore.vacuum_self_green(k)
+    vac = emcore.vacuum_self_green()
 
     def f(R):
-        G = emcore.free_space_green((0, 0, 0), (0, 0, R), k)
-        return emcore.couplings_from_green(vac, vac, G, zhat, k).gamma12
+        G = emcore.free_space_green((0, 0, 0), (0, 0, R))
+        return emcore.couplings_from_green(vac, vac, G).gamma12
 
     a, b, c = f(1e-3), f(5e-4), f(2.5e-4)
     # two Richardson levels for the even (h^2) error series
@@ -100,9 +96,9 @@ def check_vacuum_identity(rng):
     A = vie.assemble_dense(g)
     d1 = np.max(np.abs(A - np.eye(3 * g.n_voxels)))
     src = np.array([0.0, 0.0, 0.37])
-    zhat = np.array([0.0, 0.0, 1.0])
-    f = vie.solve_fields(g, src, zhat, method="dense")
-    ref = np.array([emcore.free_space_green(p, src) @ zhat for p in g.centers()])
+    f = vie.solve_fields(g, src, method="dense")
+    ref = np.array([emcore.free_space_green(p, src) @ emcore.P_HAT
+                    for p in g.centers()])
     d2 = np.max(np.abs(f - ref))
     ok = d1 <= 1e-14 and d2 <= 1e-13
     return ok, f"operator defect {d1:.2e}, field defect {d2:.2e}"
@@ -122,12 +118,11 @@ def check_dense_fft_matvec(rng):
 
 def check_dense_iterative_solve(rng):
     src = np.array([0.0, 0.0, 0.5])
-    zhat = np.array([0.0, 0.0, 1.0])
     worst = 0.0
     for _ in range(5):
         g = _random_grid(rng)
-        fd = vie.solve_fields(g, src, zhat, method="dense")
-        fi = vie.solve_fields(g, src, zhat, method="iterative", rtol=1e-10)
+        fd = vie.solve_fields(g, src, method="dense")
+        fi = vie.solve_fields(g, src, method="iterative", rtol=1e-10)
         worst = max(worst, np.max(np.abs(fd - fi)) / np.max(np.abs(fd)))
     return worst <= 1e-6, f"max rel difference {worst:.2e} (tol 1e-6)"
 
@@ -141,10 +136,9 @@ def rayleigh_sphere_polarizability(method="iterative"):
     r = np.linalg.norm(g.centers(), axis=1)
     g.eps[r <= radius_vox * delta + 1e-12] = eps
     src = np.array([10.0, 0.0, 0.0])
-    zhat = np.array([0.0, 0.0, 1.0])
-    field = vie.solve_fields(g, src, zhat, method=method, rtol=1e-10)
+    field = vie.solve_fields(g, src, method=method, rtol=1e-10)
     p_ind = ((g.chi() * g.voxel_volume)[:, None] * field).sum(axis=0)
-    e_inc = emcore.free_space_green((0, 0, 0), src) @ zhat
+    e_inc = emcore.free_space_green((0, 0, 0), src) @ emcore.P_HAT
     alpha = p_ind[2] / e_inc[2]
     a = radius_vox * delta
     alpha_ref = 4 * np.pi * a**3 * (eps - 1) / (eps + 2)
@@ -159,7 +153,6 @@ def check_rayleigh_sphere(rng):
 
 def check_passivity_reciprocity(rng):
     """Passivity and reciprocity of the structured Green's tensors."""
-    zhat = np.array([0.0, 0.0, 1.0])
     worst_rec = 0.0
     for _ in range(20):
         g = _random_grid(rng, max_dim=4)
@@ -167,8 +160,8 @@ def check_passivity_reciprocity(rng):
         r1 = np.array([0.0, 0.0, -0.6 * span - 0.05])
         r2 = np.array([0.0, 0.0, 0.6 * span + 0.08])
         s1, s2 = vie.solve_green_block(g, (r1, r2), method="dense")
-        G11, G22, G12, _, _ = vie.pair_tensors(s1, s2, zhat)
-        cs = emcore.couplings_from_green(G11, G22, G12, zhat)  # raises if unphysical
+        G11, G22, G12, _, _ = vie.pair_tensors(s1, s2)
+        cs = emcore.couplings_from_green(G11, G22, G12)  # raises if unphysical
         if cs.gamma11 <= 0 or cs.gamma22 <= 0:
             return False, "non-positive decay rate on a lossless grid"
         G12_b = s1.green_at(r2).T
@@ -183,7 +176,7 @@ def check_vacuum_power_ratio(rng):
         warnings.simplefilter("ignore")
         g = vie.PermittivityGrid.vacuum((5, 5, 5), 1.0 / 16.0)
     out = vie.scattered_green_pair(g, (0, 0, -0.3), (0, 0, 0.3), method="dense")
-    cs = emcore.couplings_from_green(out[0], out[1], out[2], (0, 0, 1))
+    cs = emcore.couplings_from_green(out[0], out[1], out[2])
     ok = cs.purcell == 1.0 and cs.purcell2 == 1.0
     return ok, f"emitted power ratios ({cs.purcell}, {cs.purcell2}) (expect exactly 1)"
 

@@ -6,13 +6,16 @@ the vacuum dyadic tensor,
 
     x_k = b_k + k^2 [ sum_{j != k} G0(r_k, r_j) chi_j dV x_j + m chi_k x_k ]
 
-with chi = eps - 1, b_k = G0(r_k, r_source) p_hat, and m the
+with k = emcore.K0, chi = eps - 1, b_k = G0(r_k, r_source) p, and m the
 equivalent-volume-sphere self-integral of G0 over one voxel.  Solving
 this system with b the vacuum Green's column makes x_k exactly the
-column G(r_k, r_source) p_hat of the structured-medium Green's tensor,
-and the tensor anywhere else follows from the re-radiation sum
+column G(r_k, r_source) p of the structured-medium Green's tensor, and
+the tensor anywhere else follows from the re-radiation sum
 
     G(r, r_s) = G0(r, r_s) + k^2 sum_k G0(r, r_k) chi_k dV x_k.
+
+Block solves take all three source orientations p at once; the field
+maps the optimizer consumes are their emcore.P_HAT columns.
 
 The self term m = -1/(3 k^2) + (2/(3 k^2)) [(1 - i k a) e^{i k a} - 1],
 with a the radius of the sphere of volume dV, carries the static
@@ -28,7 +31,8 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from .emcore import as_position, dyadic_green, free_space_green, vacuum_self_green
+from .emcore import (K0, P_HAT, as_position, dyadic_green, free_space_green,
+                     vacuum_self_green)
 from .errors import CoincidentPointsError, ConvergenceError, GridTooLargeError
 
 __all__ = [
@@ -140,7 +144,7 @@ class PermittivityGrid:
         return self.eps - 1.0
 
 
-def self_interaction(spacing, k):
+def self_interaction(spacing):
     """Self-integral of G0 over one voxel (equivalent-volume sphere).
 
     Returns the complex scalar m with  integral_{voxel} G0 dV' = m * I.
@@ -150,11 +154,11 @@ def self_interaction(spacing, k):
     """
     dV = spacing**3
     a = (3.0 * dV / (4.0 * np.pi)) ** (1.0 / 3.0)
-    ka = k * a
-    return (-1.0 + 2.0 * ((1.0 - 1j * ka) * np.exp(1j * ka) - 1.0)) / (3.0 * k**2)
+    ka = K0 * a
+    return (-1.0 + 2.0 * ((1.0 - 1j * ka) * np.exp(1j * ka) - 1.0)) / (3.0 * K0**2)
 
 
-def assemble_dense(grid, k=2.0 * np.pi):
+def assemble_dense(grid):
     """Dense operator [I - k^2 (G0 chi dV + self term)] over voxel fields.
 
     Oracle path: refuses grids with more than DENSE_UNKNOWN_LIMIT scalar
@@ -168,24 +172,23 @@ def assemble_dense(grid, k=2.0 * np.pi):
         )
     pts = grid.centers()
     chi = grid.chi()
-    m = self_interaction(grid.spacing, k)
-    G = dyadic_green(pts[:, None, :] - pts[None, :, :], k)
+    m = self_interaction(grid.spacing)
+    G = dyadic_green(pts[:, None, :] - pts[None, :, :])
     G *= chi[None, :, None, None]
-    G *= -(k**2) * grid.voxel_volume
+    G *= -(K0**2) * grid.voxel_volume
     A = np.ascontiguousarray(G.transpose(0, 2, 1, 3))
     diag_idx = np.arange(n)
     for a in range(3):
-        A[diag_idx, a, diag_idx, a] += 1.0 - k**2 * m * chi
+        A[diag_idx, a, diag_idx, a] += 1.0 - K0**2 * m * chi
     return A.reshape(3 * n, 3 * n)
 
 
 class _FftInteraction:
     """Block-Toeplitz application of the off-diagonal G0 coupling via FFT."""
 
-    def __init__(self, dims, spacing, k):
+    def __init__(self, dims, spacing):
         self.dims = dims
         self.spacing = spacing
-        self.k = k
         nx, ny, nz = dims
         px, py, pz = 2 * nx, 2 * ny, 2 * nz
         lag = []
@@ -193,7 +196,7 @@ class _FftInteraction:
             idx = np.arange(p)
             lag.append(np.where(idx < n, idx, idx - p))
         LX, LY, LZ = np.meshgrid(*lag, indexing="ij")
-        G = dyadic_green(spacing * np.stack([LX, LY, LZ], axis=-1), k)
+        G = dyadic_green(spacing * np.stack([LX, LY, LZ], axis=-1))
         self.khat = {(a, b): sfft.fftn(G[..., a, b])
                      for a in range(3) for b in range(a, 3)}
         self.pad_shape = (px, py, pz)
@@ -218,41 +221,41 @@ class _FftInteraction:
 _KERNEL_CACHE = {}
 
 
-def _get_kernel(grid, k):
-    key = (grid.dims, round(grid.spacing, 15), round(k, 12))
+def _get_kernel(grid):
+    key = (grid.dims, round(grid.spacing, 15))
     kern = _KERNEL_CACHE.get(key)
     if kern is None:
         if len(_KERNEL_CACHE) > 8:
             _KERNEL_CACHE.clear()
-        kern = _FftInteraction(grid.dims, grid.spacing, k)
+        kern = _FftInteraction(grid.dims, grid.spacing)
         _KERNEL_CACHE[key] = kern
     return kern
 
 
-def _fft_operator(grid, k):
+def _fft_operator(grid):
     """[I - k^2 (G0 chi dV + self term)] on (N, 3) fields of one map."""
-    kern = _get_kernel(grid, k)
+    kern = _get_kernel(grid)
     chi = grid.chi()
-    m = self_interaction(grid.spacing, k)
+    m = self_interaction(grid.spacing)
     w_scale = (chi * grid.voxel_volume)[:, None]
 
     def apply(xv):
-        return xv - k**2 * (kern.apply(xv * w_scale) + m * chi[:, None] * xv)
+        return xv - K0**2 * (kern.apply(xv * w_scale) + m * chi[:, None] * xv)
 
     return apply
 
 
-def fft_matvec(grid, x, k=2.0 * np.pi):
+def fft_matvec(grid, x):
     """Apply [I - k^2 (G0 chi dV + self term)] to a voxel field vector.
 
     Matches the dense matvec to floating-point roundoff; x may be flat
     (3N,) or shaped (N, 3).
     """
     xv = np.asarray(x, dtype=complex).reshape(grid.n_voxels, 3)
-    return _fft_operator(grid, k)(xv).reshape(np.asarray(x).shape)
+    return _fft_operator(grid)(xv).reshape(np.asarray(x).shape)
 
 
-def _source_columns(grid, source, k):
+def _source_columns(grid, source):
     """(N, 3, 3) blocks G0(r_k, r_source) for every voxel center."""
     pts = grid.centers()
     src = as_position(source)[None, :]
@@ -260,21 +263,21 @@ def _source_columns(grid, source, k):
         # Same threshold as free_space_green; emitters are placed off-center
         # by construction, so this only trips on misconfigured inputs.
         raise CoincidentPointsError("source coincides with a voxel center")
-    return dyadic_green(pts - src, k)
+    return dyadic_green(pts - src)
 
 
-def _solve_system(grid, B, k, method, rtol, maxiter):
+def _solve_system(grid, B, method, rtol, maxiter):
     """Solve the VIE for each column of B ((N, 3, m) right-hand sides)."""
     if method not in SOLVER_METHODS:
         raise ValueError(f"method must be one of {SOLVER_METHODS}, got {method!r}")
     n = grid.n_voxels
     nrhs = B.shape[2]
     if method == "dense":
-        A = assemble_dense(grid, k)
+        A = assemble_dense(grid)
         sol = np.linalg.solve(A, B.reshape(3 * n, nrhs))
         return sol.reshape(n, 3, nrhs)
     X = np.empty_like(B)
-    apply = _fft_operator(grid, k)
+    apply = _fft_operator(grid)
 
     def matvec(v):
         return apply(v.reshape(n, 3)).ravel()
@@ -295,12 +298,12 @@ def _solve_system(grid, B, k, method, rtol, maxiter):
     return X
 
 
-def solve_fields(grid, source, p_hat, k=2.0 * np.pi, method="iterative",
-                 rtol=1e-8, maxiter=MAX_KRYLOV_ITER):
-    """Total-field map of a unit point dipole inside the voxel map.
+def solve_fields(grid, source, method="iterative", rtol=1e-8,
+                 maxiter=MAX_KRYLOV_ITER):
+    """Total-field map of a unit P_HAT point dipole inside the voxel map.
 
     Returns the (N, 3) array whose row k is the Green's column
-    G(r_k, r_source) p_hat of the structured medium.  For an all-vacuum
+    G(r_k, r_source) P_HAT of the structured medium.  For an all-vacuum
     grid this equals the free-space columns exactly.
 
     `method` is "iterative" (FFT matvec + BiCGStab, the default) or
@@ -316,10 +319,8 @@ def solve_fields(grid, source, p_hat, k=2.0 * np.pi, method="iterative",
         If the Krylov iteration does not reach the residual within
         `maxiter` steps (the error carries the final residual).
     """
-    p = np.asarray(p_hat, dtype=complex)
-    cols = _source_columns(grid, source, k)
-    b = (cols @ p)[:, :, None]
-    return _solve_system(grid, b, k, method, rtol, maxiter)[:, :, 0]
+    b = (_source_columns(grid, source) @ P_HAT)[:, :, None]
+    return _solve_system(grid, b, method, rtol, maxiter)[:, :, 0]
 
 
 @dataclass
@@ -333,7 +334,6 @@ class GreenSolution:
 
     grid: PermittivityGrid
     source: np.ndarray
-    k: float
     block: np.ndarray
     _weights: np.ndarray = field(default=None, repr=False)
 
@@ -350,25 +350,25 @@ class GreenSolution:
         if not np.any(active):
             return np.zeros((3, 3), dtype=complex)
         pts = self.grid.centers()[active]
-        G0 = dyadic_green(as_position(r) - pts, self.k)
-        return self.k**2 * np.einsum("jab,jbc->ac", G0, w[active])
+        G0 = dyadic_green(as_position(r) - pts)
+        return K0**2 * np.einsum("jab,jbc->ac", G0, w[active])
 
     def green_at(self, r):
         """Total G(r, source), r away from the source and scatterer voxels."""
-        return free_space_green(as_position(r), self.source, self.k) + self.scattered_at(r)
+        return free_space_green(as_position(r), self.source) + self.scattered_at(r)
 
     def self_green(self):
         """G at the source point: the vacuum self tensor plus the
         scattered correction."""
-        return vacuum_self_green(self.k) + self.scattered_at(self.source)
+        return vacuum_self_green() + self.scattered_at(self.source)
 
-    def column(self, p_hat):
-        """FieldMap for one source orientation: (N, 3) rows G(r_k, src) p."""
-        return self.block @ np.asarray(p_hat, dtype=complex)
+    def column(self):
+        """Field map of the P_HAT source: (N, 3) rows G(r_k, src) P_HAT."""
+        return self.block @ P_HAT
 
 
-def solve_green_block(grid, source, k=2.0 * np.pi, method="iterative",
-                      rtol=1e-8, maxiter=MAX_KRYLOV_ITER):
+def solve_green_block(grid, source, method="iterative", rtol=1e-8,
+                      maxiter=MAX_KRYLOV_ITER):
     """Solve the VIE for all three orientations of one or several sources.
 
     `source` is one position, which gives one GreenSolution, or a
@@ -379,28 +379,28 @@ def solve_green_block(grid, source, k=2.0 * np.pi, method="iterative",
     """
     single = np.ndim(source) == 1
     sources = [as_position(r) for r in ([source] if single else source)]
-    B = np.concatenate([_source_columns(grid, r, k) for r in sources], axis=2)
-    X = _solve_system(grid, B, k, method, rtol, maxiter)
-    sols = [GreenSolution(grid=grid, source=r, k=k, block=X[:, :, 3 * i:3 * i + 3])
+    B = np.concatenate([_source_columns(grid, r) for r in sources], axis=2)
+    X = _solve_system(grid, B, method, rtol, maxiter)
+    sols = [GreenSolution(grid=grid, source=r, block=X[:, :, 3 * i:3 * i + 3])
             for i, r in enumerate(sources)]
     return sols[0] if single else sols
 
 
-def pair_tensors(sol1, sol2, p_hat):
+def pair_tensors(sol1, sol2):
     """(G11, G22, G12, fields1, fields2) of two solved emitters.
 
     The self tensors carry the analytic vacuum imaginary diagonal
-    k/(6 pi) plus the scattered correction at the source point,
+    K0/(6 pi) plus the scattered correction at the source point,
     G12 = G(r1, r2) in the structured medium, and fields1/fields2 are
-    the (N, 3) p_hat field maps used by the optimizer's perturbative
+    the (N, 3) P_HAT field maps used by the optimizer's perturbative
     updates.
     """
     return (sol1.self_green(), sol2.self_green(), sol2.green_at(sol1.source),
-            sol1.column(p_hat), sol2.column(p_hat))
+            sol1.column(), sol2.column())
 
 
-def scattered_green_pair(grid, r1, r2, p_hat=(0.0, 0.0, 1.0), k=2.0 * np.pi,
-                         method="iterative", rtol=1e-8, maxiter=MAX_KRYLOV_ITER):
+def scattered_green_pair(grid, r1, r2, method="iterative", rtol=1e-8,
+                         maxiter=MAX_KRYLOV_ITER):
     """All Green's tensors the two-emitter model needs, from one operator.
 
     Returns `pair_tensors` of the two emitters, solved together by
@@ -411,5 +411,5 @@ def scattered_green_pair(grid, r1, r2, p_hat=(0.0, 0.0, 1.0), k=2.0 * np.pi,
     r2 = as_position(r2)
     if np.linalg.norm(r1 - r2) < 1e-6:
         raise ValueError("emitters must be separated")
-    sol1, sol2 = solve_green_block(grid, (r1, r2), k, method, rtol, maxiter)
-    return pair_tensors(sol1, sol2, p_hat)
+    sol1, sol2 = solve_green_block(grid, (r1, r2), method, rtol, maxiter)
+    return pair_tensors(sol1, sol2)

@@ -72,7 +72,7 @@ def test_criterion_3_free_space_coupling_curves():
     t0 = time.time()
     worst = 0.0
     for d in np.geomspace(0.05, 5.0, 100):
-        G = emcore.free_space_green((0, 0, 0), (0, 0, d), K)
+        G = emcore.free_space_green((0, 0, 0), (0, 0, d))
         q = complex(ZHAT @ G @ ZHAT)
         worst = max(worst,
                     abs((6 * np.pi / K) * q.imag / emcore.aligned_gamma12(d) - 1),
@@ -130,8 +130,8 @@ def test_criterion_6_em_solver_validation():
                  (6, 5, 4), (2, 6, 3)):
         g = vie.PermittivityGrid.vacuum(dims, 1 / 20)
         g.eps[:] = rng.uniform(1.0, 2.5, g.n_voxels)
-        fd = vie.solve_fields(g, src, ZHAT, method="dense")
-        fi = vie.solve_fields(g, src, ZHAT, method="iterative", rtol=1e-10)
+        fd = vie.solve_fields(g, src, method="dense")
+        fi = vie.solve_fields(g, src, method="iterative", rtol=1e-10)
         worst = max(worst, np.max(np.abs(fd - fi)) / np.max(np.abs(fd)))
     ok = ray_rel <= 0.05 and worst <= 1e-6
     detail = (f"Rayleigh polarizability error {ray_rel:.4f} (<= 0.05); "
@@ -148,13 +148,12 @@ def test_criterion_7_born_update_fidelity():
     kidx = 21
     grid.eps[kidx] = 1.1
     r1, r2 = np.array([0, 0, -0.3]), np.array([0, 0, 0.3])
-    _, _, G12, _, _ = vie.scattered_green_pair(grid, r1, r2, ZHAT,
-                                               method="dense")
-    dG_full = G12 - emcore.free_space_green(r1, r2, K)
+    _, _, G12, _, _ = vie.scattered_green_pair(grid, r1, r2, method="dense")
+    dG_full = G12 - emcore.free_space_green(r1, r2)
     rk = grid.centers()[kidx]
-    dG_born = born_delta_green(emcore.free_space_green(r1, rk, K),
-                               emcore.free_space_green(rk, r2, K),
-                               0.1, grid.voxel_volume, K)
+    dG_born = born_delta_green(emcore.free_space_green(r1, rk),
+                               emcore.free_space_green(rk, r2),
+                               0.1, grid.voxel_volume)
     born_rel = np.linalg.norm(dG_born - dG_full) / np.linalg.norm(dG_full)
 
     # (b) accumulated-vs-resolved mismatch after one accepted voxel

@@ -162,8 +162,9 @@ class TestOptimizeCommand:
         "dims = 4,4", "spacing = -0.0625", "origin = 0.1,0.2", "solver_rtol = 0",
         "dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
         "dims = 4,4,4\norigin = 0.03,-0.09375,-0.09375\nsymmetry = mirror-z",
+        "max_iterations = 2.5", "bidirectional = maybe",
     ], ids=["dims", "spacing", "origin", "solver_rtol", "rotation-dims",
-            "mirror-off-axis"])
+            "mirror-off-axis", "max_iterations", "bidirectional"])
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, monkeypatch,
                                                 line):
         # a configuration error must surface before any field solve
@@ -247,6 +248,17 @@ class TestSweepCommand:
         failures = read_csv(out / "failures.csv")
         assert len(failures) == 1
         assert float(failures[0]["d12_over_lambda"]) == 0.1875
+
+    def test_clean_rerun_leaves_no_earlier_failure_rows(self, tmp_path):
+        # the first run fails its d12 = 0.1875 point (see above); a clean
+        # rerun into the same directory must not keep that row
+        out = tmp_path / "outsr"
+        for d12_list, n_failed in (("0.25,0.1875", 1), ("0.25", 0)):
+            text = TINY_CONFIG + f"d12_list = {d12_list}\npump_list = 0.005\n"
+            cfg_path = write_config(tmp_path, text, name="sweeprerun.cfg")
+            assert cli.main(["sweep", "--config", str(cfg_path),
+                             "--out", str(out)]) == 0
+            assert len(read_csv(out / "failures.csv")) == n_failed
 
     @pytest.mark.parametrize("line", [
         "dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
@@ -391,7 +403,7 @@ class TestDocDrift:
         table = table.split("\n\n")[1]
         documented = dict(re.findall(r"^    (\w+)\s*=\s*(\S+)", table, re.M))
         accepted = ({f.name for f in fields(cli.RunConfig)} - {"design"}) \
-            | cli._DESIGN_KEYS
+            | cli._DESIGN_PARSERS.keys()
         assert set(documented) == accepted
         # every key parses, and at its documented default
         text = "".join(f"{key} = {val}\n" for key, val in documented.items())

@@ -38,19 +38,19 @@ class TestBornDeltaGreen:
     def test_zero_increment(self, rng):
         G1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         G2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.all(born_delta_green(G1, G2, 0.0, 1e-4, K) == 0.0)
+        assert np.all(born_delta_green(G1, G2, 0.0, 1e-4) == 0.0)
 
     def test_exactly_linear(self, rng):
         G1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         G2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        one = born_delta_green(G1, G2, 0.05, 1e-4, K)
-        two = born_delta_green(G1, G2, 0.10, 1e-4, K)
+        one = born_delta_green(G1, G2, 0.05, 1e-4)
+        two = born_delta_green(G1, G2, 0.10, 1e-4)
         assert np.array_equal(two, 2.0 * one)
 
     def test_formula(self):
         G1 = np.arange(9).reshape(3, 3) + 0j
         G2 = np.eye(3) * (1 + 2j)
-        out = born_delta_green(G1, G2, 0.1, 2e-4, K)
+        out = born_delta_green(G1, G2, 0.1, 2e-4)
         assert np.allclose(out, K**2 * 0.1 * 2e-4 * (G1 @ G2), atol=0, rtol=1e-15)
 
     def test_single_voxel_vs_dense_difference(self):
@@ -61,11 +61,11 @@ class TestBornDeltaGreen:
         grid.eps[kidx] = 1.1
         r1, r2 = emitters
         _, _, G12, _, _ = scattered_green_pair(grid, r1, r2, method="dense")
-        dG_full = G12 - free_space_green(r1, r2, K)
+        dG_full = G12 - free_space_green(r1, r2)
         rk = grid.centers()[kidx]
-        dG_born = born_delta_green(free_space_green(r1, rk, K),
-                                   free_space_green(rk, r2, K),
-                                   0.1, grid.voxel_volume, K)
+        dG_born = born_delta_green(free_space_green(r1, rk),
+                                   free_space_green(rk, r2),
+                                   0.1, grid.voxel_volume)
         rel = np.linalg.norm(dG_born - dG_full) / np.linalg.norm(dG_full)
         assert rel < 0.05
         # the deviation is the Clausius-Mossotti local-field factor, not noise
@@ -124,7 +124,7 @@ class TestComputeState:
         grid.eps[:] = 2.0
         st = compute_state(grid, emitters, cfg)
         G11, G22, G12 = (st.tensors[key] for key in ((1, 1), (2, 2), (1, 2)))
-        assert st.couplings == couplings_from_green(G11, G22, G12, st.p_hat, K)
+        assert st.couplings == couplings_from_green(G11, G22, G12)
 
     def test_unphysical_solve_raises_naming_the_rate(self, lossy_pair_tensors):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
@@ -139,7 +139,7 @@ class TestEvaluateCandidate:
         st = compute_state(grid, emitters, cfg)
         value, cs = evaluate_candidate(
             st.tensors[(1, 1)], st.tensors[(2, 2)], st.tensors[(1, 2)],
-            st.sol1.column(st.p_hat), st.sol2.column(st.p_hat),
+            st.sol1.column(), st.sol2.column(),
             voxel=7, delta_eps=0.0, config=cfg,
             voxel_volume=grid.voxel_volume)
         assert value == pytest.approx(st.target_value, abs=1e-14)
@@ -151,8 +151,8 @@ class TestEvaluateCandidate:
         grid, emitters, cfg = toy(dims=(6, 6, 6), d12=d12)
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
-        f1 = st.sol1.column(st.p_hat)
-        f2 = st.sol2.column(st.p_hat)
+        f1 = st.sol1.column()
+        f2 = st.sol2.column()
         free = np.nonzero(~grid.frozen)[0]
         for kidx in free[:: max(1, len(free) // 5)][:5]:
             value, _ = evaluate_candidate(
@@ -164,7 +164,7 @@ class TestEvaluateCandidate:
             G11, G22, G12, _, _ = scattered_green_pair(g2, *emitters,
                                                        method="dense")
             from entcloak.emcore import couplings_from_green
-            cs = couplings_from_green(G11, G22, G12, st.p_hat, K)
+            cs = couplings_from_green(G11, G22, G12)
             params = quantum.MasterEqParams(
                 cs.gamma11, cs.gamma22, cs.gamma12, cs.g12,
                 cfg.pump_ratio * cs.gamma11)
@@ -175,8 +175,8 @@ class TestEvaluateCandidate:
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
-        f1 = st.sol1.column(st.p_hat)
-        f2 = st.sol2.column(st.p_hat)
+        f1 = st.sol1.column()
+        f2 = st.sol2.column()
         kidx = int(np.argmax(np.abs(st.s11.imag) * ~grid.frozen))
         # the delta_eps that takes Im q11 to minus its current value
         delta_eps = -2 * st.q11.imag / (K**2 * grid.voxel_volume * st.s11[kidx].imag)
@@ -234,8 +234,8 @@ class TestSweepOnce:
         G11 = st.tensors[(1, 1)].copy()
         G22 = st.tensors[(2, 2)].copy()
         G12 = st.tensors[(1, 2)].copy()
-        f1 = st.sol1.column(st.p_hat)
-        f2 = st.sol2.column(st.p_hat)
+        f1 = st.sol1.column()
+        f2 = st.sol2.column()
         current = st.target_value
         accepted_hand = []
         for kidx in _symmetry_orbits(hand, cfg, emitters)[:, 0]:
@@ -247,11 +247,11 @@ class TestSweepOnce:
             X1 = st.sol1.block[kidx]
             X2 = st.sol2.block[kidx]
             G11 = G11 + born_delta_green(X1.T, X1, cfg.delta_eps,
-                                         hand.voxel_volume, K)
+                                         hand.voxel_volume)
             G22 = G22 + born_delta_green(X2.T, X2, cfg.delta_eps,
-                                         hand.voxel_volume, K)
+                                         hand.voxel_volume)
             G12 = G12 + born_delta_green(X1.T, X2, cfg.delta_eps,
-                                         hand.voxel_volume, K)
+                                         hand.voxel_volume)
             current = value
             hand.eps[kidx] += cfg.delta_eps
             accepted_hand.append(kidx)
@@ -267,8 +267,8 @@ class TestSweepOnce:
         rec = optimize(grid, emitters, cfg)
         good = rec.final_grid
         good_state = compute_state(good, emitters, cfg)
-        f1 = good_state.sol1.column(good_state.p_hat)
-        f2 = good_state.sol2.column(good_state.p_hat)
+        f1 = good_state.sol1.column()
+        f2 = good_state.sol2.column()
         free = np.nonzero(~good.frozen)[0]
 
         # the victim is the voxel whose +delta_eps first-Born score is
@@ -324,7 +324,7 @@ class TestSweepOnce:
         for key in ((1, 1), (2, 2), (1, 2)):
             sol_i, sol_j = (st.sol1 if n == 1 else st.sol2 for n in key)
             expected = sum(born_delta_green(sol_i.block[m].T, sol_j.block[m],
-                                            delta[m], grid.voxel_volume, K)
+                                            delta[m], grid.voxel_volume)
                            for m in changed)
             assert np.linalg.norm(sum_dG[key] - expected) \
                 <= 1e-12 * np.linalg.norm(expected)

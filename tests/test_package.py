@@ -1,11 +1,14 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entcloak
+from entcloak import emcore
 
 MODULES = ["entcloak"] + [f"entcloak.{m.name}"
                           for m in pkgutil.iter_modules(entcloak.__path__)]
@@ -41,3 +44,31 @@ def test_every_traced_name_resolves(module, attr):
     # the tracer replaces these module attributes; a renamed or removed
     # one would make every traced benchmark run fail
     assert callable(getattr(importlib.import_module(f"entcloak.{module}"), attr))
+
+
+def _public_callables(module):
+    """(name, callable) of each callable in `__all__`, plus the methods
+    each exported class defines."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if not callable(obj):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("name", ["emcore", "vie", "optimizer"])
+def test_no_wavenumber_or_orientation_parameter(name):
+    # k0 = 2 pi (lambda0 = 1) and p = z-hat are emcore constants; no
+    # layer takes either as a parameter
+    module = importlib.import_module(f"entcloak.{name}")
+    offenders = [qual for qual, obj in _public_callables(module)
+                 if {"k", "p_hat"} & set(inspect.signature(obj).parameters)]
+    assert offenders == []
+
+
+def test_unit_wavenumber():
+    assert emcore.K0 == 2 * np.pi

@@ -54,7 +54,7 @@ class TestPermittivityGrid:
 class TestSelfInteraction:
     def test_static_depolarization_limit(self):
         # m -> -1/(3 k^2) as the voxel shrinks
-        m = self_interaction(1e-5, K)
+        m = self_interaction(1e-5)
         assert m.real == pytest.approx(-1 / (3 * K**2), rel=1e-8)
         assert abs(m.imag) < 1e-12
 
@@ -64,7 +64,7 @@ class TestSelfInteraction:
         spacing = 1 / 200
         eps = 2.25
         chi = eps - 1
-        m = self_interaction(spacing, K)
+        m = self_interaction(spacing)
         alpha = chi * spacing**3 / (1 - K**2 * chi * m)
         cm = 3 * spacing**3 * (eps - 1) / (eps + 2)
         assert abs(alpha) == pytest.approx(cm, rel=2e-3)
@@ -90,17 +90,17 @@ class TestAssembleDense:
         p1, p2 = g.centers()
         chi = g.eps - 1.0
         dV = g.voxel_volume
-        m = self_interaction(spacing, K)
-        G12 = emcore.free_space_green(p1, p2, K)
+        m = self_interaction(spacing)
+        G12 = emcore.free_space_green(p1, p2)
         A = np.eye(6, dtype=complex)
         A[0:3, 0:3] -= K**2 * m * chi[0] * np.eye(3)
         A[3:6, 3:6] -= K**2 * m * chi[1] * np.eye(3)
         A[0:3, 3:6] = -K**2 * dV * chi[1] * G12
         A[3:6, 0:3] = -K**2 * dV * chi[0] * G12.T
-        b = np.concatenate([emcore.free_space_green(p1, src, K) @ ZHAT,
-                            emcore.free_space_green(p2, src, K) @ ZHAT])
+        b = np.concatenate([emcore.free_space_green(p1, src) @ ZHAT,
+                            emcore.free_space_green(p2, src) @ ZHAT])
         x_oracle = np.linalg.solve(A, b).reshape(2, 3)
-        x_solver = solve_fields(g, src, ZHAT, method="dense")
+        x_solver = solve_fields(g, src, method="dense")
         assert np.max(np.abs(x_oracle - x_solver)) < 1e-13
 
     def test_single_voxel_born_limit(self):
@@ -111,9 +111,9 @@ class TestAssembleDense:
         for delta in (1e-2, 1e-3):
             g = PermittivityGrid.vacuum((1, 1, 1), spacing, origin=(0, 0, 0))
             g.eps[:] = 1.0 + delta
-            x = solve_fields(g, src, ZHAT, method="dense")[0]
-            b = emcore.free_space_green((0, 0, 0), src, K) @ ZHAT
-            m = self_interaction(spacing, K)
+            x = solve_fields(g, src, method="dense")[0]
+            b = emcore.free_space_green((0, 0, 0), src) @ ZHAT
+            m = self_interaction(spacing)
             x_born = b * (1.0 + K**2 * delta * m)
             errs.append(np.linalg.norm(x - x_born))
         assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.05)
@@ -149,8 +149,8 @@ class TestSolveFields:
     def test_vacuum_equals_free_space_columns(self):
         g = PermittivityGrid.vacuum((4, 4, 4), 0.03)
         src = np.array([0.0, 0.0, 0.4])
-        f = solve_fields(g, src, ZHAT, method="dense")
-        ref = np.array([emcore.free_space_green(p, src, K) @ ZHAT
+        f = solve_fields(g, src, method="dense")
+        ref = np.array([emcore.free_space_green(p, src) @ ZHAT
                         for p in g.centers()])
         # the operator is the exact identity; the LU solve only adds roundoff
         assert np.max(np.abs(f - ref)) < 1e-15
@@ -159,8 +159,8 @@ class TestSolveFields:
         src = np.array([0.0, 0.0, 0.5])
         for dims in ((2, 2, 2), (3, 4, 2), (5, 5, 5), (6, 6, 6)):
             g = random_grid(rng, dims)
-            fd = solve_fields(g, src, ZHAT, method="dense")
-            fi = solve_fields(g, src, ZHAT, method="iterative", rtol=1e-10)
+            fd = solve_fields(g, src, method="dense")
+            fi = solve_fields(g, src, method="iterative", rtol=1e-10)
             rel = np.max(np.abs(fd - fi)) / np.max(np.abs(fd))
             assert rel < 1e-6, f"dims={dims}: {rel}"
 
@@ -171,13 +171,13 @@ class TestSolveFields:
     def test_source_on_voxel_center_rejected(self):
         g = PermittivityGrid.vacuum((3, 3, 3), 0.05, origin=(0, 0, 0))
         with pytest.raises(CoincidentPointsError):
-            solve_fields(g, (0.05, 0.05, 0.05), ZHAT, method="dense")
+            solve_fields(g, (0.05, 0.05, 0.05), method="dense")
 
     def test_krylov_exhaustion_carries_residual(self, rng):
         from entcloak.errors import ConvergenceError
         g = random_grid(rng, (5, 5, 5), contrast=8.0, eps_max=9.0)
         with pytest.raises(ConvergenceError) as err:
-            solve_fields(g, (0, 0, 0.5), ZHAT, method="iterative",
+            solve_fields(g, (0, 0, 0.5), method="iterative",
                          rtol=1e-14, maxiter=1)
         assert err.value.residual is not None and err.value.residual > 0
 
@@ -186,10 +186,9 @@ class TestScatteredGreenPair:
     def test_vacuum_pair(self):
         g = PermittivityGrid.vacuum((4, 4, 4), 0.03)
         r1, r2 = np.array([0, 0, -0.3]), np.array([0, 0, 0.3])
-        G11, G22, G12, f1, f2 = scattered_green_pair(g, r1, r2, ZHAT,
-                                                     method="dense")
-        assert np.max(np.abs(G12 - emcore.free_space_green(r1, r2, K))) < 1e-14
-        cs = emcore.couplings_from_green(G11, G22, G12, ZHAT, K)
+        G11, G22, G12, f1, f2 = scattered_green_pair(g, r1, r2, method="dense")
+        assert np.max(np.abs(G12 - emcore.free_space_green(r1, r2))) < 1e-14
+        cs = emcore.couplings_from_green(G11, G22, G12)
         assert cs.purcell == 1.0 and cs.purcell2 == 1.0
 
     def test_reciprocity_random_grids(self, rng):
@@ -198,8 +197,8 @@ class TestScatteredGreenPair:
             span = g.spacing * max(g.dims)
             r1 = np.array([0.0, 0.0, -0.6 * span - 0.05])
             r2 = np.array([0.02, 0.0, 0.6 * span + 0.07])
-            s1 = solve_green_block(g, r1, K, method="dense")
-            s2 = solve_green_block(g, r2, K, method="dense")
+            s1 = solve_green_block(g, r1, method="dense")
+            s2 = solve_green_block(g, r2, method="dense")
             G12_a = s2.green_at(r1)
             G12_b = s1.green_at(r2).T
             assert np.max(np.abs(G12_a - G12_b)) / np.max(np.abs(G12_a)) < 1e-8
@@ -208,9 +207,9 @@ class TestScatteredGreenPair:
     def test_stacked_sources_match_single_solves(self, rng, method):
         g = random_grid(rng, (4, 3, 5))
         r1, r2 = np.array([0.0, 0.0, -0.4]), np.array([0.03, 0.0, 0.45])
-        pair = solve_green_block(g, (r1, r2), K, method=method, rtol=1e-12)
+        pair = solve_green_block(g, (r1, r2), method=method, rtol=1e-12)
         for sol, r in zip(pair, (r1, r2)):
-            ref = solve_green_block(g, r, K, method=method, rtol=1e-12)
+            ref = solve_green_block(g, r, method=method, rtol=1e-12)
             assert np.array_equal(sol.source, ref.source)
             assert np.max(np.abs(sol.block - ref.block)) / np.max(np.abs(ref.block)) < 1e-10
 
@@ -218,7 +217,7 @@ class TestScatteredGreenPair:
         g = PermittivityGrid.vacuum((2, 2, 2), 0.03)
         for method in ("auto", "dens"):
             with pytest.raises(ValueError, match="iterative.*dense"):
-                solve_green_block(g, (0, 0, 0.4), K, method=method)
+                solve_green_block(g, (0, 0, 0.4), method=method)
 
     def test_passivity_random_grids(self, rng):
         for _ in range(20):
@@ -226,8 +225,8 @@ class TestScatteredGreenPair:
             span = g.spacing * max(g.dims)
             r1 = np.array([0.0, 0.0, -0.6 * span - 0.06])
             r2 = np.array([0.0, 0.0, 0.6 * span + 0.09])
-            out = scattered_green_pair(g, r1, r2, ZHAT, method="dense")
-            cs = emcore.couplings_from_green(out[0], out[1], out[2], ZHAT, K)
+            out = scattered_green_pair(g, r1, r2, method="dense")
+            cs = emcore.couplings_from_green(out[0], out[1], out[2])
             assert cs.gamma11 > 0 and cs.gamma22 > 0
             assert abs(cs.gamma12) <= np.sqrt(cs.gamma11 * cs.gamma22) + 1e-9
 
@@ -235,8 +234,8 @@ class TestScatteredGreenPair:
         g = PermittivityGrid.vacuum((3, 3, 3), 0.02, origin=(0.01, -0.02, 0.015))
         g.eps[13] = 2.0
         r1, r2 = np.array([0, 0, -0.25]), np.array([0, 0, 0.25])
-        _, _, G12_a, _, _ = scattered_green_pair(g, r1, r2, ZHAT, method="dense")
-        _, _, G12_b, _, _ = scattered_green_pair(g, r2, r1, ZHAT, method="dense")
+        _, _, G12_a, _, _ = scattered_green_pair(g, r1, r2, method="dense")
+        _, _, G12_b, _, _ = scattered_green_pair(g, r2, r1, method="dense")
         assert np.max(np.abs(G12_a - G12_b.T)) / np.max(np.abs(G12_a)) < 1e-8
 
     def test_purcell_near_sphere_dense_vs_iterative(self):
@@ -250,9 +249,8 @@ class TestScatteredGreenPair:
         r2 = np.array([0.0, 0.0, a + 0.35])
 
         def purcell(method):
-            out = scattered_green_pair(g, r1, r2, ZHAT, method=method,
-                                       rtol=1e-11)
-            cs = emcore.couplings_from_green(out[0], out[1], out[2], ZHAT, K)
+            out = scattered_green_pair(g, r1, r2, method=method, rtol=1e-11)
+            cs = emcore.couplings_from_green(out[0], out[1], out[2])
             return cs.purcell
 
         fd = purcell("dense")
