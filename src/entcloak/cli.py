@@ -1,6 +1,7 @@
 """Batch driver: single designs, (d12, P/gamma) sweeps, reference curves.
 
-Configuration is a flat key=value text file ('#' starts a comment).
+Configuration is a flat key=value text file ('#' starts a comment);
+every number in it must be finite.
 Normative keys and defaults:
 
     dims            = 8,8,8          voxel counts nx,ny,nz
@@ -49,9 +50,10 @@ from pathlib import Path
 import numpy as np
 
 from . import quantum, validate as validate_mod
-from .emcore import couplings_from_green, free_space_green, vacuum_self_green
+from .emcore import (COINCIDENT_THRESHOLD, couplings_from_green,
+                     free_space_green, vacuum_self_green)
 from .errors import ConfigError, DegenerateSteadyStateError, EntcloakError
-from .optimizer import DesignConfig, _symmetry_orbits, optimize, pump_params
+from .optimizer import DesignConfig, optimize, prepare_design, pump_params
 from .vie import PermittivityGrid
 
 META_SCHEMA = {
@@ -92,6 +94,7 @@ class RunConfig:
     spacing: float = 0.0625
     origin: object = "auto"
     d12: float = 0.25
+    eps_max: float = 9.0
     d12_list: tuple = (0.25,)
     pump_list: tuple = (0.005,)
     seed: int = 0
@@ -102,8 +105,7 @@ class RunConfig:
             self.design = DesignConfig()
         if not self.spacing > 0:
             raise ConfigError("spacing must be positive")
-        if self.origin != "auto" and (len(self.origin) != 3
-                                      or not np.all(np.isfinite(self.origin))):
+        if self.origin != "auto" and len(self.origin) != 3:
             raise ConfigError("origin must be 'auto' or three finite numbers x,y,z")
         if self.d12 <= 0:
             raise ConfigError("d12 must be positive")
@@ -113,16 +115,23 @@ class RunConfig:
             raise ConfigError("pump_list must be non-empty and positive")
 
 
+def _parse_float(text):
+    """float(text); nan and inf raise ValueError."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def _parse_scalar_list(text):
     text = text.strip()
     if text.startswith("logspace:"):
         try:
             lo, hi, num = text[len("logspace:"):].split(",")
-            return tuple(np.geomspace(float(lo), float(hi), int(num)))
+            return tuple(np.geomspace(_parse_float(lo), _parse_float(hi), int(num)))
         except Exception as exc:
             raise ConfigError(f"bad logspace spec {text!r}: {exc}") from exc
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(_parse_float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
@@ -136,11 +145,9 @@ def _parse_bool(text):
     raise ConfigError(f"bad boolean {text!r}")
 
 
-#: Config-value parser of each DesignConfig key, from its field's default.
-_DESIGN_PARSERS = {
-    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
-    for f in dc_fields(DesignConfig)
-}
+#: Config-value parser of each DesignConfig key, from its field's type.
+_PARSERS = {bool: _parse_bool, float: _parse_float, int: int, str: str}
+_DESIGN_PARSERS = {f.name: _PARSERS[type(f.default)] for f in dc_fields(DesignConfig)}
 
 
 def read_config_file(path):
@@ -176,11 +183,11 @@ def parse_config(path, seed_override=None):
                 if len(parts) != 3 or any(p < 1 for p in parts):
                     raise ConfigError(f"dims must be three positive ints, got {val!r}")
                 run_kwargs["dims"] = parts
-            elif key in ("spacing", "d12"):
-                run_kwargs[key] = float(val)
+            elif key in ("spacing", "d12", "eps_max"):
+                run_kwargs[key] = _parse_float(val)
             elif key == "origin":
                 run_kwargs["origin"] = ("auto" if val.strip() == "auto" else
-                                        tuple(float(t) for t in val.split(",")))
+                                        tuple(map(_parse_float, val.split(","))))
             elif key in ("d12_list", "pump_list"):
                 run_kwargs[key] = _parse_scalar_list(val)
             elif key == "seed":
@@ -213,8 +220,11 @@ def _vacuum_grid(cfg):
     origin = None if cfg.origin == "auto" else np.asarray(cfg.origin, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return PermittivityGrid.vacuum(cfg.dims, cfg.spacing, origin=origin,
-                                       eps_max=cfg.design.eps_max)
+        try:
+            return PermittivityGrid.vacuum(cfg.dims, cfg.spacing, origin=origin,
+                                           eps_max=cfg.eps_max)
+        except ValueError as exc:  # eps_max below the vacuum's 1
+            raise ConfigError(str(exc)) from exc
 
 
 def build_grid(cfg, d12=None):
@@ -224,7 +234,7 @@ def build_grid(cfg, d12=None):
     zc = grid.centers()[:, 2]
     for r in emitters:
         gap = np.min(np.abs(zc - r[2]))
-        if gap < 1e-6:
+        if gap < COINCIDENT_THRESHOLD:
             raise ConfigError(
                 f"emitter at z={r[2]} coincides with a voxel center; "
                 "shift origin or adjust d12/spacing"
@@ -384,10 +394,10 @@ def _sweep_point(args):
 
 
 def cmd_sweep(cfg, out_dir, threads=1):
-    # a symmetry the layout cannot carry fails every point alike: reject
-    # it before any point starts (no d12 enters the check, since the
-    # emitters always sit on the z axis, symmetric about z = 0)
-    _symmetry_orbits(_vacuum_grid(cfg), cfg.design, _emitter_pair(cfg.d12))
+    # an eps_max or a symmetry the layout cannot carry fails every point
+    # alike: reject it before any point starts (no d12 enters the checks,
+    # since the emitters always sit on the z axis, symmetric about z = 0)
+    prepare_design(_vacuum_grid(cfg), _emitter_pair(cfg.d12), cfg.design)
     tasks = [(cfg, d, p) for d in cfg.d12_list for p in cfg.pump_list]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

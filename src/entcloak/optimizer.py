@@ -1,9 +1,10 @@
 """Greedy per-voxel topology optimization of the emitter-pair witness.
 
 One iteration: solve the two emitter field problems on the current
-map, visit each symmetry orbit of free voxels once (orbits are built
-once per design), score its trial step through the first-Born
-perturbation of the three emitter Green's tensors
+map into an `IterationState`, the one carrier of the loop's state,
+visit each symmetry orbit of free voxels once (orbits are built once
+per design, before any solve), score its trial step through the
+first-Born perturbation of the three emitter Green's tensors
 
     dG_ij = k^2 G(r_i, r_k) d_eps G(r_k, r_j) dV,
 
@@ -13,10 +14,11 @@ together, re-solve and verify that the accumulated perturbative
 estimate matches the re-solved tensors (the convergence identity).  The
 sequential and frozen-reference modes share that one loop; they differ
 only in whether later orbits are scored against the running estimate
-or the iteration-start tensors.  The pump is held at a fixed ratio
-P/gamma11 of the current device decay rate, so the steady state depends
-only on the coupling ratios and the loop effectively shapes
-(gamma12/gamma, g12/gamma) and the Purcell factor.
+or the iteration-start tensors.  The bound eps_max is the grid's own.
+The pump is held at a fixed ratio P/gamma11 of the current device decay
+rate, so the steady state depends only on the coupling ratios and the
+loop effectively shapes (gamma12/gamma, g12/gamma) and the Purcell
+factor.
 
 Safeguard: if a completed sweep lowers the re-solved target or breaks
 the convergence identity beyond eta_converge, the sweep is reverted and
@@ -45,6 +47,7 @@ __all__ = [
     "sweep_once",
     "verify_convergence",
     "optimize",
+    "prepare_design",
     "compute_state",
     "freeze_exclusion_zone",
 ]
@@ -62,7 +65,6 @@ class DesignConfig:
 
     delta_eps: float = 0.05
     delta_eps_min: float = 1e-3
-    eps_max: float = 9.0
     tol_accept: float = 1e-9
     eta_converge: float = 1e-2
     max_iterations: int = 200
@@ -80,8 +82,6 @@ class DesignConfig:
     def __post_init__(self):
         if self.delta_eps <= 0:
             raise ValueError("delta_eps must be positive")
-        if self.eps_max < 1.0 + self.delta_eps:
-            raise ValueError("eps_max must allow at least one increment")
         if self.pump_ratio <= 0:
             raise ValueError("pump_ratio must be positive")
         if self.target not in _TARGETS:
@@ -173,13 +173,10 @@ class IterationState:
     emitters: tuple
     sol1: object
     sol2: object
-    tensors: dict          # {(1,1): 3x3, (2,2): 3x3, (1,2): 3x3}
-    q11: complex
-    q22: complex
-    q12: complex
-    s11: np.ndarray        # per-voxel products f_i[k] . f_j[k], no conjugation
-    s22: np.ndarray
-    s12: np.ndarray
+    # (3, 3, 3): rows G11, G22, G12, the order `pair_tensors` returns
+    # them; the pair axis of `s`, `_sum_dG` and `_mismatch` follows it
+    tensors: np.ndarray
+    s: np.ndarray          # (N, 3) products f_i[k] . f_j[k], no conjugation
     couplings: CouplingSet
     target_value: float
     rho: np.ndarray
@@ -192,45 +189,37 @@ def compute_state(grid, emitters, config):
                                    method=config.solver_method,
                                    rtol=config.solver_rtol)
     G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2)
-    q11, q22, q12 = (project(G) for G in (G11, G22, G12))
-    target_value, cs, rho = _score(q11, q22, q12, config)
+    tensors = np.stack([G11, G22, G12])
+    target_value, cs, rho = _score(*map(project, tensors), config)
+    s = np.stack([np.einsum("ka,ka->k", fi, fj)
+                  for fi, fj in ((f1, f1), (f2, f2), (f1, f2))], axis=1)
     return IterationState(
-        grid=grid, emitters=(r1, r2), sol1=sol1, sol2=sol2,
-        tensors={(1, 1): G11, (2, 2): G22, (1, 2): G12},
-        q11=q11, q22=q22, q12=q12,
-        s11=np.einsum("ka,ka->k", f1, f1),
-        s22=np.einsum("ka,ka->k", f2, f2),
-        s12=np.einsum("ka,ka->k", f1, f2),
-        couplings=cs, target_value=target_value, rho=rho,
+        grid=grid, emitters=(r1, r2), sol1=sol1, sol2=sol2, tensors=tensors,
+        s=s, couplings=cs, target_value=target_value, rho=rho,
     )
 
 
-def evaluate_candidate(G11, G22, G12, fields1, fields2, voxel, delta_eps,
-                       config, voxel_volume):
-    """Witness value if voxel `voxel` were incremented by delta_eps.
+def evaluate_candidate(state, voxel, delta_eps, config):
+    """Witness value if voxel `voxel` of state.grid gained delta_eps.
 
-    Applies the first-Born update to all three emitter tensors through
-    the P_HAT-projected field maps (reciprocity supplies the transposed
-    factors), renormalizes the pump to P = pump_ratio * gamma11 of the
-    candidate device, and solves the steady state.  Returns
-    (value, CouplingSet), or (None, None) when the perturbed couplings
-    leave the physical manifold.
+    Applies the first-Born update to the projections of all three
+    `state.tensors` through the voxel's field products `state.s`
+    (reciprocity supplies the transposed factors), renormalizes the
+    pump to P = pump_ratio * gamma11 of the candidate device, and solves
+    the steady state.  Returns (value, CouplingSet), or (None, None)
+    when the perturbed couplings leave the physical manifold.
     """
-    q11, q22, q12 = (project(G) for G in (G11, G22, G12))
-    f1k = np.asarray(fields1)[voxel]
-    f2k = np.asarray(fields2)[voxel]
-    scale = K0**2 * delta_eps * voxel_volume
+    dq = (K0**2 * delta_eps * state.grid.voxel_volume * state.s[voxel]).tolist()
+    q = [project(G) + d for G, d in zip(state.tensors, dq)]
     try:
-        value, cs, _ = _score(q11 + scale * (f1k @ f1k),
-                              q22 + scale * (f2k @ f2k),
-                              q12 + scale * (f1k @ f2k), config)
+        value, cs, _ = _score(*q, config)
     except SolverInconsistencyError:
         return None, None
     return value, cs
 
 
-def sweep_once(grid, config, state, delta_eps=None, orbits=None):
-    """Visit every orbit once; returns (grid, sum_dG, accepted).
+def sweep_once(state, config, delta_eps=None, orbits=None):
+    """Visit each orbit of state.grid once; returns (grid, sum_dG, accepted).
 
     `orbits` rows are the visiting order (default `_symmetry_orbits`).
     Each orbit's +delta_eps step is scored first; with
@@ -239,10 +228,12 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
     mode folds each accepted step into the running estimate before
     scoring later orbits; frozen-reference mode scores every orbit
     against the iteration-start tensors (order independent).  Accepted
-    steps are added to the grid in place when the sweep ends.  sum_dG
-    maps the pair keys (1,1), (2,2), (1,2) to the accumulated first-Born
-    tensor increments consumed by `verify_convergence`.
+    steps are added to the grid in place when the sweep ends; no step
+    takes eps past `grid.eps_max`.  sum_dG stacks the accumulated
+    first-Born increments of `state.tensors`, consumed by
+    `verify_convergence`.
     """
+    grid = state.grid
     if delta_eps is None:
         delta_eps = config.delta_eps
     if orbits is None:
@@ -252,9 +243,8 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
     # orbits are disjoint, so no orbit's eps moves before its own visit:
     # its headrooms and summed field products are fixed at sweep start;
     # sum() adds an orbit's members one at a time, in ascending order
-    s = sum(_by_member(np.stack([state.s11, state.s22, state.s12], axis=1),
-                       orbits, 0))
-    up = np.minimum(delta_eps, _by_member(config.eps_max - grid.eps, orbits,
+    s = sum(_by_member(state.s, orbits, 0))
+    up = np.minimum(delta_eps, _by_member(grid.eps_max - grid.eps, orbits,
                                           np.inf).min(axis=0))
     down = -np.minimum(delta_eps, _by_member(grid.eps - 1.0, orbits,
                                              np.inf).min(axis=0))
@@ -264,7 +254,7 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
     # more than its own arithmetic
     trials = [(t.tolist(), ((kk2 * t)[:, None] * s).tolist()) for t in trials]
 
-    q = [state.q11, state.q22, state.q12]
+    q = [project(G) for G in state.tensors]
     current = state.target_value
     steps = np.zeros(grid.n_voxels)
     accepted = 0
@@ -298,15 +288,14 @@ def sweep_once(grid, config, state, delta_eps=None, orbits=None):
 
 
 def _sum_dG(state, steps):
-    """First-Born increments of the (1,1), (2,2), (1,2) tensors for the
-    per-voxel permittivity steps `steps` on the map of `state`."""
+    """Summed first-Born increments of `state.tensors`, stacked like them,
+    for the per-voxel permittivity steps `steps` on the map of `state`."""
     changed = np.flatnonzero(steps)
     X1 = state.sol1.block[changed]  # G(r_k, r1)
     X2 = state.sol2.block[changed]
-    dG = born_delta_green(np.stack([X1, X2, X1]).swapaxes(-1, -2),
-                          np.stack([X1, X2, X2]), steps[changed, None, None],
-                          state.grid.voxel_volume)
-    return dict(zip([(1, 1), (2, 2), (1, 2)], dG.sum(axis=1)))
+    return born_delta_green(np.stack([X1, X2, X1]).swapaxes(-1, -2),
+                            np.stack([X1, X2, X2]), steps[changed, None, None],
+                            state.grid.voxel_volume).sum(axis=1)
 
 
 def _by_member(values, orbits, fill):
@@ -364,25 +353,19 @@ def _require_axis_symmetry(grid, emitters, mirror):
 
 
 def _mismatch(old_tensors, sum_dG, new_tensors):
-    """Max over pairs of ||G_old + sum_dG - G_new||_F / ||G_new||_F."""
-    worst = 0.0
-    for key in new_tensors:
-        predicted = old_tensors[key] + sum_dG[key]
-        denom = np.linalg.norm(new_tensors[key])
-        worst = max(worst, np.linalg.norm(predicted - new_tensors[key]) / denom)
-    return worst
+    """Max over the pair rows of ||G_old + sum_dG - G_new||_F / ||G_new||_F."""
+    return max(np.linalg.norm(old + dG - new) / np.linalg.norm(new)
+               for old, dG, new in zip(old_tensors, sum_dG, new_tensors))
 
 
-def verify_convergence(old_tensors, sum_dG, grid_next, emitters, config=None):
+def verify_convergence(state, sum_dG, grid_next, config):
     """Re-solve at grid_next and measure the accumulated-vs-resolved mismatch.
 
     Pure measurement: returns the max relative Frobenius mismatch over
-    the (1,1), (2,2), (1,2) tensors.
+    the three pair tensors of `state`, with `sum_dG` added to them.
     """
-    if config is None:
-        config = DesignConfig()
-    new_state = compute_state(grid_next, emitters, config)
-    return _mismatch(old_tensors, sum_dG, new_state.tensors)
+    new_state = compute_state(grid_next, state.emitters, config)
+    return _mismatch(state.tensors, sum_dG, new_state.tensors)
 
 
 def freeze_exclusion_zone(grid, emitters, exclusion_radius):
@@ -398,20 +381,26 @@ def freeze_exclusion_zone(grid, emitters, exclusion_radius):
     return grid
 
 
+def prepare_design(grid, emitters, config):
+    """Freeze the exclusion zone of `grid` and return its symmetry orbits;
+    raises ConfigError, before any field solve, when grid.eps_max leaves
+    no room for one delta_eps step or the layout cannot carry the symmetry."""
+    if grid.eps_max < 1.0 + config.delta_eps:
+        raise ConfigError("eps_max must allow at least one increment")
+    freeze_exclusion_zone(grid, emitters, config.exclusion_radius)
+    return _symmetry_orbits(grid, config, emitters)
+
+
 def optimize(grid0, emitters, config):
     """Run the greedy design loop; returns the full DesignRecord.
 
-    Starts from grid0 (normally all vacuum), freezes the exclusion zone
-    around both emitters, builds the symmetry orbits (raising
-    ConfigError, before any field solve, when the layout cannot carry
-    the symmetry), and iterates sweep / re-solve / verify until
-    no voxel improves the target, the improvement falls below
-    tol_accept, max_iterations is reached, or adaptive halving exhausts
-    delta_eps.
+    Starts from grid0 (normally all vacuum), runs `prepare_design` on a
+    copy of it, and iterates sweep / re-solve / verify until no voxel
+    improves the target, the improvement falls below tol_accept,
+    max_iterations is reached, or adaptive halving exhausts delta_eps.
     """
     grid = grid0.copy()
-    freeze_exclusion_zone(grid, emitters, config.exclusion_radius)
-    orbits = _symmetry_orbits(grid, config, emitters)
+    orbits = prepare_design(grid, emitters, config)
 
     state = compute_state(grid, emitters, config)
     entries = [IterationEntry(
@@ -424,8 +413,8 @@ def optimize(grid0, emitters, config):
     n = 0
     while n < config.max_iterations:
         eps_backup = grid.eps.copy()
-        grid, sum_dG, accepted = sweep_once(grid, config, state,
-                                            delta_eps=delta_eps, orbits=orbits)
+        _, sum_dG, accepted = sweep_once(state, config, delta_eps=delta_eps,
+                                         orbits=orbits)
         if accepted == 0:
             break
         new_state = compute_state(grid, emitters, config)

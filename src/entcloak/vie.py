@@ -31,8 +31,8 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from .emcore import (K0, P_HAT, as_position, dyadic_green, free_space_green,
-                     vacuum_self_green)
+from .emcore import (COINCIDENT_THRESHOLD, K0, P_HAT, as_position,
+                     dyadic_green, free_space_green, vacuum_self_green)
 from .errors import CoincidentPointsError, ConvergenceError, GridTooLargeError
 
 __all__ = [
@@ -259,9 +259,8 @@ def _source_columns(grid, source):
     """(N, 3, 3) blocks G0(r_k, r_source) for every voxel center."""
     pts = grid.centers()
     src = as_position(source)[None, :]
-    if np.min(np.linalg.norm(pts - src, axis=1)) < 1e-6:
-        # Same threshold as free_space_green; emitters are placed off-center
-        # by construction, so this only trips on misconfigured inputs.
+    if np.min(np.linalg.norm(pts - src, axis=1)) < COINCIDENT_THRESHOLD:
+        # emitters sit off-center by construction: only bad inputs trip this
         raise CoincidentPointsError("source coincides with a voxel center")
     return dyadic_green(pts - src)
 
@@ -409,7 +408,7 @@ def scattered_green_pair(grid, r1, r2, method="iterative", rtol=1e-8,
     """
     r1 = as_position(r1)
     r2 = as_position(r2)
-    if np.linalg.norm(r1 - r2) < 1e-6:
+    if np.linalg.norm(r1 - r2) < COINCIDENT_THRESHOLD:
         raise ValueError("emitters must be separated")
     sol1, sol2 = solve_green_block(grid, (r1, r2), method, rtol, maxiter)
     return pair_tensors(sol1, sol2)

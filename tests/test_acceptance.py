@@ -166,7 +166,7 @@ def test_criterion_7_born_update_fidelity():
     g3 = grid2.copy()
     g3.eps[vox] += 0.05
     sum_dG = _sum_dG(state, g3.eps - grid2.eps)
-    mism = verify_convergence(state.tensors, sum_dG, g3, emitters, cfg)
+    mism = verify_convergence(state, sum_dG, g3, cfg)
 
     ok = born_rel <= 0.02 and mism <= 1e-3
     detail = (f"single-voxel first-Born relative difference {born_rel:.4f} "
@@ -214,7 +214,7 @@ def test_criterion_9_witness_target_first_sweep_agreement(toy_instance):
                            exclusion_radius=1.0)
         freeze_exclusion_zone(g, emitters, cfg.exclusion_radius)
         state = compute_state(g, emitters, cfg)
-        sweep_once(g, cfg, state)
+        sweep_once(state, cfg)
         sets[target] = frozenset(np.nonzero(g.eps > 1.0)[0].tolist())
     diff = sets["concurrence"] ^ sets["negativity"]
     shared = sets["concurrence"] & sets["negativity"]

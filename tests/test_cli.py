@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -88,7 +89,9 @@ class TestConfigParsing:
         path = write_config(tmp_path,
                             "dims = 4,4,4\norigin = -0.1, -0.1, 0.03\n")
         cfg = cli.parse_config(path)
-        grid, _ = cli.build_grid(cfg)
+        # the emitter at z = 0.125 is 0.03 < spacing/2 from a center plane
+        with pytest.warns(UserWarning, match="nearest voxel center plane"):
+            grid, _ = cli.build_grid(cfg)
         assert np.allclose(grid.origin, [-0.1, -0.1, 0.03])
 
 
@@ -163,8 +166,15 @@ class TestOptimizeCommand:
         "dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
         "dims = 4,4,4\norigin = 0.03,-0.09375,-0.09375\nsymmetry = mirror-z",
         "max_iterations = 2.5", "bidirectional = maybe",
+        "pump_ratio = nan", "d12 = nan", "eta_converge = nan", "eps_max = inf",
+        "eps_max = 1.0", "eps_max = 0.5",
+        # the emitters at z = +-0.03125 lie on voxel-center planes
+        "dims = 4,4,4\nd12 = 0.0625",
     ], ids=["dims", "spacing", "origin", "solver_rtol", "rotation-dims",
-            "mirror-off-axis", "max_iterations", "bidirectional"])
+            "mirror-off-axis", "max_iterations", "bidirectional",
+            "pump_ratio-nan", "d12-nan", "eta_converge-nan", "eps_max-inf",
+            "eps_max-no-increment", "eps_max-below-vacuum",
+            "emitter-on-center-plane"])
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, monkeypatch,
                                                 line):
         # a configuration error must surface before any field solve
@@ -275,6 +285,18 @@ class TestSweepCommand:
 
         monkeypatch.setattr(optimizer, "solve_green_block", no_solve)
         text = line + "\nd12_list = 0.25,0.375\npump_list = 0.005,0.05\n"
+        cfg_path = write_config(tmp_path, text, name="bad.cfg")
+        out = tmp_path / "never"
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["pump_list = nan", "eps_max = 1.0"],
+                             ids=["pump_list-nan", "eps_max-no-increment"])
+    def test_malformed_config_exit_2_no_outputs(self, tmp_path, line):
+        # every point would fail alike: a configuration error, not
+        # failures.csv rows
+        text = TINY_CONFIG + line + "\n"
         cfg_path = write_config(tmp_path, text, name="bad.cfg")
         out = tmp_path / "never"
         rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
@@ -393,6 +415,13 @@ class TestValidateCommand:
         assert cli.main(["validate", "--corrupt-self-term"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "rayleigh" in out
+
+    def test_random_grids_build_without_warnings(self):
+        from entcloak import validate as vmod
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vmod._random_grid(np.random.default_rng(0))
+        assert caught == []
 
 
 class TestDocDrift:

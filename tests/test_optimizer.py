@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from entcloak.emcore import (
     CouplingSet,
     couplings_from_green,
     free_space_green,
+    project,
 )
 from entcloak.errors import SolverInconsistencyError
 from entcloak.optimizer import (
@@ -27,8 +30,8 @@ from entcloak.vie import PermittivityGrid, scattered_green_pair
 K = 2 * np.pi
 
 
-def toy(dims=(6, 6, 6), spacing=1 / 16, d12=0.25, **cfg_kw):
-    grid = PermittivityGrid.vacuum(dims, spacing)
+def toy(dims=(6, 6, 6), spacing=1 / 16, d12=0.25, eps_max=9.0, **cfg_kw):
+    grid = PermittivityGrid.vacuum(dims, spacing, eps_max=eps_max)
     emitters = (np.array([0.0, 0.0, -d12 / 2]), np.array([0.0, 0.0, d12 / 2]))
     cfg = DesignConfig(**cfg_kw)
     return grid, emitters, cfg
@@ -123,8 +126,7 @@ class TestComputeState:
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         grid.eps[:] = 2.0
         st = compute_state(grid, emitters, cfg)
-        G11, G22, G12 = (st.tensors[key] for key in ((1, 1), (2, 2), (1, 2)))
-        assert st.couplings == couplings_from_green(G11, G22, G12)
+        assert st.couplings == couplings_from_green(*st.tensors)
 
     def test_unphysical_solve_raises_naming_the_rate(self, lossy_pair_tensors):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
@@ -137,11 +139,7 @@ class TestEvaluateCandidate:
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
-        value, cs = evaluate_candidate(
-            st.tensors[(1, 1)], st.tensors[(2, 2)], st.tensors[(1, 2)],
-            st.sol1.column(), st.sol2.column(),
-            voxel=7, delta_eps=0.0, config=cfg,
-            voxel_volume=grid.voxel_volume)
+        value, cs = evaluate_candidate(st, voxel=7, delta_eps=0.0, config=cfg)
         assert value == pytest.approx(st.target_value, abs=1e-14)
         assert cs.gamma12 == pytest.approx(st.couplings.gamma12, rel=1e-12)
 
@@ -151,14 +149,10 @@ class TestEvaluateCandidate:
         grid, emitters, cfg = toy(dims=(6, 6, 6), d12=d12)
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
-        f1 = st.sol1.column()
-        f2 = st.sol2.column()
         free = np.nonzero(~grid.frozen)[0]
         for kidx in free[:: max(1, len(free) // 5)][:5]:
-            value, _ = evaluate_candidate(
-                st.tensors[(1, 1)], st.tensors[(2, 2)], st.tensors[(1, 2)],
-                f1, f2, voxel=int(kidx), delta_eps=0.05, config=cfg,
-                voxel_volume=grid.voxel_volume)
+            value, _ = evaluate_candidate(st, voxel=int(kidx), delta_eps=0.05,
+                                          config=cfg)
             g2 = grid.copy()
             g2.eps[kidx] += 0.05
             G11, G22, G12, _, _ = scattered_green_pair(g2, *emitters,
@@ -175,18 +169,14 @@ class TestEvaluateCandidate:
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
-        f1 = st.sol1.column()
-        f2 = st.sol2.column()
-        kidx = int(np.argmax(np.abs(st.s11.imag) * ~grid.frozen))
+        s11 = st.s[:, 0]
+        kidx = int(np.argmax(np.abs(s11.imag) * ~grid.frozen))
         # the delta_eps that takes Im q11 to minus its current value
-        delta_eps = -2 * st.q11.imag / (K**2 * grid.voxel_volume * st.s11[kidx].imag)
-        args = (st.tensors[(1, 1)], st.tensors[(2, 2)], st.tensors[(1, 2)],
-                f1, f2, kidx)
-        assert evaluate_candidate(*args, delta_eps=delta_eps, config=cfg,
-                                  voxel_volume=grid.voxel_volume) == (None, None)
+        q11 = project(st.tensors[0])
+        delta_eps = -2 * q11.imag / (K**2 * grid.voxel_volume * s11[kidx].imag)
+        assert evaluate_candidate(st, kidx, delta_eps, cfg) == (None, None)
         # a quarter of that step only halves gamma11 and is scored
-        value, cs = evaluate_candidate(*args, delta_eps=delta_eps / 4, config=cfg,
-                                       voxel_volume=grid.voxel_volume)
+        value, cs = evaluate_candidate(st, kidx, delta_eps / 4, cfg)
         assert value is not None and cs.gamma11 > 0
 
     def test_frozen_voxels_never_swept(self):
@@ -206,10 +196,10 @@ class TestSweepOnce:
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
         eps0 = grid.eps.copy()
-        _, sum_dG, accepted = sweep_once(grid, cfg, st)
+        _, sum_dG, accepted = sweep_once(st, cfg)
         assert accepted == 0
         assert np.array_equal(grid.eps, eps0)
-        assert all(np.all(v == 0) for v in sum_dG.values())
+        assert np.all(sum_dG == 0)
 
     def test_frozen_reference_order_independent(self, rng):
         base_grid, emitters, cfg = toy(dims=(4, 4, 4),
@@ -220,7 +210,7 @@ class TestSweepOnce:
         for _ in range(5):
             g = base_grid.copy()
             st = compute_state(g, emitters, cfg)
-            _, _, acc = sweep_once(g, cfg, st, orbits=rng.permutation(orbits))
+            _, _, acc = sweep_once(st, cfg, orbits=rng.permutation(orbits))
             outcomes.add((acc, tuple(np.round(g.eps, 13))))
         assert len(outcomes) == 1
 
@@ -231,17 +221,12 @@ class TestSweepOnce:
         st = compute_state(grid, emitters, cfg)
 
         hand = grid.copy()
-        G11 = st.tensors[(1, 1)].copy()
-        G22 = st.tensors[(2, 2)].copy()
-        G12 = st.tensors[(1, 2)].copy()
-        f1 = st.sol1.column()
-        f2 = st.sol2.column()
+        G11, G22, G12 = st.tensors.copy()
         current = st.target_value
         accepted_hand = []
         for kidx in _symmetry_orbits(hand, cfg, emitters)[:, 0]:
-            value, _ = evaluate_candidate(G11, G22, G12, f1, f2, kidx,
-                                          cfg.delta_eps, cfg,
-                                          hand.voxel_volume)
+            running = replace(st, tensors=np.stack([G11, G22, G12]))
+            value, _ = evaluate_candidate(running, kidx, cfg.delta_eps, cfg)
             if value is None or value - current <= cfg.tol_accept:
                 continue
             X1 = st.sol1.block[kidx]
@@ -256,7 +241,7 @@ class TestSweepOnce:
             hand.eps[kidx] += cfg.delta_eps
             accepted_hand.append(kidx)
 
-        _, _, acc = sweep_once(grid, cfg, st)
+        _, _, acc = sweep_once(st, cfg)
         assert acc == len(accepted_hand)
         assert np.allclose(grid.eps, hand.eps, atol=0, rtol=0)
 
@@ -267,23 +252,18 @@ class TestSweepOnce:
         rec = optimize(grid, emitters, cfg)
         good = rec.final_grid
         good_state = compute_state(good, emitters, cfg)
-        f1 = good_state.sol1.column()
-        f2 = good_state.sol2.column()
         free = np.nonzero(~good.frozen)[0]
 
         # the victim is the voxel whose +delta_eps first-Born score is
         # lowest, so extra dielectric there is harmful by construction
         def plus_score(kidx):
-            value, _ = evaluate_candidate(
-                good_state.tensors[(1, 1)], good_state.tensors[(2, 2)],
-                good_state.tensors[(1, 2)], f1, f2, voxel=int(kidx),
-                delta_eps=cfg.delta_eps, config=cfg,
-                voxel_volume=good.voxel_volume)
+            value, _ = evaluate_candidate(good_state, int(kidx), cfg.delta_eps,
+                                          cfg)
             return np.inf if value is None else value
 
         victim = int(min(free, key=plus_score))
         spoiled = good.copy()
-        spoiled.eps[victim] = min(spoiled.eps[victim] + 2.0, cfg.eps_max)
+        spoiled.eps[victim] = min(spoiled.eps[victim] + 2.0, good.eps_max)
         bi_cfg = toy(dims=(6, 6, 6), max_iterations=1, exclusion_radius=1.0,
                      bidirectional=True)[2]
         state = compute_state(spoiled, emitters, bi_cfg)
@@ -292,19 +272,28 @@ class TestSweepOnce:
         before = spoiled.eps[victim]
         # victim first, so no earlier acceptance in the sweep shifts its score
         orbits = np.array([[victim]] + [[m] for m in free if m != victim])
-        sweep_once(spoiled, bi_cfg, state, orbits=orbits)
+        sweep_once(state, bi_cfg, orbits=orbits)
         assert spoiled.eps[victim] < before
 
     def test_eps_max_cap_respected(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4), eps_max=1.06)
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
-        sweep_once(grid, cfg, st)
-        assert np.all(grid.eps <= cfg.eps_max + 1e-12)
+        sweep_once(st, cfg)
+        assert np.all(grid.eps <= grid.eps_max + 1e-12)
         # second sweep cannot push past the cap
         st = compute_state(grid, emitters, cfg)
-        sweep_once(grid, cfg, st)
-        assert np.all(grid.eps <= cfg.eps_max + 1e-12)
+        sweep_once(st, cfg)
+        assert np.all(grid.eps <= grid.eps_max + 1e-12)
+        # free voxels just below the default bound: the sweep's headroom
+        # is the grid's own eps_max, so the swept map stays a valid grid
+        grid, emitters, cfg = toy(dims=(4, 4, 4), exclusion_radius=1.0)
+        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        grid.eps[~grid.frozen] = grid.eps_max - 0.02
+        st = compute_state(grid, emitters, cfg)
+        sweep_once(st, cfg)
+        assert grid.eps.max() <= grid.eps_max
+        grid.copy()  # the copy re-checks eps against the grid's bound
 
     def test_sum_dG_is_the_born_sum_of_the_eps_changes(self):
         # bidirectional mirror-z on a map half at eps = 2: the sweep takes
@@ -315,18 +304,18 @@ class TestSweepOnce:
         grid.eps[~grid.frozen & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
         before = grid.eps.copy()
-        _, sum_dG, _ = sweep_once(grid, cfg, st)
+        _, sum_dG, _ = sweep_once(st, cfg)
         delta = grid.eps - before
         changed = np.flatnonzero(delta)
         assert (delta < 0).any() and (delta > 0).any()
         orbits = _symmetry_orbits(grid, cfg, emitters)
         assert (np.isin(orbits[:, 1], changed)).any()
-        for key in ((1, 1), (2, 2), (1, 2)):
-            sol_i, sol_j = (st.sol1 if n == 1 else st.sol2 for n in key)
+        pairs = ((st.sol1, st.sol1), (st.sol2, st.sol2), (st.sol1, st.sol2))
+        for dG, (sol_i, sol_j) in zip(sum_dG, pairs, strict=True):
             expected = sum(born_delta_green(sol_i.block[m].T, sol_j.block[m],
                                             delta[m], grid.voxel_volume)
                            for m in changed)
-            assert np.linalg.norm(sum_dG[key] - expected) \
+            assert np.linalg.norm(dG - expected) \
                 <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -334,8 +323,7 @@ class TestVerifyConvergence:
     def test_zero_accepted_zero_mismatch(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         st = compute_state(grid, emitters, cfg)
-        sum_dG = {key: np.zeros((3, 3), dtype=complex) for key in st.tensors}
-        mism = verify_convergence(st.tensors, sum_dG, grid, emitters, cfg)
+        mism = verify_convergence(st, np.zeros_like(st.tensors), grid, cfg)
         assert mism == 0.0
 
     def test_one_voxel_small_mismatch(self):
@@ -346,7 +334,7 @@ class TestVerifyConvergence:
         g2 = grid.copy()
         g2.eps[kidx] += 0.05
         sum_dG = _sum_dG(st, g2.eps - grid.eps)
-        mism = verify_convergence(st.tensors, sum_dG, g2, emitters, cfg)
+        mism = verify_convergence(st, sum_dG, g2, cfg)
         assert 0 < mism <= 1e-3
 
     def test_large_increment_breaks_identity(self):
@@ -359,7 +347,7 @@ class TestVerifyConvergence:
         g2 = grid.copy()
         g2.eps[free] += 1.0
         sum_dG = _sum_dG(st, g2.eps - grid.eps)
-        mism = verify_convergence(st.tensors, sum_dG, g2, emitters, cfg)
+        mism = verify_convergence(st, sum_dG, g2, cfg)
         assert mism > cfg.eta_converge
 
 
@@ -380,7 +368,7 @@ class TestOptimize:
         assert len(rec.entries) == 6
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert np.all(rec.final_grid.eps >= 1.0)
-        assert np.all(rec.final_grid.eps <= cfg.eps_max + 1e-12)
+        assert np.all(rec.final_grid.eps <= grid.eps_max + 1e-12)
         assert all(e.convergence_mismatch <= cfg.eta_converge for e in rec.entries)
         assert rec.final_value > rec.initial_value
 
@@ -407,7 +395,7 @@ class TestOptimize:
         cfg = DesignConfig(symmetry="z-axis-rotation-4fold")
         state = compute_state(grid, emitters, cfg)
         with pytest.raises(ValueError):
-            sweep_once(grid, cfg, state)
+            sweep_once(state, cfg)
 
     def test_adaptive_halving_on_identity_violation(self):
         # a coarse increment must trigger the safeguard, then proceed
@@ -424,8 +412,10 @@ class TestOptimize:
             DesignConfig(pump_ratio=0.0)
         with pytest.raises(ValueError):
             DesignConfig(delta_eps=-0.1)
-        with pytest.raises(ValueError):
-            DesignConfig(eps_max=1.0)
+        # the grid owns eps_max; optimize checks it before any solve
+        grid, emitters, cfg = toy(dims=(4, 4, 4), eps_max=1.0)
+        with pytest.raises(ValueError, match="eps_max"):
+            optimize(grid, emitters, cfg)
         with pytest.raises(ValueError):
             DesignConfig(target="fidelity")
         with pytest.raises(ValueError):

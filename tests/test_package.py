@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -9,6 +10,8 @@ import pytest
 
 import entcloak
 from entcloak import emcore
+from entcloak.optimizer import DesignConfig
+from entcloak.vie import PermittivityGrid
 
 MODULES = ["entcloak"] + [f"entcloak.{m.name}"
                           for m in pkgutil.iter_modules(entcloak.__path__)]
@@ -72,3 +75,11 @@ def test_no_wavenumber_or_orientation_parameter(name):
 
 def test_unit_wavenumber():
     assert emcore.K0 == 2 * np.pi
+
+
+def test_design_config_owns_no_grid_value():
+    # each value has one owner: a bound the grid carries (eps_max, say)
+    # is read from the grid, never repeated in the design knobs
+    names = [{f.name for f in dataclasses.fields(cls)}
+             for cls in (DesignConfig, PermittivityGrid)]
+    assert names[0] & names[1] == set()
