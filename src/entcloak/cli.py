@@ -54,7 +54,7 @@ from .emcore import (COINCIDENT_THRESHOLD, couplings_from_green,
                      free_space_green, vacuum_self_green)
 from .errors import ConfigError, DegenerateSteadyStateError, EntcloakError
 from .optimizer import DesignConfig, optimize, prepare_design, pump_params
-from .vie import PermittivityGrid
+from .vie import GridResolutionWarning, PermittivityGrid
 
 META_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -216,15 +216,23 @@ def _emitter_pair(d12):
 
 
 def _vacuum_grid(cfg):
-    """The all-vacuum grid of a config (independent of d12)."""
+    """The all-vacuum grid of a config (independent of d12).
+
+    Of the warnings the grid emits, only GridResolutionWarning is passed
+    on to the caller's warning filters; the rest are dropped.
+    """
     origin = None if cfg.origin == "auto" else np.asarray(cfg.origin, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            return PermittivityGrid.vacuum(cfg.dims, cfg.spacing, origin=origin,
+            grid = PermittivityGrid.vacuum(cfg.dims, cfg.spacing, origin=origin,
                                            eps_max=cfg.eps_max)
         except ValueError as exc:  # eps_max below the vacuum's 1
             raise ConfigError(str(exc)) from exc
+    for w in caught:
+        if issubclass(w.category, GridResolutionWarning):
+            warnings.warn(w.message, stacklevel=2)
+    return grid
 
 
 def build_grid(cfg, d12=None):
@@ -382,7 +390,10 @@ def _sweep_point(args):
     """One (d12, pump) optimization; returns the sweep.csv row values."""
     cfg, d12, pump = args
     design = replace(cfg.design, pump_ratio=pump)
-    grid, emitters = build_grid(cfg, d12=d12)
+    with warnings.catch_warnings():
+        # cmd_sweep's pre-flight already reported the grid's resolution
+        warnings.simplefilter("ignore", GridResolutionWarning)
+        grid, emitters = build_grid(cfg, d12=d12)
     record = optimize(grid, emitters, design)
     cs = record.entries[-1].couplings
     rho = record.final_rho

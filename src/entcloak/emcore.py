@@ -19,6 +19,7 @@ with k = K0 and p = P_HAT.  The factor-2 asymmetry between the
 dissipative and coherent conversions is intentional and load-bearing.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +95,11 @@ class CouplingSet:
                 f"decay rates must be positive, got gamma11={self.gamma11}, "
                 f"gamma22={self.gamma22}"
             )
-        bound = np.sqrt(self.gamma11 * self.gamma22) + POSITIVITY_TOL
-        if abs(self.gamma12) > bound:
+        root = math.sqrt(self.gamma11 * self.gamma22)
+        if abs(self.gamma12) > root + POSITIVITY_TOL:
             raise SolverInconsistencyError(
                 f"|gamma12|={abs(self.gamma12)} exceeds sqrt(gamma11*gamma22)="
-                f"{np.sqrt(self.gamma11 * self.gamma22)} beyond tolerance"
+                f"{root} beyond tolerance"
             )
         return self
 

@@ -82,6 +82,16 @@ class DesignConfig:
     def __post_init__(self):
         if self.delta_eps <= 0:
             raise ValueError("delta_eps must be positive")
+        if self.delta_eps_min <= 0:
+            raise ValueError("delta_eps_min must be positive")
+        if self.tol_accept < 0:
+            raise ValueError("tol_accept must be non-negative")
+        if self.eta_converge <= 0:
+            raise ValueError("eta_converge must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
+        if self.exclusion_radius < 0:
+            raise ValueError("exclusion_radius must be non-negative")
         if self.pump_ratio <= 0:
             raise ValueError("pump_ratio must be positive")
         if self.target not in _TARGETS:

@@ -21,6 +21,7 @@ RK4 time propagation (`propagate_to_steady`), and the Wootters and
 partial-transpose witnesses.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -314,7 +315,7 @@ _OFF_X[1, 2] = _OFF_X[2, 1] = False
 
 
 def _is_x_state(rho):
-    return np.max(np.abs(rho[_OFF_X])) <= _X_TOL
+    return abs(rho[_OFF_X]).max() <= _X_TOL
 
 
 def concurrence(rho):
@@ -333,7 +334,7 @@ def concurrence(rho):
         )
         return concurrence_wootters(rho)
     pops = max(rho[0, 0].real * rho[3, 3].real, 0.0)
-    val = 2.0 * (abs(rho[1, 2]) - np.sqrt(pops))
+    val = 2.0 * (abs(rho[1, 2]) - math.sqrt(pops))
     return max(0.0, float(val))
 
 
@@ -368,7 +369,7 @@ def negativity(rho):
         )
         return negativity_partial_transpose(rho)
     a, d = rho[0, 0].real, rho[3, 3].real
-    val = np.sqrt((a - d) ** 2 + 4.0 * abs(rho[1, 2]) ** 2) - (a + d)
+    val = math.sqrt((a - d) ** 2 + 4.0 * abs(rho[1, 2]) ** 2) - (a + d)
     return max(0.0, float(val))
 
 

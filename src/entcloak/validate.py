@@ -109,9 +109,14 @@ def check_vacuum_identity(rng):
 
 
 def check_dense_fft_matvec(rng):
+    """FFT against dense matvec on 6 random grids, then on one with a
+    singleton axis, the edge case of the FFT's per-axis padding."""
+    grids = [_random_grid(rng) for _ in range(6)]
+    with _quiet():
+        flat = vie.PermittivityGrid.vacuum((1, 4, 3), 1.0 / 20.0)
+    flat.eps[:] = rng.uniform(1.0, 2.5, flat.n_voxels)
     worst = 0.0
-    for _ in range(6):
-        g = _random_grid(rng)
+    for g in grids + [flat]:
         A = vie.assemble_dense(g)
         x = rng.standard_normal(3 * g.n_voxels) + 1j * rng.standard_normal(3 * g.n_voxels)
         y1 = A @ x

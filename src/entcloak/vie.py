@@ -184,7 +184,20 @@ def assemble_dense(grid):
 
 
 class _FftInteraction:
-    """Block-Toeplitz application of the off-diagonal G0 coupling via FFT."""
+    """Block-Toeplitz application of the off-diagonal G0 coupling via FFT.
+
+    The lag kernel lives on the (2nx, 2ny, 2nz) circulant embedding;
+    `khat` holds the transforms of its 6 symmetric components.  `apply`
+    pads and transforms one axis at a time, so no 1-D transform runs
+    over a line that is all zero padding: forward, each weight component
+    is padded and transformed along x to 2nx, then y to 2ny, then z to
+    2nz; inverse, x is transformed first and cropped to nx, then y
+    (cropped to ny), then z (cropped to nz).  On an n^3 grid that is
+    14 n^3 instead of 24 n^3 transformed points per component and
+    direction.  The axes go in the order of a full `fftn`, so on grids
+    whose padded extents are powers of two every kept value is bitwise
+    the one the full transform gives.
+    """
 
     def __init__(self, dims, spacing):
         self.dims = dims
@@ -204,17 +217,24 @@ class _FftInteraction:
     def apply(self, w):
         """Convolve (N, 3) voxel weights with the off-diagonal kernel."""
         nx, ny, nz = self.dims
+        px, py, pz = self.pad_shape
         w3 = w.reshape(nx, ny, nz, 3)
-        what = [
-            sfft.fftn(w3[..., b], s=self.pad_shape) for b in range(3)
-        ]
+        what = []
+        for b in range(3):
+            t = sfft.fft(w3[..., b], n=px, axis=0)
+            t = sfft.fft(t, n=py, axis=1)
+            what.append(sfft.fft(t, n=pz, axis=2))
         out = np.empty((nx, ny, nz, 3), dtype=complex)
+        acc = np.empty(self.pad_shape, dtype=complex)
+        term = np.empty(self.pad_shape, dtype=complex)
         for a in range(3):
-            acc = np.zeros(self.pad_shape, dtype=complex)
-            for b in range(3):
+            np.multiply(self.khat[(0, a)], what[0], out=acc)
+            for b in (1, 2):
                 key = (a, b) if a <= b else (b, a)
-                acc += self.khat[key] * what[b]
-            out[..., a] = sfft.ifftn(acc)[:nx, :ny, :nz]
+                acc += np.multiply(self.khat[key], what[b], out=term)
+            t = sfft.ifft(acc, axis=0, overwrite_x=True)[:nx]
+            t = sfft.ifft(t, axis=1, overwrite_x=True)[:, :ny]
+            out[..., a] = sfft.ifft(t, axis=2, overwrite_x=True)[..., :nz]
         return out.reshape(-1, 3)
 
 

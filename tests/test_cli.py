@@ -14,6 +14,7 @@ from entcloak import cli, quantum
 from entcloak.emcore import CouplingSet, aligned_g12, aligned_gamma12
 from entcloak.errors import ConfigError
 from entcloak.optimizer import IterationEntry
+from entcloak.vie import GridResolutionWarning, PermittivityGrid
 
 TINY_CONFIG = """
 # toy design, kept tiny so the suite stays fast
@@ -170,11 +171,15 @@ class TestOptimizeCommand:
         "eps_max = 1.0", "eps_max = 0.5",
         # the emitters at z = +-0.03125 lie on voxel-center planes
         "dims = 4,4,4\nd12 = 0.0625",
+        "dims = 4,4,4\neta_converge = -1", "tol_accept = -1e-9",
+        "delta_eps_min = 0", "exclusion_radius = -5", "max_iterations = -1",
     ], ids=["dims", "spacing", "origin", "solver_rtol", "rotation-dims",
             "mirror-off-axis", "max_iterations", "bidirectional",
             "pump_ratio-nan", "d12-nan", "eta_converge-nan", "eps_max-inf",
             "eps_max-no-increment", "eps_max-below-vacuum",
-            "emitter-on-center-plane"])
+            "emitter-on-center-plane", "eta_converge-negative",
+            "tol_accept-negative", "delta_eps_min-zero",
+            "exclusion_radius-negative", "max_iterations-negative"])
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, monkeypatch,
                                                 line):
         # a configuration error must surface before any field solve
@@ -218,6 +223,42 @@ class TestOptimizeCommand:
                          "--out", str(out2)]) == 0
         for name in ("trace.csv", "design.eps.csv", "design.meta.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestResolutionWarning:
+    """TINY_CONFIG's spacing 0.0625 exceeds lambda/(10 sqrt(eps_max)):
+    each command reports that once, and nothing else the grid warns of."""
+
+    @staticmethod
+    def resolution_warnings(record):
+        return [w for w in record if issubclass(w.category, GridResolutionWarning)]
+
+    def test_optimize_warns_once(self, tmp_path):
+        with pytest.warns(GridResolutionWarning) as record:
+            assert cli.main(["optimize", "--config", str(write_config(tmp_path)),
+                             "--out", str(tmp_path / "out")]) == 0
+        assert len(self.resolution_warnings(record)) == 1
+
+    def test_sweep_warns_once_for_all_points(self, tmp_path):
+        text = TINY_CONFIG + "d12_list = 0.25,0.375\npump_list = 0.005,0.05\n"
+        cfg_path = write_config(tmp_path, text, name="sweep.cfg")
+        with pytest.warns(GridResolutionWarning) as record:
+            assert cli.main(["sweep", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")]) == 0
+        assert len(self.resolution_warnings(record)) == 1
+
+    def test_other_grid_warnings_hidden(self, tmp_path, monkeypatch):
+        real = PermittivityGrid.vacuum
+
+        def noisy(*args, **kwargs):
+            warnings.warn("unrelated grid warning", RuntimeWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(PermittivityGrid, "vacuum", noisy)
+        cfg = cli.parse_config(write_config(tmp_path))
+        with pytest.warns(GridResolutionWarning) as record:
+            cli._vacuum_grid(cfg)
+        assert [w.category for w in record] == [GridResolutionWarning]
 
 
 class TestSweepCommand:
