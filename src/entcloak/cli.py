@@ -34,6 +34,12 @@ All emitted numbers are dimensionless (lambda, gamma0 units); column
 headers carry the unit names.  Exit codes: 0 success, 1 validation
 failure, 2 configuration error, 3 solver failure, 4 degenerate steady
 state.
+
+The resolution rule, spacing <= lambda/(10 sqrt(eps_max)), is checked
+here and nowhere else: `optimize` and `sweep` issue one
+GridResolutionWarning for a coarser config and run on.  A sweep point
+that fails, also by its worker process dying, becomes a failures.csv
+row; the other points are still written and the sweep exits 0.
 """
 
 import argparse
@@ -42,7 +48,8 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields, replace
 from pathlib import Path
@@ -216,23 +223,26 @@ def _emitter_pair(d12):
 
 
 def _vacuum_grid(cfg):
-    """The all-vacuum grid of a config (independent of d12).
-
-    Of the warnings the grid emits, only GridResolutionWarning is passed
-    on to the caller's warning filters; the rest are dropped.
-    """
+    """The all-vacuum grid of a config (independent of d12)."""
     origin = None if cfg.origin == "auto" else np.asarray(cfg.origin, dtype=float)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            grid = PermittivityGrid.vacuum(cfg.dims, cfg.spacing, origin=origin,
-                                           eps_max=cfg.eps_max)
-        except ValueError as exc:  # eps_max below the vacuum's 1
-            raise ConfigError(str(exc)) from exc
-    for w in caught:
-        if issubclass(w.category, GridResolutionWarning):
-            warnings.warn(w.message, stacklevel=2)
-    return grid
+    try:
+        return PermittivityGrid.vacuum(cfg.dims, cfg.spacing, origin=origin,
+                                       eps_max=cfg.eps_max)
+    except ValueError as exc:  # eps_max below the vacuum's 1
+        raise ConfigError(str(exc)) from exc
+
+
+def _warn_if_coarse(cfg):
+    """Warn of a voxel spacing above lambda/(10 sqrt(eps_max)); each
+    command calls this once, after its pre-flight checks pass."""
+    limit = 1.0 / (10.0 * np.sqrt(cfg.eps_max))
+    if cfg.spacing > limit + 1e-15:
+        warnings.warn(
+            f"spacing {cfg.spacing:.4g} exceeds lambda/(10 sqrt(eps_max))"
+            f" = {limit:.4g}; solves remain valid but discretization error"
+            " grows",
+            GridResolutionWarning,
+        )
 
 
 def build_grid(cfg, d12=None):
@@ -302,11 +312,9 @@ def load_grid(csv_path, meta_path):
             idx = np.ravel_multi_index(
                 (int(row["ix"]), int(row["iy"]), int(row["iz"])), dims)
             eps[idx] = float(row["eps"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = PermittivityGrid(origin=np.asarray(meta["origin"], dtype=float),
-                                spacing=float(meta["spacing"]), dims=dims,
-                                eps=eps, eps_max=float(meta["eps_max"]))
+    grid = PermittivityGrid(origin=np.asarray(meta["origin"], dtype=float),
+                            spacing=float(meta["spacing"]), dims=dims,
+                            eps=eps, eps_max=float(meta["eps_max"]))
     return grid, meta
 
 
@@ -370,6 +378,7 @@ def save_trace_csv(record, path):
 
 def cmd_optimize(cfg, out_dir):
     grid, emitters = build_grid(cfg)
+    _warn_if_coarse(cfg)
     record = optimize(grid, emitters, cfg.design)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_grid_csv(record.final_grid, out_dir / "design.eps.csv")
@@ -390,10 +399,7 @@ def _sweep_point(args):
     """One (d12, pump) optimization; returns the sweep.csv row values."""
     cfg, d12, pump = args
     design = replace(cfg.design, pump_ratio=pump)
-    with warnings.catch_warnings():
-        # cmd_sweep's pre-flight already reported the grid's resolution
-        warnings.simplefilter("ignore", GridResolutionWarning)
-        grid, emitters = build_grid(cfg, d12=d12)
+    grid, emitters = build_grid(cfg, d12=d12)
     record = optimize(grid, emitters, design)
     cs = record.entries[-1].couplings
     rho = record.final_rho
@@ -409,10 +415,10 @@ def cmd_sweep(cfg, out_dir, threads=1):
     # alike: reject it before any point starts (no d12 enters the checks,
     # since the emitters always sit on the z axis, symmetric about z = 0)
     prepare_design(_vacuum_grid(cfg), _emitter_pair(cfg.d12), cfg.design)
+    _warn_if_coarse(cfg)
     tasks = [(cfg, d, p) for d in cfg.d12_list for p in cfg.pump_list]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_sweep_point_safe, tasks))
+        outcomes = _pool_outcomes(tasks, threads)
     else:
         outcomes = [_sweep_point_safe(task) for task in tasks]
     # outcomes come back in task order, i.e. deterministic (d, P) order
@@ -447,6 +453,31 @@ def _sweep_point_safe(task):
         return _sweep_point(task)
     except Exception as exc:  # record the point, keep the sweep alive
         return f"{type(exc).__name__}: {exc}"
+
+
+def _pool_outcomes(tasks, threads):
+    """_sweep_point_safe of each task, in worker processes.
+
+    A worker that dies breaks its pool and every point still unfinished
+    in it; each of those is re-run alone in a fresh one-worker pool, so
+    only a point whose own worker dies is recorded as failed.
+    """
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(_sweep_point_safe, task) for task in tasks]
+        # shut down only after every point has ended, so that a pool
+        # subclass inspecting its workers at shutdown sees all their work
+        wait(futures)
+    outcomes = []
+    for task, future in zip(tasks, futures):
+        try:
+            outcomes.append(future.result())
+        except BrokenProcessPool:
+            try:
+                with ProcessPoolExecutor(max_workers=1) as solo:
+                    outcomes.append(solo.submit(_sweep_point_safe, task).result())
+            except BrokenProcessPool as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
 
 
 def cmd_freespace(cfg, out_dir):

@@ -154,6 +154,12 @@ def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume):
     return (K0**2 * delta_eps * voxel_volume) * (np.asarray(G_ik) @ np.asarray(G_kj))
 
 
+def _born_dq(delta_eps, s, voxel_volume):
+    """First-Born increments K0^2 dV delta_eps s of the P_HAT-projected
+    Green's scalars, from a voxel's field products `s` (broadcasts)."""
+    return (K0**2 * voxel_volume * delta_eps) * s
+
+
 def pump_params(cs, pump_ratio):
     """Master-equation rates of a coupling set with the pump held at
     P = pump_ratio * gamma11."""
@@ -219,7 +225,7 @@ def evaluate_candidate(state, voxel, delta_eps, config):
     the steady state.  Returns (value, CouplingSet), or (None, None)
     when the perturbed couplings leave the physical manifold.
     """
-    dq = (K0**2 * delta_eps * state.grid.voxel_volume * state.s[voxel]).tolist()
+    dq = _born_dq(delta_eps, state.s[voxel], state.grid.voxel_volume).tolist()
     q = [project(G) + d for G, d in zip(state.tensors, dq)]
     try:
         value, cs, _ = _score(*q, config)
@@ -248,7 +254,6 @@ def sweep_once(state, config, delta_eps=None, orbits=None):
         delta_eps = config.delta_eps
     if orbits is None:
         orbits = _symmetry_orbits(grid, config, state.emitters)
-    kk2 = K0**2 * grid.voxel_volume
 
     # orbits are disjoint, so no orbit's eps moves before its own visit:
     # its headrooms and summed field products are fixed at sweep start;
@@ -262,7 +267,8 @@ def sweep_once(state, config, delta_eps=None, orbits=None):
     # each trial sign's steps and Delta q of every orbit, as Python
     # floats and complex values: numpy scalars would cost the scorer
     # more than its own arithmetic
-    trials = [(t.tolist(), ((kk2 * t)[:, None] * s).tolist()) for t in trials]
+    trials = [(t.tolist(), _born_dq(t[:, None], s, grid.voxel_volume).tolist())
+              for t in trials]
 
     q = [project(G) for G in state.tensors]
     current = state.target_value

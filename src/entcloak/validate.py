@@ -9,7 +9,6 @@ negative control for the suite itself.
 
 import sys
 import time
-import warnings
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -27,14 +26,6 @@ def _corrupted_self_term():
         yield
     finally:
         vie.self_interaction = orig
-
-
-@contextmanager
-def _quiet():
-    """Ignore the resolution warning of the deliberately coarse check grids."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", vie.GridResolutionWarning)
-        yield
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +79,13 @@ def check_self_limit_richardson(rng):
 
 def _random_grid(rng, max_dim=6, contrast=2.5):
     dims = tuple(int(d) for d in rng.integers(2, max_dim + 1, 3))
-    with _quiet():
-        g = vie.PermittivityGrid.vacuum(dims, 1.0 / 20.0)
+    g = vie.PermittivityGrid.vacuum(dims, 1.0 / 20.0)
     g.eps[:] = rng.uniform(1.0, contrast, g.n_voxels)
     return g
 
 
 def check_vacuum_identity(rng):
-    with _quiet():
-        g = vie.PermittivityGrid.vacuum((4, 4, 4), 1.0 / 16.0)
+    g = vie.PermittivityGrid.vacuum((4, 4, 4), 1.0 / 16.0)
     A = vie.assemble_dense(g)
     d1 = np.max(np.abs(A - np.eye(3 * g.n_voxels)))
     src = np.array([0.0, 0.0, 0.37])
@@ -112,8 +101,7 @@ def check_dense_fft_matvec(rng):
     """FFT against dense matvec on 6 random grids, then on one with a
     singleton axis, the edge case of the FFT's per-axis padding."""
     grids = [_random_grid(rng) for _ in range(6)]
-    with _quiet():
-        flat = vie.PermittivityGrid.vacuum((1, 4, 3), 1.0 / 20.0)
+    flat = vie.PermittivityGrid.vacuum((1, 4, 3), 1.0 / 20.0)
     flat.eps[:] = rng.uniform(1.0, 2.5, flat.n_voxels)
     worst = 0.0
     for g in grids + [flat]:
@@ -139,8 +127,7 @@ def check_dense_iterative_solve(rng):
 def rayleigh_sphere_polarizability(method="iterative"):
     """Induced dipole of the a = lambda/20, eps = 2.25 reference sphere."""
     n, delta, radius_vox, eps = 11, 1.0 / 100.0, 5, 2.25
-    with _quiet():
-        g = vie.PermittivityGrid.vacuum((n, n, n), delta)
+    g = vie.PermittivityGrid.vacuum((n, n, n), delta)
     r = np.linalg.norm(g.centers(), axis=1)
     g.eps[r <= radius_vox * delta + 1e-12] = eps
     src = np.array([10.0, 0.0, 0.0])
@@ -180,8 +167,7 @@ def check_passivity_reciprocity(rng):
 
 
 def check_vacuum_power_ratio(rng):
-    with _quiet():
-        g = vie.PermittivityGrid.vacuum((5, 5, 5), 1.0 / 16.0)
+    g = vie.PermittivityGrid.vacuum((5, 5, 5), 1.0 / 16.0)
     out = vie.scattered_green_pair(g, (0, 0, -0.3), (0, 0, 0.3), method="dense")
     cs = emcore.couplings_from_green(out[0], out[1], out[2])
     ok = cs.purcell == 1.0 and cs.purcell2 == 1.0
@@ -333,8 +319,7 @@ def check_mems_bound(rng):
 # ---------------------------------------------------------------------------
 
 def _toy_setup(dims=(6, 6, 6), spacing=1.0 / 16.0, d12=0.25, **cfg_kw):
-    with _quiet():
-        grid = vie.PermittivityGrid.vacuum(dims, spacing)
+    grid = vie.PermittivityGrid.vacuum(dims, spacing)
     emitters = (np.array([0.0, 0.0, -d12 / 2]), np.array([0.0, 0.0, d12 / 2]))
     cfg = optimizer.DesignConfig(**cfg_kw)
     return grid, emitters, cfg

@@ -24,7 +24,6 @@ correction; it is isolated in `self_interaction` so alternative schemes
 can be swapped in.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,8 @@ MAX_KRYLOV_ITER = 2000
 
 
 class GridResolutionWarning(UserWarning):
-    """Voxel spacing too coarse for the permitted dielectric contrast."""
+    """Voxel spacing too coarse for the permitted dielectric contrast
+    (issued by the CLI; grids themselves do not warn)."""
 
 
 @dataclass
@@ -94,15 +94,6 @@ class PermittivityGrid:
             raise ValueError("voxel spacing must be positive")
         if np.any(self.eps < 1.0) or np.any(self.eps > self.eps_max):
             raise ValueError(f"eps must lie in [1, eps_max={self.eps_max}]")
-        limit = 1.0 / (10.0 * np.sqrt(self.eps_max))
-        if self.spacing > limit + 1e-15:
-            warnings.warn(
-                f"spacing {self.spacing:.4g} exceeds lambda/(10 sqrt(eps_max))"
-                f" = {limit:.4g}; solves remain valid but discretization error"
-                " grows",
-                GridResolutionWarning,
-                stacklevel=2,
-            )
 
     @classmethod
     def vacuum(cls, dims, spacing, origin=None, eps_max=9.0):
@@ -131,14 +122,11 @@ class PermittivityGrid:
         return self.origin[None, :] + self.spacing * idx
 
     def copy(self):
-        with warnings.catch_warnings():
-            # the original already carried the resolution warning
-            warnings.simplefilter("ignore", GridResolutionWarning)
-            return PermittivityGrid(
-                origin=self.origin.copy(), spacing=self.spacing, dims=self.dims,
-                eps=self.eps.copy(), eps_max=self.eps_max,
-                frozen=self.frozen.copy(),
-            )
+        return PermittivityGrid(
+            origin=self.origin.copy(), spacing=self.spacing, dims=self.dims,
+            eps=self.eps.copy(), eps_max=self.eps_max,
+            frozen=self.frozen.copy(),
+        )
 
     def chi(self):
         return self.eps - 1.0

@@ -1,6 +1,9 @@
 import argparse
 import csv
+import functools
 import json
+import multiprocessing
+import os
 import re
 import warnings
 from dataclasses import fields
@@ -227,7 +230,7 @@ class TestOptimizeCommand:
 
 class TestResolutionWarning:
     """TINY_CONFIG's spacing 0.0625 exceeds lambda/(10 sqrt(eps_max)):
-    each command reports that once, and nothing else the grid warns of."""
+    each command reports that once, and library grids never do."""
 
     @staticmethod
     def resolution_warnings(record):
@@ -239,26 +242,26 @@ class TestResolutionWarning:
                              "--out", str(tmp_path / "out")]) == 0
         assert len(self.resolution_warnings(record)) == 1
 
-    def test_sweep_warns_once_for_all_points(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_warns_once_for_all_points(self, tmp_path, threads):
         text = TINY_CONFIG + "d12_list = 0.25,0.375\npump_list = 0.005,0.05\n"
         cfg_path = write_config(tmp_path, text, name="sweep.cfg")
         with pytest.warns(GridResolutionWarning) as record:
             assert cli.main(["sweep", "--config", str(cfg_path),
-                             "--out", str(tmp_path / "out")]) == 0
+                             "--out", str(tmp_path / "out"),
+                             "--threads", threads]) == 0
         assert len(self.resolution_warnings(record)) == 1
 
-    def test_other_grid_warnings_hidden(self, tmp_path, monkeypatch):
-        real = PermittivityGrid.vacuum
-
-        def noisy(*args, **kwargs):
-            warnings.warn("unrelated grid warning", RuntimeWarning)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(PermittivityGrid, "vacuum", noisy)
+    def test_library_grids_do_not_warn(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path))
-        with pytest.warns(GridResolutionWarning) as record:
-            cli._vacuum_grid(cfg)
-        assert [w.category for w in record] == [GridResolutionWarning]
+        csv_path, meta_path = tmp_path / "g.eps.csv", tmp_path / "g.meta.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = PermittivityGrid.vacuum((4, 4, 4), 1 / 16)
+            grid.copy()
+            cli.save_grid_csv(grid, csv_path)
+            cli.save_meta(cfg, grid, cli._emitter_pair(0.25), meta_path)
+            cli.load_grid(csv_path, meta_path)
 
 
 class TestSweepCommand:
@@ -299,6 +302,31 @@ class TestSweepCommand:
         failures = read_csv(out / "failures.csv")
         assert len(failures) == 1
         assert float(failures[0]["d12_over_lambda"]) == 0.1875
+
+    def test_crashed_worker_fails_only_its_point(self, tmp_path, monkeypatch):
+        # the worker of the d12 = 0.375 point dies outright; the pool it
+        # breaks must not take the other point with it
+        real = cli._sweep_point
+
+        def crash_at_375(task):
+            if task[1] == 0.375:
+                os._exit(1)
+            return real(task)
+
+        monkeypatch.setattr(cli, "_sweep_point", crash_at_375)
+        # forked workers inherit the patched _sweep_point
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+            cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        text = TINY_CONFIG + "d12_list = 0.25,0.375\npump_list = 0.005\n"
+        cfg_path = write_config(tmp_path, text, name="sweepcrash.cfg")
+        out = tmp_path / "outsc"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--threads", "2"]) == 0
+        assert [float(r["d12_over_lambda"])
+                for r in read_csv(out / "sweep.csv")] == [0.25]
+        failures = read_csv(out / "failures.csv")
+        assert [float(f["d12_over_lambda"]) for f in failures] == [0.375]
+        assert failures[0]["error"].startswith("BrokenProcessPool: ")
 
     def test_clean_rerun_leaves_no_earlier_failure_rows(self, tmp_path):
         # the first run fails its d12 = 0.1875 point (see above); a clean

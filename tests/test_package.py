@@ -83,3 +83,17 @@ def test_design_config_owns_no_grid_value():
     names = [{f.name for f in dataclasses.fields(cls)}
              for cls in (DesignConfig, PermittivityGrid)]
     assert names[0] & names[1] == set()
+
+
+SRC = Path(entcloak.__file__).resolve().parent
+
+
+def test_no_warning_filters_in_package():
+    # each catch_warnings resets the once-per-location memory of warnings,
+    # so a filter in the package would reprint a warning per operation
+    names = {"catch_warnings", "simplefilter", "filterwarnings"}
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+    assert calls == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entcloak import emcore, vie
+from entcloak import emcore
 from entcloak.errors import CoincidentPointsError, GridTooLargeError
 from entcloak.validate import rayleigh_sphere_polarizability
 from entcloak.vie import (
@@ -32,10 +32,6 @@ class TestPermittivityGrid:
         with pytest.raises(ValueError):
             PermittivityGrid(origin=np.zeros(3), spacing=0.02, dims=(2, 2, 2),
                              eps=np.full(8, 9.5), eps_max=9.0)
-
-    def test_resolution_warning(self):
-        with pytest.warns(vie.GridResolutionWarning):
-            PermittivityGrid.vacuum((2, 2, 2), 1 / 16, eps_max=9.0)
 
     def test_centers_lexicographic(self):
         g = PermittivityGrid.vacuum((2, 2, 2), 0.02, origin=(0, 0, 0))
