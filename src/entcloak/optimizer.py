@@ -4,21 +4,22 @@ One iteration: solve the two emitter field problems on the current
 map into an `IterationState`, the one carrier of the loop's state,
 visit each symmetry orbit of free voxels once (orbits are built once
 per design, before any solve), score its trial step through the
-first-Born perturbation of the three emitter Green's tensors
+first-Born perturbation of the three P_HAT-projected Green's scalars
 
-    dG_ij = k^2 G(r_i, r_k) d_eps G(r_k, r_j) dV,
+    dq_ij = k^2 dV d_eps (G(r_k, r_i) p) . (G(r_k, r_j) p),
 
-with k = emcore.K0 and every tensor projected on emcore.P_HAT, keep the
-step when the steady-state witness improves, apply the kept steps
-together, re-solve and verify that the accumulated perturbative
-estimate matches the re-solved tensors (the convergence identity).  The
-sequential and frozen-reference modes share that one loop; they differ
-only in whether later orbits are scored against the running estimate
-or the iteration-start tensors.  The bound eps_max is the grid's own.
-The pump is held at a fixed ratio P/gamma11 of the current device decay
-rate, so the steady state depends only on the coupling ratios and the
-loop effectively shapes (gamma12/gamma, g12/gamma) and the Purcell
-factor.
+with k = emcore.K0 and p = emcore.P_HAT, keep the step when the
+steady-state witness improves, apply the kept steps together, re-solve
+and verify that the accumulated perturbative estimate matches the
+re-solved scalars (the convergence identity).  Only the P_HAT
+orientation of each emitter is solved: the loop reads nothing else.
+The sequential and frozen-reference modes share that one loop; they
+differ only in whether later orbits are scored against the running
+estimate or the iteration-start scalars.  The bound eps_max is the
+grid's own.  The pump is held at a fixed ratio P/gamma11 of the
+current device decay rate, so the steady state depends only on the
+coupling ratios and the loop effectively shapes (gamma12/gamma,
+g12/gamma) and the Purcell factor.
 
 Safeguard: if a completed sweep lowers the re-solved target or breaks
 the convergence identity beyond eta_converge, the sweep is reverted and
@@ -33,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .emcore import K0, CouplingSet, as_position, couplings_from_q, project
+from .emcore import (K0, P_HAT, CouplingSet, as_position, couplings_from_q,
+                     dyadic_green, free_space_green, project,
+                     vacuum_self_green)
 from .errors import ConfigError, SolverInconsistencyError
-from .vie import SOLVER_METHODS, PermittivityGrid, pair_tensors, solve_green_block
+from .vie import SOLVER_METHODS, PermittivityGrid, solve_fields
+# unused here, kept because the benchmark tracer wraps optimizer.solve_green_block
+from .vie import solve_green_block  # noqa: F401
 
 __all__ = [
     "DesignConfig",
@@ -57,6 +62,9 @@ log = logging.getLogger(__name__)
 _TARGETS = ("concurrence", "negativity")
 _SWEEP_MODES = ("sequential", "frozen-reference")
 _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
+
+#: Emitter index pairs (i, j) of the pair axis of `q` and `s`: 11, 22, 12.
+_PAIRS = ((0, 0), (1, 1), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -183,50 +191,65 @@ def _score(q11, q22, q12, config):
 
 @dataclass
 class IterationState:
-    """Everything one sweep needs from the latest full solve."""
+    """Everything one sweep needs from the latest field solve."""
 
     grid: PermittivityGrid
     emitters: tuple
-    sol1: object
-    sol2: object
-    # (3, 3, 3): rows G11, G22, G12, the order `pair_tensors` returns
-    # them; the pair axis of `s`, `_sum_dG` and `_mismatch` follows it
-    tensors: np.ndarray
+    q: np.ndarray          # (3,) P_HAT-projected q11, q22, q12 (`_PAIRS`)
     s: np.ndarray          # (N, 3) products f_i[k] . f_j[k], no conjugation
     couplings: CouplingSet
     target_value: float
     rho: np.ndarray
 
 
+def _pair_scalars(grid, emitters, fields):
+    """P_HAT-projected Green's scalars (q11, q22, q12) of the emitter
+    field maps `fields`, by reciprocity:
+
+        q_ij = p.G0(r_i, r_j).p + K0^2 dV sum_k chi_k (G0(r_k, r_i) p).f_j[k]
+
+    with p = P_HAT and, for i = j, the vacuum self term
+    p.vacuum_self_green().p in place of G0.
+    """
+    chi = grid.chi()
+    active = np.flatnonzero(chi)
+    pts = grid.centers()[active]
+    incident = [dyadic_green(pts - r) @ P_HAT for r in emitters]
+    weighted = [(chi[active] * grid.voxel_volume)[:, None] * f[active]
+                for f in fields]
+    q_self = project(vacuum_self_green())
+    q_vac = (q_self, q_self, project(free_space_green(*emitters)))
+    return np.array([q0 + K0**2 * np.einsum("ka,ka->", incident[i], weighted[j])
+                     for q0, (i, j) in zip(q_vac, _PAIRS)])
+
+
 def compute_state(grid, emitters, config):
-    """Full solve at the current map plus everything the sweep consumes."""
-    r1, r2 = (as_position(r) for r in emitters)
-    sol1, sol2 = solve_green_block(grid, (r1, r2),
-                                   method=config.solver_method,
-                                   rtol=config.solver_rtol)
-    G11, G22, G12, f1, f2 = pair_tensors(sol1, sol2)
-    tensors = np.stack([G11, G22, G12])
-    target_value, cs, rho = _score(*map(project, tensors), config)
-    s = np.stack([np.einsum("ka,ka->k", fi, fj)
-                  for fi, fj in ((f1, f1), (f2, f2), (f1, f2))], axis=1)
+    """P_HAT field solve at the current map plus everything the sweep
+    consumes: two right-hand sides, one per emitter."""
+    emitters = tuple(as_position(r) for r in emitters)
+    fields = solve_fields(grid, emitters, method=config.solver_method,
+                          rtol=config.solver_rtol)
+    q = _pair_scalars(grid, emitters, fields)
+    target_value, cs, rho = _score(*q.tolist(), config)
+    s = np.stack([np.einsum("ka,ka->k", fields[i], fields[j])
+                  for i, j in _PAIRS], axis=1)
     return IterationState(
-        grid=grid, emitters=(r1, r2), sol1=sol1, sol2=sol2, tensors=tensors,
-        s=s, couplings=cs, target_value=target_value, rho=rho,
+        grid=grid, emitters=emitters, q=q, s=s, couplings=cs,
+        target_value=target_value, rho=rho,
     )
 
 
 def evaluate_candidate(state, voxel, delta_eps, config):
     """Witness value if voxel `voxel` of state.grid gained delta_eps.
 
-    Applies the first-Born update to the projections of all three
-    `state.tensors` through the voxel's field products `state.s`
-    (reciprocity supplies the transposed factors), renormalizes the
+    Applies the first-Born update to all three scalars `state.q`
+    through the voxel's field products `state.s`, renormalizes the
     pump to P = pump_ratio * gamma11 of the candidate device, and solves
     the steady state.  Returns (value, CouplingSet), or (None, None)
     when the perturbed couplings leave the physical manifold.
     """
     dq = _born_dq(delta_eps, state.s[voxel], state.grid.voxel_volume).tolist()
-    q = [project(G) + d for G, d in zip(state.tensors, dq)]
+    q = [x + d for x, d in zip(state.q.tolist(), dq)]
     try:
         value, cs, _ = _score(*q, config)
     except SolverInconsistencyError:
@@ -235,7 +258,7 @@ def evaluate_candidate(state, voxel, delta_eps, config):
 
 
 def sweep_once(state, config, delta_eps=None, orbits=None):
-    """Visit each orbit of state.grid once; returns (grid, sum_dG, accepted).
+    """Visit each orbit of state.grid once; returns (grid, sum_dq, accepted).
 
     `orbits` rows are the visiting order (default `_symmetry_orbits`).
     Each orbit's +delta_eps step is scored first; with
@@ -243,11 +266,10 @@ def sweep_once(state, config, delta_eps=None, orbits=None):
     >= 1) is scored only when the increment is not accepted.  Sequential
     mode folds each accepted step into the running estimate before
     scoring later orbits; frozen-reference mode scores every orbit
-    against the iteration-start tensors (order independent).  Accepted
+    against the iteration-start scalars (order independent).  Accepted
     steps are added to the grid in place when the sweep ends; no step
-    takes eps past `grid.eps_max`.  sum_dG stacks the accumulated
-    first-Born increments of `state.tensors`, consumed by
-    `verify_convergence`.
+    takes eps past `grid.eps_max`.  sum_dq holds the accumulated
+    first-Born increments of `state.q`, consumed by `verify_convergence`.
     """
     grid = state.grid
     if delta_eps is None:
@@ -270,7 +292,7 @@ def sweep_once(state, config, delta_eps=None, orbits=None):
     trials = [(t.tolist(), _born_dq(t[:, None], s, grid.voxel_volume).tolist())
               for t in trials]
 
-    q = [project(G) for G in state.tensors]
+    q = state.q.tolist()
     current = state.target_value
     steps = np.zeros(grid.n_voxels)
     accepted = 0
@@ -300,18 +322,15 @@ def sweep_once(state, config, delta_eps=None, orbits=None):
     if rejected_unphysical:
         log.debug("sweep rejected %d candidates whose perturbed couplings "
                   "left the physical manifold", rejected_unphysical)
-    return grid, _sum_dG(state, steps), accepted
+    return grid, _sum_dq(state, steps), accepted
 
 
-def _sum_dG(state, steps):
-    """Summed first-Born increments of `state.tensors`, stacked like them,
-    for the per-voxel permittivity steps `steps` on the map of `state`."""
+def _sum_dq(state, steps):
+    """Summed first-Born increments of `state.q` for the per-voxel
+    permittivity steps `steps` on the map of `state`."""
     changed = np.flatnonzero(steps)
-    X1 = state.sol1.block[changed]  # G(r_k, r1)
-    X2 = state.sol2.block[changed]
-    return born_delta_green(np.stack([X1, X2, X1]).swapaxes(-1, -2),
-                            np.stack([X1, X2, X2]), steps[changed, None, None],
-                            state.grid.voxel_volume).sum(axis=1)
+    return _born_dq(steps[changed, None], state.s[changed],
+                    state.grid.voxel_volume).sum(axis=0)
 
 
 def _by_member(values, orbits, fill):
@@ -368,20 +387,19 @@ def _require_axis_symmetry(grid, emitters, mirror):
                               "symmetrically about the grid midplane")
 
 
-def _mismatch(old_tensors, sum_dG, new_tensors):
-    """Max over the pair rows of ||G_old + sum_dG - G_new||_F / ||G_new||_F."""
-    return max(np.linalg.norm(old + dG - new) / np.linalg.norm(new)
-               for old, dG, new in zip(old_tensors, sum_dG, new_tensors))
+def _mismatch(q_old, sum_dq, q_new):
+    """Max over the pairs of |q_old + sum_dq - q_new| / |q_new|."""
+    return float(np.max(np.abs(q_old + sum_dq - q_new) / np.abs(q_new)))
 
 
-def verify_convergence(state, sum_dG, grid_next, config):
+def verify_convergence(state, sum_dq, grid_next, config):
     """Re-solve at grid_next and measure the accumulated-vs-resolved mismatch.
 
-    Pure measurement: returns the max relative Frobenius mismatch over
-    the three pair tensors of `state`, with `sum_dG` added to them.
+    Pure measurement: returns the max relative mismatch over the three
+    projected scalars of `state`, with `sum_dq` added to them.
     """
     new_state = compute_state(grid_next, state.emitters, config)
-    return _mismatch(state.tensors, sum_dG, new_state.tensors)
+    return _mismatch(state.q, sum_dq, new_state.q)
 
 
 def freeze_exclusion_zone(grid, emitters, exclusion_radius):
@@ -429,12 +447,12 @@ def optimize(grid0, emitters, config):
     n = 0
     while n < config.max_iterations:
         eps_backup = grid.eps.copy()
-        _, sum_dG, accepted = sweep_once(state, config, delta_eps=delta_eps,
+        _, sum_dq, accepted = sweep_once(state, config, delta_eps=delta_eps,
                                          orbits=orbits)
         if accepted == 0:
             break
         new_state = compute_state(grid, emitters, config)
-        mismatch = _mismatch(state.tensors, sum_dG, new_state.tensors)
+        mismatch = _mismatch(state.q, sum_dq, new_state.q)
         regressed = new_state.target_value < state.target_value
         if regressed or mismatch > config.eta_converge:
             grid.eps[:] = eps_backup

@@ -155,7 +155,7 @@ def check_passivity_reciprocity(rng):
         r1 = np.array([0.0, 0.0, -0.6 * span - 0.05])
         r2 = np.array([0.0, 0.0, 0.6 * span + 0.08])
         s1, s2 = vie.solve_green_block(g, (r1, r2), method="dense")
-        G11, G22, G12, _, _ = vie.pair_tensors(s1, s2)
+        G11, G22, G12 = vie.pair_tensors(s1, s2)
         cs = emcore.couplings_from_green(G11, G22, G12)  # raises if unphysical
         if cs.gamma11 <= 0 or cs.gamma22 <= 0:
             return False, "non-positive decay rate on a lossless grid"
@@ -341,9 +341,26 @@ def check_one_voxel_convergence(rng):
     idx = int(np.argmax(~grid.frozen))
     grid2 = grid.copy()
     grid2.eps[idx] += 0.05
-    sum_dG = optimizer._sum_dG(state, grid2.eps - grid.eps)
-    mism = optimizer.verify_convergence(state, sum_dG, grid2, cfg)
+    sum_dq = optimizer._sum_dq(state, grid2.eps - grid.eps)
+    mism = optimizer.verify_convergence(state, sum_dq, grid2, cfg)
     return mism <= 1e-3, f"one-voxel mismatch {mism:.2e} (tol 1e-3)"
+
+
+def check_projected_scalars_vs_oracle(rng):
+    """The loop's P_HAT-only solve against the projections of the full
+    `solve_green_block` tensors, on a 6^3 map with 40 % of its free
+    voxels at random eps in [1, 4]."""
+    worst = 0.0
+    for method in vie.SOLVER_METHODS:
+        grid, emitters, cfg = _toy_setup(solver_method=method, solver_rtol=1e-12)
+        optimizer.freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        filled = ~grid.frozen & (rng.random(grid.n_voxels) < 0.4)
+        grid.eps[filled] = rng.uniform(1.0, 4.0, int(filled.sum()))
+        q = optimizer.compute_state(grid, emitters, cfg).q
+        sols = vie.solve_green_block(grid, emitters, method=method, rtol=1e-12)
+        q_ref = np.array([emcore.project(G) for G in vie.pair_tensors(*sols)])
+        worst = max(worst, np.max(np.abs(q - q_ref) / np.abs(q_ref)))
+    return worst <= 1e-10, f"max rel q defect {worst:.2e} (tol 1e-10)"
 
 
 def check_frozen_reference_order_independence(rng):
@@ -402,6 +419,7 @@ CHECKS = [
     ("quantum/mems-bound", check_mems_bound),
     ("optimizer/born-linearity", check_born_linearity),
     ("optimizer/one-voxel-convergence-identity", check_one_voxel_convergence),
+    ("optimizer/projected-scalars-vs-oracle", check_projected_scalars_vs_oracle),
     ("optimizer/frozen-reference-order-independence",
      check_frozen_reference_order_independence),
     ("optimizer/design-run-invariants", check_design_run_invariants),

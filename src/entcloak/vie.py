@@ -14,8 +14,11 @@ the tensor anywhere else follows from the re-radiation sum
 
     G(r, r_s) = G0(r, r_s) + k^2 sum_k G0(r, r_k) chi_k dV x_k.
 
-Block solves take all three source orientations p at once; the field
-maps the optimizer consumes are their emcore.P_HAT columns.
+Two solves share one system solver.  `solve_fields` solves only the
+emcore.P_HAT orientation of each source, two right-hand sides for an
+emitter pair; it is the design loop's solve.  `solve_green_block`
+solves all three orientations, the full tensors; it is the oracle that
+`validate` and the tests check the loop's projected scalars against.
 
 The self term m = -1/(3 k^2) + (2/(3 k^2)) [(1 - i k a) e^{i k a} - 1],
 with a the radius of the sphere of volume dV, carries the static
@@ -307,11 +310,13 @@ def _solve_system(grid, B, method, rtol, maxiter):
 
 def solve_fields(grid, source, method="iterative", rtol=1e-8,
                  maxiter=MAX_KRYLOV_ITER):
-    """Total-field map of a unit P_HAT point dipole inside the voxel map.
+    """Total-field maps of unit P_HAT point dipoles inside the voxel map.
 
-    Returns the (N, 3) array whose row k is the Green's column
-    G(r_k, r_source) P_HAT of the structured medium.  For an all-vacuum
-    grid this equals the free-space columns exactly.
+    `source` is one position, which gives one (N, 3) array, or a
+    sequence of m positions, which gives a list of m of them; row k of
+    each is the Green's column G(r_k, r_source) P_HAT of the structured
+    medium.  The m right-hand sides are solved against one operator.
+    For an all-vacuum grid the maps equal the free-space columns exactly.
 
     `method` is "iterative" (FFT matvec + BiCGStab, the default) or
     "dense" (LU of the assembled operator, the oracle; refused above
@@ -326,8 +331,12 @@ def solve_fields(grid, source, method="iterative", rtol=1e-8,
         If the Krylov iteration does not reach the residual within
         `maxiter` steps (the error carries the final residual).
     """
-    b = (_source_columns(grid, source) @ P_HAT)[:, :, None]
-    return _solve_system(grid, b, method, rtol, maxiter)[:, :, 0]
+    single = np.ndim(source) == 1
+    sources = [source] if single else source
+    B = np.stack([_source_columns(grid, r) @ P_HAT for r in sources], axis=2)
+    X = _solve_system(grid, B, method, rtol, maxiter)
+    fields = [X[:, :, i] for i in range(len(sources))]
+    return fields[0] if single else fields
 
 
 @dataclass
@@ -369,10 +378,6 @@ class GreenSolution:
         scattered correction."""
         return vacuum_self_green() + self.scattered_at(self.source)
 
-    def column(self):
-        """Field map of the P_HAT source: (N, 3) rows G(r_k, src) P_HAT."""
-        return self.block @ P_HAT
-
 
 def solve_green_block(grid, source, method="iterative", rtol=1e-8,
                       maxiter=MAX_KRYLOV_ITER):
@@ -394,25 +399,22 @@ def solve_green_block(grid, source, method="iterative", rtol=1e-8,
 
 
 def pair_tensors(sol1, sol2):
-    """(G11, G22, G12, fields1, fields2) of two solved emitters.
+    """(G11, G22, G12) of two solved emitters.
 
     The self tensors carry the analytic vacuum imaginary diagonal
-    K0/(6 pi) plus the scattered correction at the source point,
-    G12 = G(r1, r2) in the structured medium, and fields1/fields2 are
-    the (N, 3) P_HAT field maps used by the optimizer's perturbative
-    updates.
+    K0/(6 pi) plus the scattered correction at the source point, and
+    G12 = G(r1, r2) in the structured medium.
     """
-    return (sol1.self_green(), sol2.self_green(), sol2.green_at(sol1.source),
-            sol1.column(), sol2.column())
+    return sol1.self_green(), sol2.self_green(), sol2.green_at(sol1.source)
 
 
 def scattered_green_pair(grid, r1, r2, method="iterative", rtol=1e-8,
                          maxiter=MAX_KRYLOV_ITER):
-    """All Green's tensors the two-emitter model needs, from one operator.
+    """The three Green's tensors of an emitter pair, from one operator.
 
-    Returns `pair_tensors` of the two emitters, solved together by
-    `solve_green_block` with `method` "iterative" (the default) or
-    "dense" (the oracle).
+    Returns `pair_tensors` (G11, G22, G12) of the two emitters, solved
+    together by `solve_green_block` with `method` "iterative" (the
+    default) or "dense" (the oracle).
     """
     r1 = as_position(r1)
     r2 = as_position(r2)

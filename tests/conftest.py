@@ -8,13 +8,16 @@ def rng():
 
 
 @pytest.fixture
-def lossy_pair_tensors(monkeypatch):
-    """Make every full solve return a G11 with a negative imaginary
-    diagonal, i.e. an unphysical (negative) decay rate gamma11."""
-    from entcloak import optimizer, vie
+def lossy_pair_scalars(monkeypatch):
+    """Make every field solve give a q11 with a negative imaginary part,
+    i.e. an unphysical (negative) decay rate gamma11."""
+    from entcloak import optimizer
 
-    def lossy(sol1, sol2):
-        G11, G22, G12, f1, f2 = vie.pair_tensors(sol1, sol2)
-        return G11 - 2j * np.diag(np.diag(G11).imag), G22, G12, f1, f2
+    real = optimizer._pair_scalars
 
-    monkeypatch.setattr(optimizer, "pair_tensors", lossy)
+    def lossy(*args, **kwargs):
+        q = real(*args, **kwargs)
+        q[0] -= 2j * q[0].imag
+        return q
+
+    monkeypatch.setattr(optimizer, "_pair_scalars", lossy)

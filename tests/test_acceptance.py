@@ -19,7 +19,7 @@ from entcloak.optimizer import (
     optimize,
     sweep_once,
     verify_convergence,
-    _sum_dG,
+    _sum_dq,
 )
 
 K = 2 * np.pi
@@ -148,7 +148,7 @@ def test_criterion_7_born_update_fidelity():
     kidx = 21
     grid.eps[kidx] = 1.1
     r1, r2 = np.array([0, 0, -0.3]), np.array([0, 0, 0.3])
-    _, _, G12, _, _ = vie.scattered_green_pair(grid, r1, r2, method="dense")
+    _, _, G12 = vie.scattered_green_pair(grid, r1, r2, method="dense")
     dG_full = G12 - emcore.free_space_green(r1, r2)
     rk = grid.centers()[kidx]
     dG_born = born_delta_green(emcore.free_space_green(r1, rk),
@@ -165,8 +165,8 @@ def test_criterion_7_born_update_fidelity():
     vox = int(np.argmax(~grid2.frozen))
     g3 = grid2.copy()
     g3.eps[vox] += 0.05
-    sum_dG = _sum_dG(state, g3.eps - grid2.eps)
-    mism = verify_convergence(state, sum_dG, g3, cfg)
+    sum_dq = _sum_dq(state, g3.eps - grid2.eps)
+    mism = verify_convergence(state, sum_dq, g3, cfg)
 
     ok = born_rel <= 0.02 and mism <= 1e-3
     detail = (f"single-voxel first-Born relative difference {born_rel:.4f} "

@@ -191,7 +191,7 @@ class TestOptimizeCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("field solve on a malformed configuration")
 
-        monkeypatch.setattr(optimizer, "solve_green_block", no_solve)
+        monkeypatch.setattr(optimizer, "solve_fields", no_solve)
         cfg_path = write_config(tmp_path, line + "\n", name="bad.cfg")
         out = tmp_path / "never"
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
@@ -209,13 +209,36 @@ class TestOptimizeCommand:
         assert "iterative" in err and "dense" in err
 
     def test_unphysical_couplings_exit_3_no_outputs(self, tmp_path, capsys,
-                                                    lossy_pair_tensors):
+                                                    lossy_pair_scalars):
         out = tmp_path / "never"
         rc = cli.main(["optimize", "--config", str(write_config(tmp_path)),
                        "--out", str(out)])
         assert rc == 3
         assert not out.exists()
         assert "gamma11=" in capsys.readouterr().err
+
+    def test_guarded_names_reached_on_a_valid_config(self, tmp_path,
+                                                     monkeypatch):
+        # the no_solve guards patch optimizer.solve_fields and the
+        # lossy_pair_scalars fixture patches optimizer._pair_scalars; were
+        # either no longer called, those tests would pass vacuously
+        from entcloak import optimizer
+        calls = {"solve_fields": 0, "_pair_scalars": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(optimizer, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(optimizer, name, counting)
+        sweep_cfg = write_config(
+            tmp_path, TINY_CONFIG + "d12_list = 0.25\npump_list = 0.005\n",
+            name="sweep.cfg")
+        for argv in (["optimize", "--config", str(write_config(tmp_path))],
+                     ["sweep", "--config", str(sweep_cfg)]):
+            before = dict(calls)
+            assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+            assert all(calls[n] > before[n] for n in calls), argv[0]
 
     def test_deterministic_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -352,7 +375,7 @@ class TestSweepCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("field solve on a malformed configuration")
 
-        monkeypatch.setattr(optimizer, "solve_green_block", no_solve)
+        monkeypatch.setattr(optimizer, "solve_fields", no_solve)
         text = line + "\nd12_list = 0.25,0.375\npump_list = 0.005,0.05\n"
         cfg_path = write_config(tmp_path, text, name="bad.cfg")
         out = tmp_path / "never"

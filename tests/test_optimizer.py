@@ -7,7 +7,7 @@ from entcloak import quantum
 from entcloak.emcore import (
     POSITIVITY_TOL,
     CouplingSet,
-    couplings_from_green,
+    couplings_from_q,
     free_space_green,
     project,
 )
@@ -22,10 +22,17 @@ from entcloak.optimizer import (
     pump_params,
     sweep_once,
     verify_convergence,
-    _sum_dG,
+    _born_dq,
+    _sum_dq,
     _symmetry_orbits,
 )
-from entcloak.vie import PermittivityGrid, scattered_green_pair
+from entcloak.vie import (
+    PermittivityGrid,
+    pair_tensors,
+    scattered_green_pair,
+    solve_fields,
+    solve_green_block,
+)
 
 K = 2 * np.pi
 
@@ -63,7 +70,7 @@ class TestBornDeltaGreen:
         kidx = 21
         grid.eps[kidx] = 1.1
         r1, r2 = emitters
-        _, _, G12, _, _ = scattered_green_pair(grid, r1, r2, method="dense")
+        _, _, G12 = scattered_green_pair(grid, r1, r2, method="dense")
         dG_full = G12 - free_space_green(r1, r2)
         rk = grid.centers()[kidx]
         dG_born = born_delta_green(free_space_green(r1, rk),
@@ -97,19 +104,33 @@ class TestPumpParams:
         assert (params.gamma12, params.P) == (g12, 5e-3 * g11)
 
 
+def filled_toy(rng, **cfg_kw):
+    """6^3 toy whose free voxels are 40 % filled at random eps in [1, 4]."""
+    grid, emitters, cfg = toy(**cfg_kw)
+    freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+    filled = ~grid.frozen & (rng.random(grid.n_voxels) < 0.4)
+    grid.eps[filled] = rng.uniform(1.0, 4.0, int(filled.sum()))
+    return grid, emitters, cfg
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's args."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestComputeState:
     @pytest.fixture
     def dense_calls(self, monkeypatch):
         from entcloak import vie
-        calls = []
-        real = vie.assemble_dense
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(vie, "assemble_dense", counting)
-        return calls
+        return count_calls(monkeypatch, vie, "assemble_dense")
 
     def test_dense_path_assembles_once_for_both_emitters(self, dense_calls):
         grid, emitters, cfg = toy(dims=(4, 4, 4), solver_method="dense")
@@ -122,13 +143,36 @@ class TestComputeState:
         compute_state(grid, emitters, cfg)
         assert dense_calls == []
 
+    def test_two_krylov_solves_per_state(self, rng, monkeypatch):
+        # only the P_HAT orientation of each emitter is solved
+        from entcloak import vie
+        calls = count_calls(monkeypatch, vie, "bicgstab")
+        compute_state(*filled_toy(rng))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_projected_scalars_match_the_block_oracle(self, rng, method):
+        grid, emitters, cfg = filled_toy(rng, solver_method=method,
+                                         solver_rtol=1e-12)
+        q = compute_state(grid, emitters, cfg).q
+        sols = solve_green_block(grid, emitters, method=method, rtol=1e-12)
+        q_ref = np.array([project(G) for G in pair_tensors(*sols)])
+        assert np.max(np.abs(q - q_ref) / np.abs(q_ref)) <= 1e-10
+
+    def test_field_maps_are_the_oracle_z_columns(self, rng):
+        grid, emitters, _ = filled_toy(rng)
+        fields = solve_fields(grid, emitters, rtol=1e-12)
+        sols = solve_green_block(grid, emitters, rtol=1e-12)
+        for f, sol in zip(fields, sols, strict=True):
+            assert np.array_equal(f, sol.block[:, :, 2])
+
     def test_couplings_are_the_emcore_conversion_of_the_solve(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         grid.eps[:] = 2.0
         st = compute_state(grid, emitters, cfg)
-        assert st.couplings == couplings_from_green(*st.tensors)
+        assert st.couplings == couplings_from_q(*st.q)
 
-    def test_unphysical_solve_raises_naming_the_rate(self, lossy_pair_tensors):
+    def test_unphysical_solve_raises_naming_the_rate(self, lossy_pair_scalars):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         with pytest.raises(SolverInconsistencyError, match="gamma11=-"):
             compute_state(grid, emitters, cfg)
@@ -155,8 +199,7 @@ class TestEvaluateCandidate:
                                           config=cfg)
             g2 = grid.copy()
             g2.eps[kidx] += 0.05
-            G11, G22, G12, _, _ = scattered_green_pair(g2, *emitters,
-                                                       method="dense")
+            G11, G22, G12 = scattered_green_pair(g2, *emitters, method="dense")
             from entcloak.emcore import couplings_from_green
             cs = couplings_from_green(G11, G22, G12)
             params = quantum.MasterEqParams(
@@ -172,7 +215,7 @@ class TestEvaluateCandidate:
         s11 = st.s[:, 0]
         kidx = int(np.argmax(np.abs(s11.imag) * ~grid.frozen))
         # the delta_eps that takes Im q11 to minus its current value
-        q11 = project(st.tensors[0])
+        q11 = st.q[0]
         delta_eps = -2 * q11.imag / (K**2 * grid.voxel_volume * s11[kidx].imag)
         assert evaluate_candidate(st, kidx, delta_eps, cfg) == (None, None)
         # a quarter of that step only halves gamma11 and is scored
@@ -196,10 +239,10 @@ class TestSweepOnce:
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
         eps0 = grid.eps.copy()
-        _, sum_dG, accepted = sweep_once(st, cfg)
+        _, sum_dq, accepted = sweep_once(st, cfg)
         assert accepted == 0
         assert np.array_equal(grid.eps, eps0)
-        assert np.all(sum_dG == 0)
+        assert np.all(sum_dq == 0)
 
     def test_frozen_reference_order_independent(self, rng):
         base_grid, emitters, cfg = toy(dims=(4, 4, 4),
@@ -221,22 +264,15 @@ class TestSweepOnce:
         st = compute_state(grid, emitters, cfg)
 
         hand = grid.copy()
-        G11, G22, G12 = st.tensors.copy()
+        q = st.q.copy()
         current = st.target_value
         accepted_hand = []
         for kidx in _symmetry_orbits(hand, cfg, emitters)[:, 0]:
-            running = replace(st, tensors=np.stack([G11, G22, G12]))
-            value, _ = evaluate_candidate(running, kidx, cfg.delta_eps, cfg)
+            value, _ = evaluate_candidate(replace(st, q=q), kidx,
+                                          cfg.delta_eps, cfg)
             if value is None or value - current <= cfg.tol_accept:
                 continue
-            X1 = st.sol1.block[kidx]
-            X2 = st.sol2.block[kidx]
-            G11 = G11 + born_delta_green(X1.T, X1, cfg.delta_eps,
-                                         hand.voxel_volume)
-            G22 = G22 + born_delta_green(X2.T, X2, cfg.delta_eps,
-                                         hand.voxel_volume)
-            G12 = G12 + born_delta_green(X1.T, X2, cfg.delta_eps,
-                                         hand.voxel_volume)
+            q = q + _born_dq(cfg.delta_eps, st.s[kidx], hand.voxel_volume)
             current = value
             hand.eps[kidx] += cfg.delta_eps
             accepted_hand.append(kidx)
@@ -295,7 +331,7 @@ class TestSweepOnce:
         assert grid.eps.max() <= grid.eps_max
         grid.copy()  # the copy re-checks eps against the grid's bound
 
-    def test_sum_dG_is_the_born_sum_of_the_eps_changes(self):
+    def test_sum_dq_is_the_born_sum_of_the_eps_changes(self):
         # bidirectional mirror-z on a map half at eps = 2: the sweep takes
         # steps of both signs on two-member orbits
         grid, emitters, cfg = toy(dims=(6, 6, 6), symmetry="mirror-z",
@@ -303,27 +339,29 @@ class TestSweepOnce:
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         grid.eps[~grid.frozen & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
-        before = grid.eps.copy()
-        _, sum_dG, _ = sweep_once(st, cfg)
-        delta = grid.eps - before
+        before_grid = grid.copy()
+        _, sum_dq, _ = sweep_once(st, cfg)
+        delta = grid.eps - before_grid.eps
         changed = np.flatnonzero(delta)
         assert (delta < 0).any() and (delta > 0).any()
         orbits = _symmetry_orbits(grid, cfg, emitters)
         assert (np.isin(orbits[:, 1], changed)).any()
-        pairs = ((st.sol1, st.sol1), (st.sol2, st.sol2), (st.sol1, st.sol2))
-        for dG, (sol_i, sol_j) in zip(sum_dG, pairs, strict=True):
-            expected = sum(born_delta_green(sol_i.block[m].T, sol_j.block[m],
-                                            delta[m], grid.voxel_volume)
-                           for m in changed)
-            assert np.linalg.norm(dG - expected) \
-                <= 1e-12 * np.linalg.norm(expected)
+        # the full-tensor first-Born sum over the oracle's blocks, projected
+        sol1, sol2 = solve_green_block(before_grid, emitters,
+                                       rtol=cfg.solver_rtol)
+        pairs = ((sol1, sol1), (sol2, sol2), (sol1, sol2))
+        for dq, (sol_i, sol_j) in zip(sum_dq, pairs, strict=True):
+            expected = project(sum(born_delta_green(
+                sol_i.block[m].T, sol_j.block[m], delta[m], grid.voxel_volume)
+                for m in changed))
+            assert abs(dq - expected) <= 1e-12 * abs(expected)
 
 
 class TestVerifyConvergence:
     def test_zero_accepted_zero_mismatch(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         st = compute_state(grid, emitters, cfg)
-        mism = verify_convergence(st, np.zeros_like(st.tensors), grid, cfg)
+        mism = verify_convergence(st, np.zeros_like(st.q), grid, cfg)
         assert mism == 0.0
 
     def test_one_voxel_small_mismatch(self):
@@ -333,8 +371,8 @@ class TestVerifyConvergence:
         kidx = int(np.argmax(~grid.frozen))
         g2 = grid.copy()
         g2.eps[kidx] += 0.05
-        sum_dG = _sum_dG(st, g2.eps - grid.eps)
-        mism = verify_convergence(st, sum_dG, g2, cfg)
+        sum_dq = _sum_dq(st, g2.eps - grid.eps)
+        mism = verify_convergence(st, sum_dq, g2, cfg)
         assert 0 < mism <= 1e-3
 
     def test_large_increment_breaks_identity(self):
@@ -346,8 +384,8 @@ class TestVerifyConvergence:
         free = np.nonzero(~grid.frozen)[0][:40]
         g2 = grid.copy()
         g2.eps[free] += 1.0
-        sum_dG = _sum_dG(st, g2.eps - grid.eps)
-        mism = verify_convergence(st, sum_dG, g2, cfg)
+        sum_dq = _sum_dq(st, g2.eps - grid.eps)
+        mism = verify_convergence(st, sum_dq, g2, cfg)
         assert mism > cfg.eta_converge
 
 

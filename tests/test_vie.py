@@ -196,7 +196,7 @@ class TestScatteredGreenPair:
     def test_vacuum_pair(self):
         g = PermittivityGrid.vacuum((4, 4, 4), 0.03)
         r1, r2 = np.array([0, 0, -0.3]), np.array([0, 0, 0.3])
-        G11, G22, G12, f1, f2 = scattered_green_pair(g, r1, r2, method="dense")
+        G11, G22, G12 = scattered_green_pair(g, r1, r2, method="dense")
         assert np.max(np.abs(G12 - emcore.free_space_green(r1, r2))) < 1e-14
         cs = emcore.couplings_from_green(G11, G22, G12)
         assert cs.purcell == 1.0 and cs.purcell2 == 1.0
@@ -223,6 +223,15 @@ class TestScatteredGreenPair:
             assert np.array_equal(sol.source, ref.source)
             assert np.max(np.abs(sol.block - ref.block)) / np.max(np.abs(ref.block)) < 1e-10
 
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_stacked_field_maps_match_single_solves(self, rng, method):
+        g = random_grid(rng, (4, 3, 5))
+        r1, r2 = np.array([0.0, 0.0, -0.4]), np.array([0.03, 0.0, 0.45])
+        pair = solve_fields(g, (r1, r2), method=method, rtol=1e-12)
+        for f, r in zip(pair, (r1, r2), strict=True):
+            ref = solve_fields(g, r, method=method, rtol=1e-12)
+            assert np.max(np.abs(f - ref)) / np.max(np.abs(ref)) < 1e-10
+
     def test_unknown_method_rejected(self):
         g = PermittivityGrid.vacuum((2, 2, 2), 0.03)
         for method in ("auto", "dens"):
@@ -244,8 +253,8 @@ class TestScatteredGreenPair:
         g = PermittivityGrid.vacuum((3, 3, 3), 0.02, origin=(0.01, -0.02, 0.015))
         g.eps[13] = 2.0
         r1, r2 = np.array([0, 0, -0.25]), np.array([0, 0, 0.25])
-        _, _, G12_a, _, _ = scattered_green_pair(g, r1, r2, method="dense")
-        _, _, G12_b, _, _ = scattered_green_pair(g, r2, r1, method="dense")
+        _, _, G12_a = scattered_green_pair(g, r1, r2, method="dense")
+        _, _, G12_b = scattered_green_pair(g, r2, r1, method="dense")
         assert np.max(np.abs(G12_a - G12_b.T)) / np.max(np.abs(G12_a)) < 1e-8
 
     def test_purcell_near_sphere_dense_vs_iterative(self):
