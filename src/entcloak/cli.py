@@ -300,26 +300,30 @@ def save_grid_csv(grid, path):
 
 
 def load_grid(csv_path, meta_path):
-    """Inverse of save_grid_csv + save_meta; returns (grid, meta dict)."""
+    """Inverse of save_grid_csv + save_meta; returns (grid, meta dict).
+    Metadata out of META_SCHEMA's bounds or a row the grid rejects
+    (an index off the grid, eps nan or out of range) raise ConfigError."""
     with open(meta_path) as fh:
         meta = json.load(fh)
     validate_meta(meta)
     dims = tuple(meta["dims"])
     eps = np.ones(dims[0] * dims[1] * dims[2])
-    with open(csv_path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        for row in rd:
-            idx = np.ravel_multi_index(
-                (int(row["ix"]), int(row["iy"]), int(row["iz"])), dims)
-            eps[idx] = float(row["eps"])
-    grid = PermittivityGrid(origin=np.asarray(meta["origin"], dtype=float),
-                            spacing=float(meta["spacing"]), dims=dims,
-                            eps=eps, eps_max=float(meta["eps_max"]))
+    try:
+        with open(csv_path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                idx = np.ravel_multi_index(
+                    (int(row["ix"]), int(row["iy"]), int(row["iz"])), dims)
+                eps[idx] = float(row["eps"])
+        grid = PermittivityGrid(origin=np.asarray(meta["origin"], dtype=float),
+                                spacing=float(meta["spacing"]), dims=dims,
+                                eps=eps, eps_max=float(meta["eps_max"]))
+    except ValueError as exc:
+        raise ConfigError(f"bad grid {csv_path}, {meta_path}: {exc}") from exc
     return grid, meta
 
 
 def validate_meta(meta):
-    """Minimal structural validation against META_SCHEMA (no dependency)."""
+    """Keys, entry counts and bounds of META_SCHEMA (no dependency)."""
     for key in META_SCHEMA["required"]:
         if key not in meta:
             raise ConfigError(f"metadata missing required key {key!r}")
@@ -327,6 +331,12 @@ def validate_meta(meta):
         raise ConfigError(f"unsupported format_version {meta['format_version']}")
     if len(meta["dims"]) != 3 or len(meta["origin"]) != 3:
         raise ConfigError("dims and origin must have 3 entries")
+    if not all(type(n) is int and n >= 1 for n in meta["dims"]):
+        raise ConfigError(f"dims must be integers >= 1, got {meta['dims']}")
+    if not (isinstance(meta["spacing"], (int, float)) and meta["spacing"] > 0):
+        raise ConfigError(f"spacing must be a number > 0, got {meta['spacing']!r}")
+    if not (isinstance(meta["eps_max"], (int, float)) and meta["eps_max"] >= 1):
+        raise ConfigError(f"eps_max must be a number >= 1, got {meta['eps_max']!r}")
     if len(meta["emitters"]) != 2:
         raise ConfigError("metadata must list exactly two emitters")
     return meta
@@ -378,6 +388,8 @@ def save_trace_csv(record, path):
 
 def cmd_optimize(cfg, out_dir):
     grid, emitters = build_grid(cfg)
+    # reject an eps_max or a symmetry the layout cannot carry before warning
+    prepare_design(grid.copy(), emitters, cfg.design)
     _warn_if_coarse(cfg)
     record = optimize(grid, emitters, cfg.design)
     out_dir.mkdir(parents=True, exist_ok=True)

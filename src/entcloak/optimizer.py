@@ -38,7 +38,7 @@ from .emcore import (K0, P_HAT, CouplingSet, as_position, couplings_from_q,
                      dyadic_green, free_space_green, project,
                      vacuum_self_green)
 from .errors import ConfigError, SolverInconsistencyError
-from .vie import SOLVER_METHODS, PermittivityGrid, solve_fields
+from .vie import KRYLOV_RTOL, SOLVER_METHODS, PermittivityGrid, solve_fields
 # unused here, kept because the benchmark tracer wraps optimizer.solve_green_block
 from .vie import solve_green_block  # noqa: F401
 
@@ -59,7 +59,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_TARGETS = ("concurrence", "negativity")
+#: Witness of each design target (closed forms: steady states are X states).
+_WITNESSES = {"concurrence": quantum.concurrence,
+              "negativity": quantum.negativity}
 _SWEEP_MODES = ("sequential", "frozen-reference")
 _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
 
@@ -85,25 +87,26 @@ class DesignConfig:
     target: str = "concurrence"
     pump_ratio: float = 5e-3  # P / gamma11, held fixed
     solver_method: str = "iterative"  # or "dense", the LU oracle
-    solver_rtol: float = 1e-10
+    solver_rtol: float = KRYLOV_RTOL
 
     def __post_init__(self):
-        if self.delta_eps <= 0:
+        # each range test is written so that nan fails it
+        if not self.delta_eps > 0:
             raise ValueError("delta_eps must be positive")
-        if self.delta_eps_min <= 0:
+        if not self.delta_eps_min > 0:
             raise ValueError("delta_eps_min must be positive")
-        if self.tol_accept < 0:
+        if not self.tol_accept >= 0:
             raise ValueError("tol_accept must be non-negative")
-        if self.eta_converge <= 0:
+        if not self.eta_converge > 0:
             raise ValueError("eta_converge must be positive")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.exclusion_radius < 0:
+        if not self.exclusion_radius >= 0:
             raise ValueError("exclusion_radius must be non-negative")
-        if self.pump_ratio <= 0:
+        if not self.pump_ratio > 0:
             raise ValueError("pump_ratio must be positive")
-        if self.target not in _TARGETS:
-            raise ValueError(f"target must be one of {_TARGETS}")
+        if self.target not in _WITNESSES:
+            raise ValueError(f"target must be one of {tuple(_WITNESSES)}")
         if self.sweep_mode not in _SWEEP_MODES:
             raise ValueError(f"sweep_mode must be one of {_SWEEP_MODES}")
         if self.symmetry not in _SYMMETRIES:
@@ -112,9 +115,6 @@ class DesignConfig:
             raise ValueError(f"solver_method must be one of {SOLVER_METHODS}")
         if not self.solver_rtol > 0:
             raise ValueError("solver_rtol must be positive")
-
-    def witness(self):
-        return quantum.concurrence if self.target == "concurrence" else quantum.negativity
 
 
 @dataclass
@@ -186,7 +186,7 @@ def _score(q11, q22, q12, config):
     """
     cs = couplings_from_q(q11, q22, q12)
     rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
-    return config.witness()(rho), cs, rho
+    return _WITNESSES[config.target](rho), cs, rho
 
 
 @dataclass

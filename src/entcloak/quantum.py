@@ -13,16 +13,16 @@ every other generator conserves excitation number, so the steady state
 is frame independent.
 
 Steady states of this model are X-type: the only surviving coherence is
-rho12 = <e1 g2| rho |g1 e2>.  `steady_state` and the witnesses exploit
-that structure in closed form.  The general constructions are kept as
-independent oracles and cross-checked in the test suite and by
+rho12 = <e1 g2| rho |g1 e2>.  `steady_state`, `concurrence` and
+`negativity` are closed forms of that structure, so the witnesses take
+X states only.  The general constructions take any state and are kept
+as independent oracles, cross-checked in the test suite and by
 `entcloak validate`: the 16x16 Liouvillian kernel (`steady_state_svd`),
 RK4 time propagation (`propagate_to_steady`), and the Wootters and
 partial-transpose witnesses.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +32,6 @@ from .errors import ConvergenceError, DegenerateSteadyStateError
 
 __all__ = [
     "MasterEqParams",
-    "NonXStateWarning",
     "build_liouvillian",
     "steady_state",
     "steady_state_svd",
@@ -47,10 +46,6 @@ __all__ = [
     "random_x_state",
     "random_params",
 ]
-
-
-class NonXStateWarning(UserWarning):
-    """Emitted when a closed-form X-state witness falls back to the general path."""
 
 
 # ---------------------------------------------------------------------------
@@ -304,35 +299,14 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
 # Witnesses
 # ---------------------------------------------------------------------------
 
-#: Magnitude above which a non-rho12 off-diagonal disqualifies the X closed form.
-_X_TOL = 1e-8
-
-#: True everywhere but the diagonal and rho12, rho21: the entries an X
-#: state leaves zero.  Built once; the validate suite reads it too.
-_OFF_X = np.ones((4, 4), dtype=bool)
-_OFF_X[np.diag_indices(4)] = False
-_OFF_X[1, 2] = _OFF_X[2, 1] = False
-
-
-def _is_x_state(rho):
-    return abs(rho[_OFF_X]).max() <= _X_TOL
-
-
 def concurrence(rho):
-    """Wootters concurrence via the single-coherence X-state closed form.
+    """Wootters concurrence of an X state, in closed form.
 
-    C = 2 max{0, |rho12| - sqrt(rho00 rho33)}.  Valid for the steady
-    states of this model; non-X input falls back to the general
-    eigenvalue construction and emits NonXStateWarning.
+    C = 2 max{0, |rho12| - sqrt(rho00 rho33)}.  Reads only the diagonal
+    and rho12, so `rho` must be an X state with the single coherence
+    rho12, as every steady state of this model is; `concurrence_wootters`
+    takes any state.
     """
-    if not _is_x_state(rho):
-        warnings.warn(
-            "density matrix is not X-type with a single rho12 coherence; "
-            "falling back to the general Wootters construction",
-            NonXStateWarning,
-            stacklevel=2,
-        )
-        return concurrence_wootters(rho)
     pops = max(rho[0, 0].real * rho[3, 3].real, 0.0)
     val = 2.0 * (abs(rho[1, 2]) - math.sqrt(pops))
     return max(0.0, float(val))
@@ -354,20 +328,13 @@ def concurrence_wootters(rho):
 
 
 def negativity(rho):
-    """Negativity via the X-state closed form.
+    """Negativity of an X state, in closed form.
 
     N = max{0, sqrt((rho00 - rho33)^2 + 4 |rho12|^2) - (rho00 + rho33)}.
-    Non-X input falls back to the partial-transpose construction and
-    emits NonXStateWarning.
+    Reads only the diagonal and rho12, so `rho` must be an X state with
+    the single coherence rho12, as every steady state of this model is;
+    `negativity_partial_transpose` takes any state.
     """
-    if not _is_x_state(rho):
-        warnings.warn(
-            "density matrix is not X-type with a single rho12 coherence; "
-            "falling back to the partial-transpose construction",
-            NonXStateWarning,
-            stacklevel=2,
-        )
-        return negativity_partial_transpose(rho)
     a, d = rho[0, 0].real, rho[3, 3].real
     val = math.sqrt((a - d) ** 2 + 4.0 * abs(rho[1, 2]) ** 2) - (a + d)
     return max(0.0, float(val))

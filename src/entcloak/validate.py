@@ -178,6 +178,13 @@ def check_vacuum_power_ratio(rng):
 # quantum
 # ---------------------------------------------------------------------------
 
+#: True everywhere but the diagonal and rho12, rho21: the entries an X
+#: state leaves zero.
+_OFF_X = np.ones((4, 4), dtype=bool)
+_OFF_X[np.diag_indices(4)] = False
+_OFF_X[1, 2] = _OFF_X[2, 1] = False
+
+
 def check_steady_state_invariants(rng):
     """Closed-form steady states are Hermitian, unit-trace, positive,
     X-type and in the kernel of build_liouvillian (the residual)."""
@@ -191,7 +198,7 @@ def check_steady_state_invariants(rng):
         L = quantum.build_liouvillian(params)
         worst["resid"] = max(worst["resid"],
                              np.linalg.norm(L @ m.reshape(-1, order="F")))
-        worst["x"] = max(worst["x"], np.max(np.abs(m[quantum._OFF_X])))
+        worst["x"] = max(worst["x"], np.max(np.abs(m[_OFF_X])))
     ok = (worst["herm"] <= 1e-10 and worst["trace"] <= 1e-10
           and worst["eig"] <= 1e-9 and worst["resid"] <= 1e-10
           and worst["x"] <= 1e-10)
@@ -243,16 +250,21 @@ def check_propagation_oracle(rng):
 
 
 def check_witness_equivalence(rng):
+    """Closed-form witnesses against the general forms on the X states
+    they take: steady states, then random X states (any populations and
+    rho12 phase)."""
     worst_c = worst_n = 0.0
-    for _ in range(10_000):
-        params = quantum.random_params(rng)
-        rho = quantum.steady_state(params, check=False)
+    states = [quantum.steady_state(quantum.random_params(rng), check=False)
+              for _ in range(10_000)]
+    states += [quantum.random_x_state(rng) for _ in range(10_000)]
+    for rho in states:
         worst_c = max(worst_c, abs(quantum.concurrence(rho)
                                    - quantum.concurrence_wootters(rho)))
         worst_n = max(worst_n, abs(quantum.negativity(rho)
                                    - quantum.negativity_partial_transpose(rho)))
     ok = worst_c <= 1e-10 and worst_n <= 1e-10
-    return ok, f"concurrence gap {worst_c:.1e}, negativity gap {worst_n:.1e}"
+    return ok, (f"concurrence gap {worst_c:.1e}, negativity gap {worst_n:.1e}"
+                " on 10^4 steady and 10^4 random X states")
 
 
 def check_witness_threshold_agreement(rng):

@@ -61,6 +61,9 @@ SOLVER_METHODS = ("iterative", "dense")
 #: Default Krylov iteration cap.
 MAX_KRYLOV_ITER = 2000
 
+#: Default relative residual of the Krylov solves (and of the design loop).
+KRYLOV_RTOL = 1e-10
+
 
 class GridResolutionWarning(UserWarning):
     """Voxel spacing too coarse for the permitted dielectric contrast
@@ -93,9 +96,10 @@ class PermittivityGrid:
             self.frozen = np.zeros(n, dtype=bool)
         else:
             self.frozen = np.asarray(self.frozen, dtype=bool).reshape(n)
-        if self.spacing <= 0:
-            raise ValueError("voxel spacing must be positive")
-        if np.any(self.eps < 1.0) or np.any(self.eps > self.eps_max):
+        # each test is written so that nan fails it
+        if not 0 < self.spacing < np.inf:
+            raise ValueError("voxel spacing must be positive and finite")
+        if not np.all((self.eps >= 1.0) & (self.eps <= self.eps_max)):
             raise ValueError(f"eps must lie in [1, eps_max={self.eps_max}]")
 
     @classmethod
@@ -308,7 +312,7 @@ def _solve_system(grid, B, method, rtol, maxiter):
     return X
 
 
-def solve_fields(grid, source, method="iterative", rtol=1e-8,
+def solve_fields(grid, source, method="iterative", rtol=KRYLOV_RTOL,
                  maxiter=MAX_KRYLOV_ITER):
     """Total-field maps of unit P_HAT point dipoles inside the voxel map.
 
@@ -379,7 +383,7 @@ class GreenSolution:
         return vacuum_self_green() + self.scattered_at(self.source)
 
 
-def solve_green_block(grid, source, method="iterative", rtol=1e-8,
+def solve_green_block(grid, source, method="iterative", rtol=KRYLOV_RTOL,
                       maxiter=MAX_KRYLOV_ITER):
     """Solve the VIE for all three orientations of one or several sources.
 
@@ -408,7 +412,7 @@ def pair_tensors(sol1, sol2):
     return sol1.self_green(), sol2.self_green(), sol2.green_at(sol1.source)
 
 
-def scattered_green_pair(grid, r1, r2, method="iterative", rtol=1e-8,
+def scattered_green_pair(grid, r1, r2, method="iterative", rtol=KRYLOV_RTOL,
                          maxiter=MAX_KRYLOV_ITER):
     """The three Green's tensors of an emitter pair, from one operator.
 

@@ -134,6 +134,24 @@ class TestOptimizeCommand:
         with pytest.raises(ConfigError):
             cli.load_grid(out / "design.eps.csv", bad)
 
+    @pytest.mark.parametrize("meta_edit, eps", [
+        ({}, "nan"),
+        ({"spacing": 0}, None),
+        ({"dims": [0, 2, 2]}, None),
+    ], ids=["eps-nan", "spacing-zero", "dims-zero"])
+    def test_out_of_range_grid_file_rejected(self, tmp_path, meta_edit, eps):
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", str(write_config(tmp_path)),
+                         "--out", str(out)]) == 0
+        meta = json.loads((out / "design.meta.json").read_text()) | meta_edit
+        (tmp_path / "g.meta.json").write_text(json.dumps(meta))
+        lines = (out / "design.eps.csv").read_text().splitlines()
+        if eps is not None:
+            lines[1] = lines[1].rsplit(",", 1)[0] + "," + eps
+        (tmp_path / "g.eps.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError):
+            cli.load_grid(tmp_path / "g.eps.csv", tmp_path / "g.meta.json")
+
     def test_eps_roundtrip_lossless(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -274,6 +292,19 @@ class TestResolutionWarning:
                              "--out", str(tmp_path / "out"),
                              "--threads", threads]) == 0
         assert len(self.resolution_warnings(record)) == 1
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_rejected_config_does_not_warn(self, tmp_path, command):
+        # a symmetry the layout cannot carry exits 2 before any warning
+        text = TINY_CONFIG.replace("dims = 4,4,4", "dims = 4,6,6")
+        text += "symmetry = z-axis-rotation-4fold\npump_list = 0.005,0.05\n"
+        cfg_path = write_config(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")]) == 2
+        assert self.resolution_warnings(caught) == []
+        assert not (tmp_path / "out").exists()
 
     def test_library_grids_do_not_warn(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path))

@@ -465,6 +465,13 @@ class TestOptimize:
             with pytest.raises(ValueError, match="solver_rtol"):
                 DesignConfig(solver_rtol=rtol)
 
+    @pytest.mark.parametrize("field", ["delta_eps", "delta_eps_min",
+                                       "tol_accept", "eta_converge",
+                                       "exclusion_radius", "pump_ratio"])
+    def test_nan_knob_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            DesignConfig(**{field: float("nan")})
+
     def test_negativity_target_improves_negativity(self):
         grid, emitters, cfg = toy(dims=(6, 6, 6), target="negativity",
                                   max_iterations=2, exclusion_radius=1.0)

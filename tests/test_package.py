@@ -97,3 +97,14 @@ def test_no_warning_filters_in_package():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
     assert calls == []
+
+
+def test_only_the_cli_warns():
+    # library layers raise or return; the CLI is the one place that
+    # talks to the user
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "warn"]
+    assert calls == []

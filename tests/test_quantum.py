@@ -267,15 +267,6 @@ class TestWitnesses:
             m = random_x_state(rng)
             assert (concurrence(m) > 0) == (negativity(m) > 0)
 
-    def test_non_x_state_falls_back_with_warning(self, rng):
-        m = random_density_matrix(rng)
-        with pytest.warns(quantum.NonXStateWarning):
-            c = concurrence(m)
-        assert c == pytest.approx(concurrence_wootters(m), abs=1e-14)
-        with pytest.warns(quantum.NonXStateWarning):
-            n = negativity(m)
-        assert n == pytest.approx(negativity_partial_transpose(m), abs=1e-14)
-
     def test_linear_entropy_examples(self):
         pure = np.zeros((4, 4), dtype=complex)
         pure[0, 0] = 1.0

@@ -33,6 +33,18 @@ class TestPermittivityGrid:
             PermittivityGrid(origin=np.zeros(3), spacing=0.02, dims=(2, 2, 2),
                              eps=np.full(8, 9.5), eps_max=9.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"eps": np.array([1.0, np.nan] * 4)},
+        {"spacing": np.nan},
+        {"spacing": np.inf},
+        {"eps_max": np.nan},
+    ], ids=["eps-nan", "spacing-nan", "spacing-inf", "eps_max-nan"])
+    def test_nan_and_inf_rejected(self, kwargs):
+        args = {"origin": np.zeros(3), "spacing": 0.02, "dims": (2, 2, 2),
+                "eps": np.ones(8)} | kwargs
+        with pytest.raises(ValueError):
+            PermittivityGrid(**args)
+
     def test_centers_lexicographic(self):
         g = PermittivityGrid.vacuum((2, 2, 2), 0.02, origin=(0, 0, 0))
         c = g.centers()
