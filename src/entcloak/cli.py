@@ -114,11 +114,12 @@ class RunConfig:
             raise ConfigError("spacing must be positive")
         if self.origin != "auto" and len(self.origin) != 3:
             raise ConfigError("origin must be 'auto' or three finite numbers x,y,z")
-        if self.d12 <= 0:
+        # each test is written so that nan fails it
+        if not self.d12 > 0:
             raise ConfigError("d12 must be positive")
-        if len(self.d12_list) == 0 or any(d <= 0 for d in self.d12_list):
+        if len(self.d12_list) == 0 or any(not d > 0 for d in self.d12_list):
             raise ConfigError("d12_list must be non-empty and positive")
-        if len(self.pump_list) == 0 or any(p <= 0 for p in self.pump_list):
+        if len(self.pump_list) == 0 or any(not p > 0 for p in self.pump_list):
             raise ConfigError("pump_list must be non-empty and positive")
 
 
@@ -301,14 +302,15 @@ def save_grid_csv(grid, path):
 
 def load_grid(csv_path, meta_path):
     """Inverse of save_grid_csv + save_meta; returns (grid, meta dict).
-    Metadata out of META_SCHEMA's bounds or a row the grid rejects
-    (an index off the grid, eps nan or out of range) raise ConfigError."""
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    validate_meta(meta)
-    dims = tuple(meta["dims"])
-    eps = np.ones(dims[0] * dims[1] * dims[2])
+    Any malformed file (bad JSON or CSV, metadata out of META_SCHEMA's
+    bounds, a row the grid rejects: eps nan or out of range, an index
+    off the grid) raises ConfigError."""
     try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        validate_meta(meta)
+        dims = tuple(meta["dims"])
+        eps = np.ones(dims[0] * dims[1] * dims[2])
         with open(csv_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 idx = np.ravel_multi_index(
@@ -317,7 +319,7 @@ def load_grid(csv_path, meta_path):
         grid = PermittivityGrid(origin=np.asarray(meta["origin"], dtype=float),
                                 spacing=float(meta["spacing"]), dims=dims,
                                 eps=eps, eps_max=float(meta["eps_max"]))
-    except ValueError as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad grid {csv_path}, {meta_path}: {exc}") from exc
     return grid, meta
 
@@ -474,7 +476,7 @@ def _pool_outcomes(tasks, threads):
     in it; each of those is re-run alone in a fresh one-worker pool, so
     only a point whose own worker dies is recorded as failed.
     """
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         futures = [pool.submit(_sweep_point_safe, task) for task in tasks]
         # shut down only after every point has ended, so that a pool
         # subclass inspecting its workers at shutdown sees all their work

@@ -89,7 +89,7 @@ def check_vacuum_identity(rng):
     A = vie.assemble_dense(g)
     d1 = np.max(np.abs(A - np.eye(3 * g.n_voxels)))
     src = np.array([0.0, 0.0, 0.37])
-    f = vie.solve_fields(g, src, method="dense")
+    [f] = vie.solve_fields(g, [src], method="dense")
     ref = np.array([emcore.free_space_green(p, src) @ emcore.P_HAT
                     for p in g.centers()])
     d2 = np.max(np.abs(f - ref))
@@ -118,8 +118,8 @@ def check_dense_iterative_solve(rng):
     worst = 0.0
     for _ in range(5):
         g = _random_grid(rng)
-        fd = vie.solve_fields(g, src, method="dense")
-        fi = vie.solve_fields(g, src, method="iterative", rtol=1e-10)
+        [fd] = vie.solve_fields(g, [src], method="dense")
+        [fi] = vie.solve_fields(g, [src], method="iterative", rtol=1e-10)
         worst = max(worst, np.max(np.abs(fd - fi)) / np.max(np.abs(fd)))
     return worst <= 1e-6, f"max rel difference {worst:.2e} (tol 1e-6)"
 
@@ -131,7 +131,7 @@ def rayleigh_sphere_polarizability(method="iterative"):
     r = np.linalg.norm(g.centers(), axis=1)
     g.eps[r <= radius_vox * delta + 1e-12] = eps
     src = np.array([10.0, 0.0, 0.0])
-    field = vie.solve_fields(g, src, method=method, rtol=1e-10)
+    [field] = vie.solve_fields(g, [src], method=method, rtol=1e-10)
     p_ind = ((g.chi() * g.voxel_volume)[:, None] * field).sum(axis=0)
     e_inc = emcore.free_space_green((0, 0, 0), src) @ emcore.P_HAT
     alpha = p_ind[2] / e_inc[2]
@@ -154,12 +154,11 @@ def check_passivity_reciprocity(rng):
         span = g.spacing * max(g.dims)
         r1 = np.array([0.0, 0.0, -0.6 * span - 0.05])
         r2 = np.array([0.0, 0.0, 0.6 * span + 0.08])
-        s1, s2 = vie.solve_green_block(g, (r1, r2), method="dense")
-        G11, G22, G12 = vie.pair_tensors(s1, s2)
+        G11, G22, G12 = vie.scattered_green_pair(g, r1, r2, method="dense")
         cs = emcore.couplings_from_green(G11, G22, G12)  # raises if unphysical
         if cs.gamma11 <= 0 or cs.gamma22 <= 0:
             return False, "non-positive decay rate on a lossless grid"
-        G12_b = s1.green_at(r2).T
+        G12_b = vie.scattered_green_pair(g, r2, r1, method="dense")[2].T
         worst_rec = max(worst_rec,
                         np.max(np.abs(G12 - G12_b)) / np.max(np.abs(G12)))
     ok = worst_rec <= 1e-8
@@ -360,7 +359,7 @@ def check_one_voxel_convergence(rng):
 
 def check_projected_scalars_vs_oracle(rng):
     """The loop's P_HAT-only solve against the projections of the full
-    `solve_green_block` tensors, on a 6^3 map with 40 % of its free
+    `scattered_green_pair` tensors, on a 6^3 map with 40 % of its free
     voxels at random eps in [1, 4]."""
     worst = 0.0
     for method in vie.SOLVER_METHODS:
@@ -369,8 +368,9 @@ def check_projected_scalars_vs_oracle(rng):
         filled = ~grid.frozen & (rng.random(grid.n_voxels) < 0.4)
         grid.eps[filled] = rng.uniform(1.0, 4.0, int(filled.sum()))
         q = optimizer.compute_state(grid, emitters, cfg).q
-        sols = vie.solve_green_block(grid, emitters, method=method, rtol=1e-12)
-        q_ref = np.array([emcore.project(G) for G in vie.pair_tensors(*sols)])
+        tensors = vie.scattered_green_pair(grid, *emitters, method=method,
+                                           rtol=1e-12)
+        q_ref = np.array([emcore.project(G) for G in tensors])
         worst = max(worst, np.max(np.abs(q - q_ref) / np.abs(q_ref)))
     return worst <= 1e-10, f"max rel q defect {worst:.2e} (tol 1e-10)"
 

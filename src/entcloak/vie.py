@@ -14,10 +14,10 @@ the tensor anywhere else follows from the re-radiation sum
 
     G(r, r_s) = G0(r, r_s) + k^2 sum_k G0(r, r_k) chi_k dV x_k.
 
-Two solves share one system solver.  `solve_fields` solves only the
-emcore.P_HAT orientation of each source, two right-hand sides for an
-emitter pair; it is the design loop's solve.  `solve_green_block`
-solves all three orientations, the full tensors; it is the oracle that
+Both solves take a sequence of sources.  `solve_fields` solves only
+the emcore.P_HAT orientation of each, the design loop's solve.
+`solve_green_block` solves all three, and `scattered_green_pair`
+re-radiates those blocks into a pair's (G11, G22, G12): the oracle that
 `validate` and the tests check the loop's projected scalars against.
 
 The self term m = -1/(3 k^2) + (2/(3 k^2)) [(1 - i k a) e^{i k a} - 1],
@@ -27,7 +27,8 @@ correction; it is isolated in `self_interaction` so alternative schemes
 can be swapped in.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -39,13 +40,11 @@ from .errors import CoincidentPointsError, ConvergenceError, GridTooLargeError
 
 __all__ = [
     "PermittivityGrid",
-    "GreenSolution",
     "self_interaction",
     "assemble_dense",
     "fft_matvec",
     "solve_fields",
     "solve_green_block",
-    "pair_tensors",
     "scattered_green_pair",
     "DENSE_UNKNOWN_LIMIT",
     "SOLVER_METHODS",
@@ -233,23 +232,14 @@ class _FftInteraction:
         return out.reshape(-1, 3)
 
 
-_KERNEL_CACHE = {}
-
-
-def _get_kernel(grid):
-    key = (grid.dims, round(grid.spacing, 15))
-    kern = _KERNEL_CACHE.get(key)
-    if kern is None:
-        if len(_KERNEL_CACHE) > 8:
-            _KERNEL_CACHE.clear()
-        kern = _FftInteraction(grid.dims, grid.spacing)
-        _KERNEL_CACHE[key] = kern
-    return kern
+@functools.lru_cache(maxsize=8)
+def _fft_kernel(dims, spacing):
+    return _FftInteraction(dims, spacing)
 
 
 def _fft_operator(grid):
     """[I - k^2 (G0 chi dV + self term)] on (N, 3) fields of one map."""
-    kern = _get_kernel(grid)
+    kern = _fft_kernel(grid.dims, grid.spacing)
     chi = grid.chi()
     m = self_interaction(grid.spacing)
     w_scale = (chi * grid.voxel_volume)[:, None]
@@ -312,21 +302,29 @@ def _solve_system(grid, B, method, rtol, maxiter):
     return X
 
 
-def solve_fields(grid, source, method="iterative", rtol=KRYLOV_RTOL,
+def _source_positions(sources):
+    """A sequence of source positions; a bare position is refused."""
+    if np.ndim(sources) != 2:
+        raise ValueError("sources must be a sequence of positions; "
+                         "pass [r] for one source")
+    return [as_position(r) for r in sources]
+
+
+def solve_fields(grid, sources, method="iterative", rtol=KRYLOV_RTOL,
                  maxiter=MAX_KRYLOV_ITER):
     """Total-field maps of unit P_HAT point dipoles inside the voxel map.
 
-    `source` is one position, which gives one (N, 3) array, or a
-    sequence of m positions, which gives a list of m of them; row k of
-    each is the Green's column G(r_k, r_source) P_HAT of the structured
-    medium.  The m right-hand sides are solved against one operator.
-    For an all-vacuum grid the maps equal the free-space columns exactly.
+    `sources` is a sequence of m positions (a bare position raises
+    ValueError); the result is a list of m (N, 3) arrays, row k of each
+    the Green's column G(r_k, r_source) P_HAT of the structured medium,
+    all solved against one operator.  For an all-vacuum grid the maps
+    equal the free-space columns exactly.
 
     `method` is "iterative" (FFT matvec + BiCGStab, the default) or
     "dense" (LU of the assembled operator, the oracle; refused above
     DENSE_UNKNOWN_LIMIT unknowns).
 
-    The source should stay at least one voxel spacing away from centers
+    The sources should stay at least one voxel spacing away from centers
     of voxels with eps > 1 (recommended, not enforced).
 
     Raises
@@ -335,94 +333,53 @@ def solve_fields(grid, source, method="iterative", rtol=KRYLOV_RTOL,
         If the Krylov iteration does not reach the residual within
         `maxiter` steps (the error carries the final residual).
     """
-    single = np.ndim(source) == 1
-    sources = [source] if single else source
+    sources = _source_positions(sources)
     B = np.stack([_source_columns(grid, r) @ P_HAT for r in sources], axis=2)
     X = _solve_system(grid, B, method, rtol, maxiter)
-    fields = [X[:, :, i] for i in range(len(sources))]
-    return fields[0] if single else fields
+    return [X[:, :, i] for i in range(len(sources))]
 
 
-@dataclass
-class GreenSolution:
-    """Solved field blocks of one point source inside a voxel map.
-
-    `block` has shape (N, 3, 3); block[k] = G(r_k, r_source) for all
-    three source orientations at once.  `green_at` re-radiates the
-    solution to arbitrary points outside the scatterer voxels.
-    """
-
-    grid: PermittivityGrid
-    source: np.ndarray
-    block: np.ndarray
-    _weights: np.ndarray = field(default=None, repr=False)
-
-    def _scatter_weights(self):
-        if self._weights is None:
-            w = (self.grid.chi() * self.grid.voxel_volume)[:, None, None]
-            self._weights = w * self.block
-        return self._weights
-
-    def scattered_at(self, r):
-        """Scattered part of G(r, source): k^2 sum_j G0(r, r_j) chi dV X_j."""
-        w = self._scatter_weights()
-        active = np.abs(w).max(axis=(1, 2)) > 0
-        if not np.any(active):
-            return np.zeros((3, 3), dtype=complex)
-        pts = self.grid.centers()[active]
-        G0 = dyadic_green(as_position(r) - pts)
-        return K0**2 * np.einsum("jab,jbc->ac", G0, w[active])
-
-    def green_at(self, r):
-        """Total G(r, source), r away from the source and scatterer voxels."""
-        return free_space_green(as_position(r), self.source) + self.scattered_at(r)
-
-    def self_green(self):
-        """G at the source point: the vacuum self tensor plus the
-        scattered correction."""
-        return vacuum_self_green() + self.scattered_at(self.source)
-
-
-def solve_green_block(grid, source, method="iterative", rtol=KRYLOV_RTOL,
+def solve_green_block(grid, sources, method="iterative", rtol=KRYLOV_RTOL,
                       maxiter=MAX_KRYLOV_ITER):
-    """Solve the VIE for all three orientations of one or several sources.
+    """Field blocks of all three orientations of several point sources.
 
-    `source` is one position, which gives one GreenSolution, or a
-    sequence of m positions, which gives a list of m GreenSolutions.
-    All 3m right-hand sides are solved against one operator: one dense
-    LU factorization, or one FFT kernel shared by the Krylov solves.
+    `sources` is a sequence of m positions; the result is a list of m
+    (N, 3, 3) arrays with block[k] = G(r_k, r_source).  All 3m
+    right-hand sides are solved against one operator: one dense LU
+    factorization, or one FFT kernel shared by the Krylov solves.
     `method` is "iterative" (the default) or "dense" (the oracle).
     """
-    single = np.ndim(source) == 1
-    sources = [as_position(r) for r in ([source] if single else source)]
+    sources = _source_positions(sources)
     B = np.concatenate([_source_columns(grid, r) for r in sources], axis=2)
     X = _solve_system(grid, B, method, rtol, maxiter)
-    sols = [GreenSolution(grid=grid, source=r, block=X[:, :, 3 * i:3 * i + 3])
-            for i, r in enumerate(sources)]
-    return sols[0] if single else sols
+    return [X[:, :, 3 * i:3 * i + 3] for i in range(len(sources))]
 
 
-def pair_tensors(sol1, sol2):
-    """(G11, G22, G12) of two solved emitters.
-
-    The self tensors carry the analytic vacuum imaginary diagonal
-    K0/(6 pi) plus the scattered correction at the source point, and
-    G12 = G(r1, r2) in the structured medium.
-    """
-    return sol1.self_green(), sol2.self_green(), sol2.green_at(sol1.source)
+def _reradiated(grid, r, block):
+    """Scattered part of G(r, r_source) from the source's field block:
+    k^2 sum_j G0(r, r_j) chi_j dV X_j over the voxels with chi != 0."""
+    chi = grid.chi()
+    active = chi != 0
+    G0 = dyadic_green(r - grid.centers()[active])
+    w = (chi[active] * grid.voxel_volume)[:, None, None] * block[active]
+    return K0**2 * np.einsum("jab,jbc->ac", G0, w)
 
 
 def scattered_green_pair(grid, r1, r2, method="iterative", rtol=KRYLOV_RTOL,
                          maxiter=MAX_KRYLOV_ITER):
-    """The three Green's tensors of an emitter pair, from one operator.
+    """The three Green's tensors (G11, G22, G12) of an emitter pair.
 
-    Returns `pair_tensors` (G11, G22, G12) of the two emitters, solved
-    together by `solve_green_block` with `method` "iterative" (the
-    default) or "dense" (the oracle).
+    Both emitters are solved together by `solve_green_block` with
+    `method` "iterative" (the default) or "dense" (the oracle).  The
+    self tensors are the vacuum self tensor (imaginary diagonal
+    K0/(6 pi)) plus the scattered correction at the source point, and
+    G12 = G(r1, r2) in the structured medium.
     """
     r1 = as_position(r1)
     r2 = as_position(r2)
     if np.linalg.norm(r1 - r2) < COINCIDENT_THRESHOLD:
         raise ValueError("emitters must be separated")
-    sol1, sol2 = solve_green_block(grid, (r1, r2), method, rtol, maxiter)
-    return pair_tensors(sol1, sol2)
+    X1, X2 = solve_green_block(grid, (r1, r2), method, rtol, maxiter)
+    return (vacuum_self_green() + _reradiated(grid, r1, X1),
+            vacuum_self_green() + _reradiated(grid, r2, X2),
+            free_space_green(r1, r2) + _reradiated(grid, r1, X2))

@@ -130,8 +130,8 @@ def test_criterion_6_em_solver_validation():
                  (6, 5, 4), (2, 6, 3)):
         g = vie.PermittivityGrid.vacuum(dims, 1 / 20)
         g.eps[:] = rng.uniform(1.0, 2.5, g.n_voxels)
-        fd = vie.solve_fields(g, src, method="dense")
-        fi = vie.solve_fields(g, src, method="iterative", rtol=1e-10)
+        [fd] = vie.solve_fields(g, [src], method="dense")
+        [fi] = vie.solve_fields(g, [src], method="iterative", rtol=1e-10)
         worst = max(worst, np.max(np.abs(fd - fi)) / np.max(np.abs(fd)))
     ok = ray_rel <= 0.05 and worst <= 1e-6
     detail = (f"Rayleigh polarizability error {ray_rel:.4f} (<= 0.05); "

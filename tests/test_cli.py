@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import warnings
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -79,6 +80,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("spacing", float("nan")),
+        ("d12", float("nan")),
+        ("d12_list", (0.25, float("nan"))),
+        ("pump_list", (float("nan"),)),
+    ], ids=["spacing", "d12", "d12_list", "pump_list"])
+    def test_nan_range_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            cli.RunConfig(**{field: value})
+
     def test_logspace_lists(self, tmp_path):
         path = write_config(tmp_path, "d12_list = logspace:0.1,1.0,3\n")
         cfg = cli.parse_config(path)
@@ -134,20 +145,31 @@ class TestOptimizeCommand:
         with pytest.raises(ConfigError):
             cli.load_grid(out / "design.eps.csv", bad)
 
-    @pytest.mark.parametrize("meta_edit, eps", [
-        ({}, "nan"),
+    @pytest.mark.parametrize("meta_edit, csv_edit", [
+        ({}, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan"]),
         ({"spacing": 0}, None),
         ({"dims": [0, 2, 2]}, None),
-    ], ids=["eps-nan", "spacing-zero", "dims-zero"])
-    def test_out_of_range_grid_file_rejected(self, tmp_path, meta_edit, eps):
+        ({}, lambda lines: [line.rsplit(",", 1)[0] for line in lines]),
+        ({}, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]]),
+        ("{not json", None),
+        ("5", None),
+        ({"dims": 5}, None),
+    ], ids=["eps-nan", "spacing-zero", "dims-zero", "no-eps-column",
+            "short-row", "invalid-json", "meta-not-object", "dims-not-list"])
+    def test_out_of_range_grid_file_rejected(self, tmp_path, meta_edit,
+                                             csv_edit):
+        # meta_edit is merged into the metadata, or a string replaces its
+        # text; csv_edit maps the grid file's lines to the ones written
         out = tmp_path / "out"
         assert cli.main(["optimize", "--config", str(write_config(tmp_path)),
                          "--out", str(out)]) == 0
-        meta = json.loads((out / "design.meta.json").read_text()) | meta_edit
-        (tmp_path / "g.meta.json").write_text(json.dumps(meta))
+        meta_text = (out / "design.meta.json").read_text()
+        if not isinstance(meta_edit, str):
+            meta_edit = json.dumps(json.loads(meta_text) | meta_edit)
+        (tmp_path / "g.meta.json").write_text(meta_edit)
         lines = (out / "design.eps.csv").read_text().splitlines()
-        if eps is not None:
-            lines[1] = lines[1].rsplit(",", 1)[0] + "," + eps
+        if csv_edit is not None:
+            lines = csv_edit(lines)
         (tmp_path / "g.eps.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError):
             cli.load_grid(tmp_path / "g.eps.csv", tmp_path / "g.meta.json")
@@ -425,6 +447,35 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
+        # a fork pool starts all its workers up front: 64 asked for one
+        # point must start one; this stand-in runs each task inline
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        text = TINY_CONFIG + "d12_list = 0.25\npump_list = 0.005\n"
+        cfg_path = write_config(tmp_path, text, name="sweep1.cfg")
+        out = tmp_path / "outs1"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--threads", "64"]) == 0
+        assert seen == [1]
+        assert len(read_csv(out / "sweep.csv")) == 1
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         text = TINY_CONFIG + "d12_list = 0.25,0.375\npump_list = 0.005\n"

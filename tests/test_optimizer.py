@@ -28,7 +28,6 @@ from entcloak.optimizer import (
 )
 from entcloak.vie import (
     PermittivityGrid,
-    pair_tensors,
     scattered_green_pair,
     solve_fields,
     solve_green_block,
@@ -155,16 +154,17 @@ class TestComputeState:
         grid, emitters, cfg = filled_toy(rng, solver_method=method,
                                          solver_rtol=1e-12)
         q = compute_state(grid, emitters, cfg).q
-        sols = solve_green_block(grid, emitters, method=method, rtol=1e-12)
-        q_ref = np.array([project(G) for G in pair_tensors(*sols)])
+        tensors = scattered_green_pair(grid, *emitters, method=method,
+                                       rtol=1e-12)
+        q_ref = np.array([project(G) for G in tensors])
         assert np.max(np.abs(q - q_ref) / np.abs(q_ref)) <= 1e-10
 
     def test_field_maps_are_the_oracle_z_columns(self, rng):
         grid, emitters, _ = filled_toy(rng)
         fields = solve_fields(grid, emitters, rtol=1e-12)
-        sols = solve_green_block(grid, emitters, rtol=1e-12)
-        for f, sol in zip(fields, sols, strict=True):
-            assert np.array_equal(f, sol.block[:, :, 2])
+        blocks = solve_green_block(grid, emitters, rtol=1e-12)
+        for f, block in zip(fields, blocks, strict=True):
+            assert np.array_equal(f, block[:, :, 2])
 
     def test_couplings_are_the_emcore_conversion_of_the_solve(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
@@ -347,12 +347,11 @@ class TestSweepOnce:
         orbits = _symmetry_orbits(grid, cfg, emitters)
         assert (np.isin(orbits[:, 1], changed)).any()
         # the full-tensor first-Born sum over the oracle's blocks, projected
-        sol1, sol2 = solve_green_block(before_grid, emitters,
-                                       rtol=cfg.solver_rtol)
-        pairs = ((sol1, sol1), (sol2, sol2), (sol1, sol2))
-        for dq, (sol_i, sol_j) in zip(sum_dq, pairs, strict=True):
+        X1, X2 = solve_green_block(before_grid, emitters, rtol=cfg.solver_rtol)
+        pairs = ((X1, X1), (X2, X2), (X1, X2))
+        for dq, (X_i, X_j) in zip(sum_dq, pairs, strict=True):
             expected = project(sum(born_delta_green(
-                sol_i.block[m].T, sol_j.block[m], delta[m], grid.voxel_volume)
+                X_i[m].T, X_j[m], delta[m], grid.voxel_volume)
                 for m in changed))
             assert abs(dq - expected) <= 1e-12 * abs(expected)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entcloak import emcore
+from entcloak import emcore, vie
 from entcloak.errors import CoincidentPointsError, GridTooLargeError
 from entcloak.validate import rayleigh_sphere_polarizability
 from entcloak.vie import (
@@ -108,7 +108,7 @@ class TestAssembleDense:
         b = np.concatenate([emcore.free_space_green(p1, src) @ ZHAT,
                             emcore.free_space_green(p2, src) @ ZHAT])
         x_oracle = np.linalg.solve(A, b).reshape(2, 3)
-        x_solver = solve_fields(g, src, method="dense")
+        [x_solver] = solve_fields(g, [src], method="dense")
         assert np.max(np.abs(x_oracle - x_solver)) < 1e-13
 
     def test_single_voxel_born_limit(self):
@@ -119,7 +119,7 @@ class TestAssembleDense:
         for delta in (1e-2, 1e-3):
             g = PermittivityGrid.vacuum((1, 1, 1), spacing, origin=(0, 0, 0))
             g.eps[:] = 1.0 + delta
-            x = solve_fields(g, src, method="dense")[0]
+            x = solve_fields(g, [src], method="dense")[0][0]
             b = emcore.free_space_green((0, 0, 0), src) @ ZHAT
             m = self_interaction(spacing)
             x_born = b * (1.0 + K**2 * delta * m)
@@ -171,7 +171,7 @@ class TestSolveFields:
     def test_vacuum_equals_free_space_columns(self):
         g = PermittivityGrid.vacuum((4, 4, 4), 0.03)
         src = np.array([0.0, 0.0, 0.4])
-        f = solve_fields(g, src, method="dense")
+        [f] = solve_fields(g, [src], method="dense")
         ref = np.array([emcore.free_space_green(p, src) @ ZHAT
                         for p in g.centers()])
         # the operator is the exact identity; the LU solve only adds roundoff
@@ -181,8 +181,8 @@ class TestSolveFields:
         src = np.array([0.0, 0.0, 0.5])
         for dims in ((2, 2, 2), (3, 4, 2), (5, 5, 5), (6, 6, 6)):
             g = random_grid(rng, dims)
-            fd = solve_fields(g, src, method="dense")
-            fi = solve_fields(g, src, method="iterative", rtol=1e-10)
+            [fd] = solve_fields(g, [src], method="dense")
+            [fi] = solve_fields(g, [src], method="iterative", rtol=1e-10)
             rel = np.max(np.abs(fd - fi)) / np.max(np.abs(fd))
             assert rel < 1e-6, f"dims={dims}: {rel}"
 
@@ -193,13 +193,13 @@ class TestSolveFields:
     def test_source_on_voxel_center_rejected(self):
         g = PermittivityGrid.vacuum((3, 3, 3), 0.05, origin=(0, 0, 0))
         with pytest.raises(CoincidentPointsError):
-            solve_fields(g, (0.05, 0.05, 0.05), method="dense")
+            solve_fields(g, [(0.05, 0.05, 0.05)], method="dense")
 
     def test_krylov_exhaustion_carries_residual(self, rng):
         from entcloak.errors import ConvergenceError
         g = random_grid(rng, (5, 5, 5), contrast=8.0, eps_max=9.0)
         with pytest.raises(ConvergenceError) as err:
-            solve_fields(g, (0, 0, 0.5), method="iterative",
+            solve_fields(g, [(0, 0, 0.5)], method="iterative",
                          rtol=1e-14, maxiter=1)
         assert err.value.residual is not None and err.value.residual > 0
 
@@ -219,10 +219,8 @@ class TestScatteredGreenPair:
             span = g.spacing * max(g.dims)
             r1 = np.array([0.0, 0.0, -0.6 * span - 0.05])
             r2 = np.array([0.02, 0.0, 0.6 * span + 0.07])
-            s1 = solve_green_block(g, r1, method="dense")
-            s2 = solve_green_block(g, r2, method="dense")
-            G12_a = s2.green_at(r1)
-            G12_b = s1.green_at(r2).T
+            G12_a = scattered_green_pair(g, r1, r2, method="dense")[2]
+            G12_b = scattered_green_pair(g, r2, r1, method="dense")[2].T
             assert np.max(np.abs(G12_a - G12_b)) / np.max(np.abs(G12_a)) < 1e-8
 
     @pytest.mark.parametrize("method", ["dense", "iterative"])
@@ -230,10 +228,9 @@ class TestScatteredGreenPair:
         g = random_grid(rng, (4, 3, 5))
         r1, r2 = np.array([0.0, 0.0, -0.4]), np.array([0.03, 0.0, 0.45])
         pair = solve_green_block(g, (r1, r2), method=method, rtol=1e-12)
-        for sol, r in zip(pair, (r1, r2)):
-            ref = solve_green_block(g, r, method=method, rtol=1e-12)
-            assert np.array_equal(sol.source, ref.source)
-            assert np.max(np.abs(sol.block - ref.block)) / np.max(np.abs(ref.block)) < 1e-10
+        for block, r in zip(pair, (r1, r2), strict=True):
+            [ref] = solve_green_block(g, [r], method=method, rtol=1e-12)
+            assert np.max(np.abs(block - ref)) / np.max(np.abs(ref)) < 1e-10
 
     @pytest.mark.parametrize("method", ["dense", "iterative"])
     def test_stacked_field_maps_match_single_solves(self, rng, method):
@@ -241,14 +238,25 @@ class TestScatteredGreenPair:
         r1, r2 = np.array([0.0, 0.0, -0.4]), np.array([0.03, 0.0, 0.45])
         pair = solve_fields(g, (r1, r2), method=method, rtol=1e-12)
         for f, r in zip(pair, (r1, r2), strict=True):
-            ref = solve_fields(g, r, method=method, rtol=1e-12)
+            [ref] = solve_fields(g, [r], method=method, rtol=1e-12)
             assert np.max(np.abs(f - ref)) / np.max(np.abs(ref)) < 1e-10
 
     def test_unknown_method_rejected(self):
         g = PermittivityGrid.vacuum((2, 2, 2), 0.03)
         for method in ("auto", "dens"):
             with pytest.raises(ValueError, match="iterative.*dense"):
-                solve_green_block(g, (0, 0, 0.4), method=method)
+                solve_green_block(g, [(0, 0, 0.4)], method=method)
+
+    @pytest.mark.parametrize("solve", [solve_fields, solve_green_block])
+    def test_bare_position_rejected(self, monkeypatch, solve):
+        # a bare 3-vector must not be read as three scalar sources
+        def no_solve(*args):
+            raise AssertionError("a bare position reached the solver")
+
+        monkeypatch.setattr(vie, "_solve_system", no_solve)
+        g = PermittivityGrid.vacuum((2, 2, 2), 0.03)
+        with pytest.raises(ValueError, match="sequence of positions"):
+            solve(g, (0.0, 0.0, 0.4), method="dense")
 
     def test_passivity_random_grids(self, rng):
         for _ in range(20):
