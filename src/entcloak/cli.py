@@ -45,6 +45,7 @@ row; the other points are still written and the sweep exits 0.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import warnings
@@ -110,17 +111,19 @@ class RunConfig:
     def __post_init__(self):
         if self.design is None:
             self.design = DesignConfig()
-        if not self.spacing > 0:
-            raise ConfigError("spacing must be positive")
+        # each range test is written so that nan and inf fail it
+        if not 0 < self.spacing < math.inf:
+            raise ConfigError("spacing must be positive and finite")
         if self.origin != "auto" and len(self.origin) != 3:
             raise ConfigError("origin must be 'auto' or three finite numbers x,y,z")
-        # each test is written so that nan fails it
-        if not self.d12 > 0:
-            raise ConfigError("d12 must be positive")
-        if len(self.d12_list) == 0 or any(not d > 0 for d in self.d12_list):
-            raise ConfigError("d12_list must be non-empty and positive")
-        if len(self.pump_list) == 0 or any(not p > 0 for p in self.pump_list):
-            raise ConfigError("pump_list must be non-empty and positive")
+        if not 0 < self.d12 < math.inf:
+            raise ConfigError("d12 must be positive and finite")
+        if len(self.d12_list) == 0 or any(not 0 < d < math.inf
+                                          for d in self.d12_list):
+            raise ConfigError("d12_list must be non-empty, positive and finite")
+        if len(self.pump_list) == 0 or any(not 0 < p < math.inf
+                                           for p in self.pump_list):
+            raise ConfigError("pump_list must be non-empty, positive and finite")
 
 
 def _parse_float(text):
@@ -326,6 +329,8 @@ def load_grid(csv_path, meta_path):
 
 def validate_meta(meta):
     """Keys, entry counts and bounds of META_SCHEMA (no dependency)."""
+    if not isinstance(meta, dict):
+        raise ConfigError(f"metadata must be a JSON object, got {type(meta).__name__}")
     for key in META_SCHEMA["required"]:
         if key not in meta:
             raise ConfigError(f"metadata missing required key {key!r}")

@@ -33,6 +33,8 @@ __all__ = [
     "vacuum_self_green",
     "project",
     "couplings_from_q",
+    "rates_from_q",
+    "is_physical",
     "couplings_from_green",
     "aligned_gamma12",
     "aligned_g12",
@@ -53,6 +55,10 @@ COINCIDENT_THRESHOLD = 1e-6
 
 #: Tolerance on the cross-spectral positivity bound |gamma12| <= sqrt(g11*g22).
 POSITIVITY_TOL = 1e-9
+
+#: 6 pi / K0, from Im q_ij to gamma_ij (a constant: the optimizer's
+#: candidate scorer converts every trial step).
+_RATE_PER_IM_Q = 6.0 * np.pi / K0
 
 
 def as_position(r):
@@ -89,19 +95,24 @@ class CouplingSet:
         return self.gamma22
 
     def validate(self):
-        """Raise SolverInconsistencyError if the set is unphysical."""
-        if not (self.gamma11 > 0 and self.gamma22 > 0):
+        """Raise SolverInconsistencyError, naming the rates, if the set
+        fails `is_physical`."""
+        if not is_physical(self.gamma11, self.gamma22, self.gamma12):
             raise SolverInconsistencyError(
-                f"decay rates must be positive, got gamma11={self.gamma11}, "
-                f"gamma22={self.gamma22}"
-            )
-        root = math.sqrt(self.gamma11 * self.gamma22)
-        if abs(self.gamma12) > root + POSITIVITY_TOL:
-            raise SolverInconsistencyError(
-                f"|gamma12|={abs(self.gamma12)} exceeds sqrt(gamma11*gamma22)="
-                f"{root} beyond tolerance"
+                f"unphysical rates gamma11={self.gamma11}, "
+                f"gamma22={self.gamma22}, gamma12={self.gamma12}: need "
+                "gamma11, gamma22 > 0 and |gamma12| <= sqrt(gamma11*gamma22) "
+                f"+ {POSITIVITY_TOL}"
             )
         return self
+
+
+def is_physical(gamma11, gamma22, gamma12):
+    """The positivity rule of a coupling set: positive decay rates and
+    the cross-spectral bound |gamma12| <= sqrt(gamma11 gamma22), within
+    POSITIVITY_TOL.  The one test against POSITIVITY_TOL; nan fails it."""
+    return (gamma11 > 0 and gamma22 > 0
+            and abs(gamma12) <= math.sqrt(gamma11 * gamma22) + POSITIVITY_TOL)
 
 
 def dyadic_green(disp):
@@ -177,21 +188,25 @@ def project(G):
     return complex(P_HAT.conj() @ np.asarray(G) @ P_HAT)
 
 
-def couplings_from_q(q11, q22, q12):
-    """Coupling rates from the P_HAT-projected Green's scalars.
+def rates_from_q(q11, q22, q12):
+    """(gamma11, gamma22, gamma12, g12) of the P_HAT-projected Green's
+    scalars: gamma_ij = (6 pi / K0) Im q_ij and g12 = (3 pi / K0) Re q12.
 
-    gamma_ij = (6 pi / K0) Im q_ij and g12 = (3 pi / K0) Re q12.  Only
-    the conversion: the CouplingSet is not validated here, so callers
-    validate it once (`couplings_from_green` does; the optimizer does so
-    through `quantum.MasterEqParams`).
+    The one implementation of the conversion, on plain numbers; the
+    rates are not checked here.
     """
-    pref = 6.0 * np.pi / K0
-    return CouplingSet(
-        gamma11=pref * q11.imag,
-        gamma22=pref * q22.imag,
-        gamma12=pref * q12.imag,
-        g12=0.5 * pref * q12.real,
-    )
+    pref = _RATE_PER_IM_Q
+    return pref * q11.imag, pref * q22.imag, pref * q12.imag, 0.5 * pref * q12.real
+
+
+def couplings_from_q(q11, q22, q12):
+    """The CouplingSet of `rates_from_q`, not validated: its callers
+    validate it once.  `couplings_from_green` calls `validate`;
+    `quantum.MasterEqParams` validates the set it is built from (the
+    optimizer's `compute_state`); the optimizer's candidate scorer applies
+    the same rule, `is_physical`, to the rates directly.
+    """
+    return CouplingSet(*rates_from_q(q11, q22, q12))
 
 
 def couplings_from_green(G11, G22, G12):

@@ -13,6 +13,11 @@ steady-state witness improves, apply the kept steps together, re-solve
 and verify that the accumulated perturbative estimate matches the
 re-solved scalars (the convergence identity).  Only the P_HAT
 orientation of each emitter is solved: the loop reads nothing else.
+Every trial step is scored by `score_q`, one function of the three
+scalars and the pump ratio on plain Python numbers: emcore's rate
+conversion and positivity rule, then quantum's scalar X-block kernels.
+It builds no CouplingSet, MasterEqParams or array; `compute_state`
+keeps the (4, 4) array path, whose state the design record holds.
 The sequential and frozen-reference modes share that one loop; they
 differ only in whether later orbits are scored against the running
 estimate or the iteration-start scalars.  The bound eps_max is the
@@ -29,15 +34,16 @@ non-decreasing.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quantum
 from .emcore import (K0, P_HAT, CouplingSet, as_position, couplings_from_q,
-                     dyadic_green, free_space_green, project,
-                     vacuum_self_green)
-from .errors import ConfigError, SolverInconsistencyError
+                     dyadic_green, free_space_green, is_physical, project,
+                     rates_from_q, vacuum_self_green)
+from .errors import ConfigError
 from .vie import KRYLOV_RTOL, SOLVER_METHODS, PermittivityGrid, solve_fields
 # unused here, kept because the benchmark tracer wraps optimizer.solve_green_block
 from .vie import solve_green_block  # noqa: F401
@@ -48,6 +54,7 @@ __all__ = [
     "DesignRecord",
     "born_delta_green",
     "pump_params",
+    "score_q",
     "evaluate_candidate",
     "sweep_once",
     "verify_convergence",
@@ -59,9 +66,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Witness of each design target (closed forms: steady states are X states).
+#: Witness of each design target (closed forms: steady states are X
+#: states): the array form for `compute_state`, and its scalar kernel,
+#: on (rho00, rho33, rho12), for the candidate scorer `score_q`.
 _WITNESSES = {"concurrence": quantum.concurrence,
               "negativity": quantum.negativity}
+_X_WITNESSES = {"concurrence": quantum.concurrence_x,
+                "negativity": quantum.negativity_x}
 _SWEEP_MODES = ("sequential", "frozen-reference")
 _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
 
@@ -103,8 +114,9 @@ class DesignConfig:
             raise ValueError("max_iterations must be non-negative")
         if not self.exclusion_radius >= 0:
             raise ValueError("exclusion_radius must be non-negative")
-        if not self.pump_ratio > 0:
-            raise ValueError("pump_ratio must be positive")
+        # the candidate scorer takes pump_ratio raw, so inf fails too
+        if not 0 < self.pump_ratio < math.inf:
+            raise ValueError("pump_ratio must be positive and finite")
         if self.target not in _WITNESSES:
             raise ValueError(f"target must be one of {tuple(_WITNESSES)}")
         if self.sweep_mode not in _SWEEP_MODES:
@@ -177,16 +189,22 @@ def pump_params(cs, pump_ratio):
     )
 
 
-def _score(q11, q22, q12, config):
-    """(witness value, CouplingSet, rho) of the P_HAT-projected Green's
-    scalars.
+def score_q(q11, q22, q12, pump_ratio, target):
+    """Witness `target` of the steady state of the P_HAT-projected Green's
+    scalars with the pump rule of `pump_params`, or None when the rates
+    fail emcore's `is_physical`.
 
-    Unphysical couplings raise emcore's SolverInconsistencyError, which
-    names the rate, from the one validation `pump_params` runs.
+    The one candidate scorer.  It runs on Python numbers and builds no
+    CouplingSet, MasterEqParams or array, through the kernels that
+    `compute_state`'s array path wraps, so both give the same value to
+    the bit.
     """
-    cs = couplings_from_q(q11, q22, q12)
-    rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
-    return _WITNESSES[config.target](rho), cs, rho
+    gamma11, gamma22, gamma12, g12 = rates_from_q(q11, q22, q12)
+    if not is_physical(gamma11, gamma22, gamma12):
+        return None
+    rho00, _, _, rho33, rho12 = quantum.x_block_steady_state(
+        gamma11, gamma22, gamma12, g12, pump_ratio * gamma11)
+    return _X_WITNESSES[target](rho00, rho33, rho12)
 
 
 @dataclass
@@ -230,7 +248,11 @@ def compute_state(grid, emitters, config):
     fields = solve_fields(grid, emitters, method=config.solver_method,
                           rtol=config.solver_rtol)
     q = _pair_scalars(grid, emitters, fields)
-    target_value, cs, rho = _score(*q.tolist(), config)
+    # unphysical couplings raise emcore's SolverInconsistencyError, which
+    # names the rates, from the validation of MasterEqParams
+    cs = couplings_from_q(*q.tolist())
+    rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
+    target_value = _WITNESSES[config.target](rho)
     s = np.stack([np.einsum("ka,ka->k", fields[i], fields[j])
                   for i, j in _PAIRS], axis=1)
     return IterationState(
@@ -244,17 +266,16 @@ def evaluate_candidate(state, voxel, delta_eps, config):
 
     Applies the first-Born update to all three scalars `state.q`
     through the voxel's field products `state.s`, renormalizes the
-    pump to P = pump_ratio * gamma11 of the candidate device, and solves
-    the steady state.  Returns (value, CouplingSet), or (None, None)
+    pump to P = pump_ratio * gamma11 of the candidate device, and scores
+    it with `score_q`.  Returns (value, CouplingSet), or (None, None)
     when the perturbed couplings leave the physical manifold.
     """
     dq = _born_dq(delta_eps, state.s[voxel], state.grid.voxel_volume).tolist()
     q = [x + d for x, d in zip(state.q.tolist(), dq)]
-    try:
-        value, cs, _ = _score(*q, config)
-    except SolverInconsistencyError:
+    value = score_q(*q, config.pump_ratio, config.target)
+    if value is None:
         return None, None
-    return value, cs
+    return value, couplings_from_q(*q)
 
 
 def sweep_once(state, config, delta_eps=None, orbits=None):
@@ -294,6 +315,7 @@ def sweep_once(state, config, delta_eps=None, orbits=None):
 
     q = state.q.tolist()
     current = state.target_value
+    pump_ratio, target = config.pump_ratio, config.target
     steps = np.zeros(grid.n_voxels)
     accepted = 0
     rejected_unphysical = 0
@@ -303,9 +325,8 @@ def sweep_once(state, config, delta_eps=None, orbits=None):
             if abs(step) < 1e-15:
                 continue
             trial_q = [x + dx for x, dx in zip(q, trial_dq[o])]
-            try:
-                value = _score(*trial_q, config)[0]
-            except SolverInconsistencyError:
+            value = score_q(*trial_q, pump_ratio, target)
+            if value is None:
                 rejected_unphysical += 1
                 continue
             if value - current <= config.tol_accept:

@@ -13,13 +13,16 @@ every other generator conserves excitation number, so the steady state
 is frame independent.
 
 Steady states of this model are X-type: the only surviving coherence is
-rho12 = <e1 g2| rho |g1 e2>.  `steady_state`, `concurrence` and
-`negativity` are closed forms of that structure, so the witnesses take
-X states only.  The general constructions take any state and are kept
-as independent oracles, cross-checked in the test suite and by
-`entcloak validate`: the 16x16 Liouvillian kernel (`steady_state_svd`),
-RK4 time propagation (`propagate_to_steady`), and the Wootters and
-partial-transpose witnesses.
+rho12 = <e1 g2| rho |g1 e2>.  The closed forms of that structure are
+scalar kernels on plain floats: `x_block_steady_state` (the populations
+and rho12 of the steady state), `concurrence_x` and `negativity_x`.
+`steady_state`, `concurrence` and `negativity` are their wrappers on
+(4, 4) arrays, so the witnesses take X states only.  The optimizer's
+candidate scorer calls the kernels directly.  The general constructions
+take any state and are kept as independent oracles, cross-checked in
+the test suite and by `entcloak validate`: the 16x16 Liouvillian kernel
+(`steady_state_svd`), RK4 time propagation (`propagate_to_steady`), and
+the Wootters and partial-transpose witnesses.
 """
 
 import math
@@ -33,11 +36,14 @@ from .errors import ConvergenceError, DegenerateSteadyStateError
 __all__ = [
     "MasterEqParams",
     "build_liouvillian",
+    "x_block_steady_state",
     "steady_state",
     "steady_state_svd",
     "propagate_to_steady",
+    "concurrence_x",
     "concurrence",
     "concurrence_wootters",
+    "negativity_x",
     "negativity",
     "negativity_partial_transpose",
     "linear_entropy",
@@ -138,8 +144,9 @@ def build_liouvillian(params):
 _KERNEL_RTOL = 1e-12
 
 
-def steady_state(params, check=True):
-    """Unique steady state of the master equation, as a (4, 4) array.
+def x_block_steady_state(gamma11, gamma22, gamma12, g12, P):
+    """(rho00, rho11, rho22, rho33, rho12) of the unique steady state, on
+    plain floats; the one implementation of the closed form.
 
     The Liouvillian leaves the X block (the four populations and rho12,
     rho21) invariant, so the steady state has a closed form.  With
@@ -155,8 +162,8 @@ def steady_state(params, check=True):
     and rho12 = [-P c (u - 2P) T - 2i P g (a - b) S^2] / D with
     D = n0 + n1 + n2 + n3.  D is homogeneous of degree 5 in the rates;
     when it is not above _KERNEL_RTOL * S^3 T the kernel may not be
-    unique and the SVD oracle `steady_state_svd` decides.  check=True
-    verifies the state and its residual against build_liouvillian.
+    unique and the SVD oracle `steady_state_svd` decides.  The rates must
+    obey emcore's positivity rule, with P >= 0.
 
     Raises
     ------
@@ -164,8 +171,7 @@ def steady_state(params, check=True):
         If the kernel dimension exceeds 1 (e.g. P = 0 with gamma12 =
         +/- gamma, which decouples a dark state).
     """
-    a, b, c, g, P = (float(x) for x in (params.gamma11, params.gamma22,
-                                         params.gamma12, params.g12, params.P))
+    a, b, c, g = gamma11, gamma22, gamma12, g12
     u = a + b
     d = a - b
     S = u + 2.0 * P
@@ -179,13 +185,32 @@ def steady_state(params, check=True):
           + 8.0 * P * g2 * (u * u + 4.0 * c * c) + 4.0 * g2 * u * d * d)
     D = n0 + n1 + n2 + n3
     if not D > _KERNEL_RTOL * S2 * S * T:
-        return steady_state_svd(params, check=check)
+        rho = steady_state_svd(MasterEqParams(a, b, c, g, P), check=False)
+        return (rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
+                rho[3, 3].real, complex(rho[1, 2]))
     rho12 = complex(-P * c * (u - 2.0 * P) * T, -2.0 * P * g * d * S2) / D
+    return n0 / D, n1 / D, n2 / D, n3 / D, rho12
+
+
+def steady_state(params, check=True):
+    """Unique steady state of the master equation, as a (4, 4) array.
+
+    The X state of `x_block_steady_state`.  check=True verifies the
+    state and its residual against build_liouvillian.
+
+    Raises
+    ------
+    DegenerateSteadyStateError
+        If the kernel dimension exceeds 1.
+    """
+    rho00, rho11, rho22, rho33, rho12 = x_block_steady_state(
+        *(float(x) for x in (params.gamma11, params.gamma22, params.gamma12,
+                             params.g12, params.P)))
     rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = n0 / D
-    rho[1, 1] = n1 / D
-    rho[2, 2] = n2 / D
-    rho[3, 3] = n3 / D
+    rho[0, 0] = rho00
+    rho[1, 1] = rho11
+    rho[2, 2] = rho22
+    rho[3, 3] = rho33
     rho[1, 2] = rho12
     rho[2, 1] = rho12.conjugate()
     if check:
@@ -299,17 +324,32 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
 # Witnesses
 # ---------------------------------------------------------------------------
 
-def concurrence(rho):
-    """Wootters concurrence of an X state, in closed form.
+def _x_entries(rho):
+    """(rho00, rho33, rho12) of a (4, 4) array, as Python numbers."""
+    return float(rho[0, 0].real), float(rho[3, 3].real), complex(rho[1, 2])
 
-    C = 2 max{0, |rho12| - sqrt(rho00 rho33)}.  Reads only the diagonal
-    and rho12, so `rho` must be an X state with the single coherence
-    rho12, as every steady state of this model is; `concurrence_wootters`
-    takes any state.
+
+def concurrence_x(rho00, rho33, rho12):
+    """Wootters concurrence of an X state from its populations rho00,
+    rho33 and its single coherence rho12, in closed form:
+
+        C = 2 max{0, |rho12| - sqrt(rho00 rho33)}.
     """
-    pops = max(rho[0, 0].real * rho[3, 3].real, 0.0)
-    val = 2.0 * (abs(rho[1, 2]) - math.sqrt(pops))
-    return max(0.0, float(val))
+    pops = rho00 * rho33
+    if pops < 0.0:
+        pops = 0.0
+    val = 2.0 * (abs(rho12) - math.sqrt(pops))
+    return val if val > 0.0 else 0.0
+
+
+def concurrence(rho):
+    """`concurrence_x` of the (4, 4) array `rho`.
+
+    Reads only the diagonal and rho12, so `rho` must be an X state with
+    the single coherence rho12, as every steady state of this model is;
+    `concurrence_wootters` takes any state.
+    """
+    return concurrence_x(*_x_entries(rho))
 
 
 _SY2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
@@ -327,17 +367,25 @@ def concurrence_wootters(rho):
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def negativity(rho):
-    """Negativity of an X state, in closed form.
+def negativity_x(rho00, rho33, rho12):
+    """Negativity of an X state from its populations rho00, rho33 and its
+    single coherence rho12, in closed form:
 
-    N = max{0, sqrt((rho00 - rho33)^2 + 4 |rho12|^2) - (rho00 + rho33)}.
+        N = max{0, sqrt((rho00 - rho33)^2 + 4 |rho12|^2) - (rho00 + rho33)}.
+    """
+    val = (math.sqrt((rho00 - rho33) ** 2 + 4.0 * abs(rho12) ** 2)
+           - (rho00 + rho33))
+    return val if val > 0.0 else 0.0
+
+
+def negativity(rho):
+    """`negativity_x` of the (4, 4) array `rho`.
+
     Reads only the diagonal and rho12, so `rho` must be an X state with
     the single coherence rho12, as every steady state of this model is;
     `negativity_partial_transpose` takes any state.
     """
-    a, d = rho[0, 0].real, rho[3, 3].real
-    val = math.sqrt((a - d) ** 2 + 4.0 * abs(rho[1, 2]) ** 2) - (a + d)
-    return max(0.0, float(val))
+    return negativity_x(*_x_entries(rho))
 
 
 def negativity_partial_transpose(rho):

@@ -411,6 +411,37 @@ def check_design_run_invariants(rng):
                 f"Purcell asymmetry {purcell_gap:.1e} (tol 1e-6)")
 
 
+def check_scalar_scorer_vs_oracles(rng):
+    """The sweep's scalar scorer `score_q` against the 16x16 SVD steady
+    state and the general witnesses (Wootters, partial transpose) on
+    2000 random physical coupling sets, each scored under both targets,
+    and None on 200 sets beyond the positivity bound."""
+    oracles = {"concurrence": quantum.concurrence_wootters,
+               "negativity": quantum.negativity_partial_transpose}
+    worst = 0.0
+    rejected = 0
+    for n in range(2_200):
+        physical = n < 2_000
+        im11, im22 = rng.uniform(0.05, 0.7, 2)
+        s = (rng.uniform(-0.999, 0.999) if physical
+             else rng.choice((-1.0, 1.0)) * rng.uniform(1.001, 1.1))
+        q = (complex(rng.normal(), im11), complex(rng.normal(), im22),
+             complex(rng.uniform(-0.7, 0.7), s * np.sqrt(im11 * im22)))
+        ratio = 10.0 ** rng.uniform(-3.0, 0.0)
+        if not physical:
+            rejected += all(optimizer.score_q(*q, ratio, t) is None
+                            for t in oracles)
+            continue
+        params = optimizer.pump_params(emcore.couplings_from_q(*q), ratio)
+        rho = quantum.steady_state_svd(params, check=False)
+        for target, witness in oracles.items():
+            worst = max(worst, abs(optimizer.score_q(*q, ratio, target)
+                                   - witness(rho)))
+    ok = worst <= 1e-10 and rejected == 200
+    return ok, (f"max witness gap {worst:.1e} (tol 1e-10) on 2000 sets x 2 "
+                f"targets; {rejected}/200 sets beyond the bound scored None")
+
+
 CHECKS = [
     ("emcore/aligned-closed-forms", check_aligned_closed_forms),
     ("emcore/transposition-reciprocity", check_green_reciprocity),
@@ -432,6 +463,7 @@ CHECKS = [
     ("optimizer/born-linearity", check_born_linearity),
     ("optimizer/one-voxel-convergence-identity", check_one_voxel_convergence),
     ("optimizer/projected-scalars-vs-oracle", check_projected_scalars_vs_oracle),
+    ("optimizer/scalar-scorer-vs-oracles", check_scalar_scorer_vs_oracles),
     ("optimizer/frozen-reference-order-independence",
      check_frozen_reference_order_independence),
     ("optimizer/design-run-invariants", check_design_run_invariants),

@@ -85,10 +85,23 @@ class TestConfigParsing:
         ("d12", float("nan")),
         ("d12_list", (0.25, float("nan"))),
         ("pump_list", (float("nan"),)),
-    ], ids=["spacing", "d12", "d12_list", "pump_list"])
+        ("spacing", float("inf")),
+        ("d12", float("inf")),
+        ("d12_list", (float("inf"),)),
+        ("pump_list", (0.005, float("inf"))),
+    ], ids=["spacing", "d12", "d12_list", "pump_list", "spacing-inf",
+            "d12-inf", "d12_list-inf", "pump_list-inf"])
     def test_nan_range_rejected(self, field, value):
+        # a RunConfig built directly, not parsed: nan and inf both fail
         with pytest.raises(ConfigError):
             cli.RunConfig(**{field: value})
+
+    # the list holds every required key, so each `key in meta` test passes
+    @pytest.mark.parametrize("meta", [5, list(cli.META_SCHEMA["required"])],
+                             ids=["int", "list"])
+    def test_meta_not_an_object_rejected(self, meta):
+        with pytest.raises(ConfigError, match="JSON object"):
+            cli.validate_meta(meta)
 
     def test_logspace_lists(self, tmp_path):
         path = write_config(tmp_path, "d12_list = logspace:0.1,1.0,3\n")

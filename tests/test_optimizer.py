@@ -11,15 +11,17 @@ from entcloak.emcore import (
     free_space_green,
     project,
 )
-from entcloak.errors import SolverInconsistencyError
+from entcloak.errors import DegenerateSteadyStateError, SolverInconsistencyError
 from entcloak.optimizer import (
     DesignConfig,
+    _WITNESSES,
     born_delta_green,
     compute_state,
     evaluate_candidate,
     freeze_exclusion_zone,
     optimize,
     pump_params,
+    score_q,
     sweep_once,
     verify_convergence,
     _born_dq,
@@ -89,8 +91,8 @@ class TestPumpParams:
     ])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_set_on_the_emcore_positivity_bound_builds(self, gammas, sign):
-        # candidate scoring catches only emcore's SolverInconsistencyError,
-        # so every set emcore accepts must also build MasterEqParams, and
+        # the candidate scorer and MasterEqParams apply the one emcore
+        # rule: every set emcore accepts also builds MasterEqParams, and
         # MasterEqParams rejects a set just beyond the bound the same way
         g11, g22, excess = gammas
         g12 = sign * (np.sqrt(g11 * g22) + POSITIVITY_TOL + excess)
@@ -101,6 +103,97 @@ class TestPumpParams:
         cs = CouplingSet(g11, g22, g12, 0.1).validate()
         params = pump_params(cs, 5e-3)
         assert (params.gamma12, params.P) == (g12, 5e-3 * g11)
+
+
+def array_path_score(q, pump_ratio, target):
+    """The candidate score through CouplingSet, MasterEqParams and the
+    (4, 4) steady state; None where the coupling set fails validation."""
+    try:
+        params = pump_params(couplings_from_q(*q), pump_ratio)
+    except SolverInconsistencyError:
+        return None
+    return _WITNESSES[target](quantum.steady_state(params, check=False))
+
+
+class TestScoreQ:
+    def _random_q(self, rng, n):
+        """n random (q11, q22, q12) of Python complex numbers whose
+        gamma12 lies inside, on (within POSITIVITY_TOL either side) or
+        beyond the positivity bound, some with a non-positive gamma11
+        or gamma22."""
+        out = []
+        for k in range(n):
+            im11, im22 = rng.uniform(0.01, 1.0, 2)
+            if k % 10 == 0:
+                im11, im22 = (-im11, im22) if k % 20 else (im11, 0.0)
+            bound = np.sqrt(abs(im11 * im22))
+            kind = k % 4
+            if kind == 0:
+                im12 = rng.uniform(-1.0, 1.0) * bound
+            elif kind == 1:
+                # gamma12 = 3 Im q12: within a few POSITIVITY_TOL of the bound
+                im12 = bound + rng.uniform(-3.0, 3.0) * POSITIVITY_TOL / 3.0
+            elif kind == 2:
+                im12 = bound
+            else:
+                im12 = rng.uniform(1.0, 1.5) * bound
+            im12 *= rng.choice((-1.0, 1.0))
+            out.append((complex(rng.normal(), im11), complex(rng.normal(), im22),
+                        complex(rng.uniform(-1.0, 1.0), im12)))
+        return out
+
+    @pytest.mark.parametrize("target", ["concurrence", "negativity"])
+    def test_equals_the_array_path_bitwise(self, rng, target):
+        triples = self._random_q(rng, 10_000)
+        ratios = 10.0 ** rng.uniform(-4.0, 0.0, len(triples))
+        outcomes = {"none": 0, "value": 0}
+        for q, ratio in zip(triples, ratios.tolist()):
+            got = score_q(*q, ratio, target)
+            expect = array_path_score(q, ratio, target)
+            # None exactly where CouplingSet.validate raises
+            try:
+                couplings_from_q(*q).validate()
+                assert got is not None, q
+            except SolverInconsistencyError:
+                assert got is None, q
+            assert got == expect and type(got) is type(expect), q
+            outcomes["none" if got is None else "value"] += 1
+        # both sides of the bound are exercised
+        assert min(outcomes.values()) > 1_000
+
+    @pytest.mark.parametrize("target", ["concurrence", "negativity"])
+    def test_degenerate_d_takes_the_svd_fallback(self, monkeypatch, target):
+        # gamma11 = gamma22 = 1 with gamma12 on the bound (inside
+        # POSITIVITY_TOL): at P = 5.0005e-10 the closed form's
+        # denominator D falls below _KERNEL_RTOL * S^3 T, while the
+        # Liouvillian kernel is still one-dimensional
+        svd_calls = count_calls(monkeypatch, quantum, "steady_state_svd")
+        q = (1j / 3, 1j / 3, 1j * (1.0 + POSITIVITY_TOL) / 3)
+        got = score_q(*q, 5.0005e-10, target)
+        assert len(svd_calls) == 1
+        assert got == array_path_score(q, 5.0005e-10, target)
+        # on the exact bound at a tinier pump the kernel is degenerate,
+        # and both paths raise through the same fallback
+        q = (1j / 3, 1j / 3, 1j / 3)
+        with pytest.raises(DegenerateSteadyStateError):
+            score_q(*q, 1e-13, target)
+        with pytest.raises(DegenerateSteadyStateError):
+            array_path_score(q, 1e-13, target)
+
+    def test_one_call_per_scored_candidate(self, monkeypatch):
+        # bidirectional sweep of a 6^3 map half at eps = 2: 266 candidate
+        # steps of both signs are scored, as many as the steady states
+        # solved when each candidate built a CouplingSet, a
+        # MasterEqParams and a (4, 4) state
+        grid, emitters, cfg = toy(bidirectional=True, exclusion_radius=1.0)
+        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        grid.eps[~grid.frozen & (grid.centers()[:, 0] > 0)] = 2.0
+        st = compute_state(grid, emitters, cfg)
+        from entcloak import optimizer
+        calls = count_calls(monkeypatch, optimizer, "score_q")
+        states = count_calls(monkeypatch, quantum, "steady_state")
+        _, _, accepted = sweep_once(st, cfg)
+        assert (len(calls), accepted, len(states)) == (266, 176, 0)
 
 
 def filled_toy(rng, **cfg_kw):
@@ -470,6 +563,11 @@ class TestOptimize:
     def test_nan_knob_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             DesignConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["pump_ratio"])
+    def test_inf_knob_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            DesignConfig(**{field: float("inf")})
 
     def test_negativity_target_improves_negativity(self):
         grid, emitters, cfg = toy(dims=(6, 6, 6), target="negativity",
