@@ -26,7 +26,6 @@ from .optimizer import (
     DesignConfig,
     DesignRecord,
     born_delta_green,
-    evaluate_candidate,
     optimize,
     sweep_once,
     verify_convergence,
@@ -71,7 +70,6 @@ __all__ = [
     "DesignConfig",
     "DesignRecord",
     "born_delta_green",
-    "evaluate_candidate",
     "optimize",
     "sweep_once",
     "verify_convergence",

@@ -336,6 +336,10 @@ def validate_meta(meta):
             raise ConfigError(f"metadata missing required key {key!r}")
     if meta["format_version"] != 1:
         raise ConfigError(f"unsupported format_version {meta['format_version']}")
+    for key in ("dims", "origin", "emitters"):
+        if not isinstance(meta[key], list):
+            raise ConfigError(f"{key} must be a JSON array, got "
+                              f"{type(meta[key]).__name__}")
     if len(meta["dims"]) != 3 or len(meta["origin"]) != 3:
         raise ConfigError("dims and origin must have 3 entries")
     if not all(type(n) is int and n >= 1 for n in meta["dims"]):
@@ -421,7 +425,7 @@ def _sweep_point(args):
     grid, emitters = build_grid(cfg, d12=d12)
     record = optimize(grid, emitters, design)
     cs = record.entries[-1].couplings
-    rho = record.final_rho
+    rho = quantum.steady_state(pump_params(cs, pump))
     C, N, SL = _witness_triple(rho)
     rho0 = quantum.steady_state(pump_params(record.entries[0].couplings, pump))
     C0, N0, SL0 = _witness_triple(rho0)

@@ -201,10 +201,9 @@ def rates_from_q(q11, q22, q12):
 
 def couplings_from_q(q11, q22, q12):
     """The CouplingSet of `rates_from_q`, not validated: its callers
-    validate it once.  `couplings_from_green` calls `validate`;
-    `quantum.MasterEqParams` validates the set it is built from (the
-    optimizer's `compute_state`); the optimizer's candidate scorer applies
-    the same rule, `is_physical`, to the rates directly.
+    validate it once.  `couplings_from_green` and the optimizer's
+    `compute_state` call `validate`; the optimizer's scorer `score_q`
+    applies the same rule, `is_physical`, to the rates directly.
     """
     return CouplingSet(*rates_from_q(q11, q22, q12))
 

@@ -13,11 +13,11 @@ steady-state witness improves, apply the kept steps together, re-solve
 and verify that the accumulated perturbative estimate matches the
 re-solved scalars (the convergence identity).  Only the P_HAT
 orientation of each emitter is solved: the loop reads nothing else.
-Every trial step is scored by `score_q`, one function of the three
-scalars and the pump ratio on plain Python numbers: emcore's rate
-conversion and positivity rule, then quantum's scalar X-block kernels.
-It builds no CouplingSet, MasterEqParams or array; `compute_state`
-keeps the (4, 4) array path, whose state the design record holds.
+Every witness of the loop, of each trial step and of each re-solved
+state, is scored by `score_q`, one function of the three scalars and
+the pump ratio on plain Python numbers: emcore's rate conversion and
+positivity rule, then quantum's scalar X-block kernels.  It builds no
+CouplingSet, MasterEqParams or array.
 The sequential and frozen-reference modes share that one loop; they
 differ only in whether later orbits are scored against the running
 estimate or the iteration-start scalars.  The bound eps_max is the
@@ -55,7 +55,6 @@ __all__ = [
     "born_delta_green",
     "pump_params",
     "score_q",
-    "evaluate_candidate",
     "sweep_once",
     "verify_convergence",
     "optimize",
@@ -66,13 +65,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Witness of each design target (closed forms: steady states are X
-#: states): the array form for `compute_state`, and its scalar kernel,
-#: on (rho00, rho33, rho12), for the candidate scorer `score_q`.
-_WITNESSES = {"concurrence": quantum.concurrence,
-              "negativity": quantum.negativity}
-_X_WITNESSES = {"concurrence": quantum.concurrence_x,
-                "negativity": quantum.negativity_x}
+#: Witness of each design target, as the closed-form kernel on
+#: (rho00, rho33, rho12) of the X-type steady state, for `score_q`.
+_WITNESSES = {"concurrence": quantum.concurrence_x,
+              "negativity": quantum.negativity_x}
 _SWEEP_MODES = ("sequential", "frozen-reference")
 _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
 
@@ -147,7 +143,6 @@ class DesignRecord:
 
     entries: list
     final_grid: PermittivityGrid
-    final_rho: np.ndarray
     target: str
     emitters: tuple
 
@@ -194,17 +189,16 @@ def score_q(q11, q22, q12, pump_ratio, target):
     scalars with the pump rule of `pump_params`, or None when the rates
     fail emcore's `is_physical`.
 
-    The one candidate scorer.  It runs on Python numbers and builds no
-    CouplingSet, MasterEqParams or array, through the kernels that
-    `compute_state`'s array path wraps, so both give the same value to
-    the bit.
+    The one witness evaluation of the loop, for trial steps and
+    re-solved states alike.  It runs on Python numbers and builds no
+    CouplingSet, MasterEqParams or array.
     """
     gamma11, gamma22, gamma12, g12 = rates_from_q(q11, q22, q12)
     if not is_physical(gamma11, gamma22, gamma12):
         return None
     rho00, _, _, rho33, rho12 = quantum.x_block_steady_state(
         gamma11, gamma22, gamma12, g12, pump_ratio * gamma11)
-    return _X_WITNESSES[target](rho00, rho33, rho12)
+    return _WITNESSES[target](rho00, rho33, rho12)
 
 
 @dataclass
@@ -217,7 +211,6 @@ class IterationState:
     s: np.ndarray          # (N, 3) products f_i[k] . f_j[k], no conjugation
     couplings: CouplingSet
     target_value: float
-    rho: np.ndarray
 
 
 def _pair_scalars(grid, emitters, fields):
@@ -249,33 +242,15 @@ def compute_state(grid, emitters, config):
                           rtol=config.solver_rtol)
     q = _pair_scalars(grid, emitters, fields)
     # unphysical couplings raise emcore's SolverInconsistencyError, which
-    # names the rates, from the validation of MasterEqParams
-    cs = couplings_from_q(*q.tolist())
-    rho = quantum.steady_state(pump_params(cs, config.pump_ratio), check=False)
-    target_value = _WITNESSES[config.target](rho)
+    # names the rates, so score_q below never returns None
+    cs = couplings_from_q(*q.tolist()).validate()
+    target_value = score_q(*q.tolist(), config.pump_ratio, config.target)
     s = np.stack([np.einsum("ka,ka->k", fields[i], fields[j])
                   for i, j in _PAIRS], axis=1)
     return IterationState(
         grid=grid, emitters=emitters, q=q, s=s, couplings=cs,
-        target_value=target_value, rho=rho,
+        target_value=target_value,
     )
-
-
-def evaluate_candidate(state, voxel, delta_eps, config):
-    """Witness value if voxel `voxel` of state.grid gained delta_eps.
-
-    Applies the first-Born update to all three scalars `state.q`
-    through the voxel's field products `state.s`, renormalizes the
-    pump to P = pump_ratio * gamma11 of the candidate device, and scores
-    it with `score_q`.  Returns (value, CouplingSet), or (None, None)
-    when the perturbed couplings leave the physical manifold.
-    """
-    dq = _born_dq(delta_eps, state.s[voxel], state.grid.voxel_volume).tolist()
-    q = [x + d for x, d in zip(state.q.tolist(), dq)]
-    value = score_q(*q, config.pump_ratio, config.target)
-    if value is None:
-        return None, None
-    return value, couplings_from_q(*q)
 
 
 def sweep_once(state, config, delta_eps=None, orbits=None):
@@ -498,5 +473,5 @@ def optimize(grid0, emitters, config):
         if gain < config.tol_accept:
             break
 
-    return DesignRecord(entries=entries, final_grid=grid, final_rho=state.rho,
+    return DesignRecord(entries=entries, final_grid=grid,
                         target=config.target, emitters=state.emitters)

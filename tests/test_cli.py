@@ -103,6 +103,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="JSON object"):
             cli.validate_meta(meta)
 
+    @pytest.mark.parametrize("key", ["dims", "origin", "emitters"])
+    def test_meta_array_key_not_a_list_rejected(self, key):
+        meta = {"format_version": 1, "dims": [4, 4, 4], "spacing": 0.0625,
+                "origin": [0.0, 0.0, 0.0], "emitters": [[0.0] * 3, [0.1] * 3],
+                "lambda0": 1.0, "eps_max": 9.0}
+        cli.validate_meta(meta)
+        with pytest.raises(ConfigError, match=f"{key} must be a JSON array"):
+            cli.validate_meta({**meta, key: 5})
+
     def test_logspace_lists(self, tmp_path):
         path = write_config(tmp_path, "d12_list = logspace:0.1,1.0,3\n")
         cfg = cli.parse_config(path)
@@ -378,6 +387,22 @@ class TestSweepCommand:
             1.0, 1.0, aligned_gamma12(0.25), aligned_g12(0.25), 0.005)
         c0 = quantum.concurrence(quantum.steady_state(params))
         assert float(row["C0"]) == pytest.approx(c0, abs=1e-9)
+
+    def test_final_columns_are_the_last_trace_row(self, tmp_path):
+        # the sweep rebuilds the final state from the last recorded
+        # couplings; it must give the value the loop recorded, to the bit
+        text = TINY_CONFIG + "d12_list = 0.25\npump_list = 0.005\n"
+        cfg_path = write_config(tmp_path, text, name="sweep1.cfg")
+        assert cli.main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "sweep")]) == 0
+        assert cli.main(["optimize", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "design")]) == 0
+        row = read_csv(tmp_path / "sweep" / "sweep.csv")[0]
+        last = read_csv(tmp_path / "design" / "trace.csv")[-1]
+        assert int(last["n"]) > 0
+        assert row["C"] == last["target_value"]
+        for key in ("gamma12_over_gamma", "g12_over_gamma", "purcell"):
+            assert row[key] == last[key], key
 
     def test_failed_points_recorded_and_run_continues(self, tmp_path):
         # d12 = 0.1875 puts an emitter exactly on a voxel center plane of

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,10 +12,8 @@ from entcloak.emcore import (
 from entcloak.errors import DegenerateSteadyStateError, SolverInconsistencyError
 from entcloak.optimizer import (
     DesignConfig,
-    _WITNESSES,
     born_delta_green,
     compute_state,
-    evaluate_candidate,
     freeze_exclusion_zone,
     optimize,
     pump_params,
@@ -105,6 +101,12 @@ class TestPumpParams:
         assert (params.gamma12, params.P) == (g12, 5e-3 * g11)
 
 
+#: The witnesses of (4, 4) states, kept apart from the optimizer's
+#: scalar table so that `array_path_score` is an independent path
+ARRAY_WITNESSES = {"concurrence": quantum.concurrence,
+                   "negativity": quantum.negativity}
+
+
 def array_path_score(q, pump_ratio, target):
     """The candidate score through CouplingSet, MasterEqParams and the
     (4, 4) steady state; None where the coupling set fails validation."""
@@ -112,7 +114,14 @@ def array_path_score(q, pump_ratio, target):
         params = pump_params(couplings_from_q(*q), pump_ratio)
     except SolverInconsistencyError:
         return None
-    return _WITNESSES[target](quantum.steady_state(params, check=False))
+    return ARRAY_WITNESSES[target](quantum.steady_state(params, check=False))
+
+
+def born_step_q(state, voxel, delta_eps):
+    """`state.q` after the first-Born update of voxel `voxel` by
+    delta_eps, as the Python complex numbers `score_q` takes."""
+    dq = _born_dq(delta_eps, state.s[voxel], state.grid.voxel_volume)
+    return (state.q + dq).tolist()
 
 
 class TestScoreQ:
@@ -270,15 +279,35 @@ class TestComputeState:
         with pytest.raises(SolverInconsistencyError, match="gamma11=-"):
             compute_state(grid, emitters, cfg)
 
+    @pytest.mark.parametrize("target", ["concurrence", "negativity"])
+    def test_target_value_is_the_score_of_q(self, rng, target):
+        # the state's witness and every candidate's come from one scorer
+        grid, emitters, cfg = filled_toy(rng, target=target)
+        st = compute_state(grid, emitters, cfg)
+        expect = score_q(*st.q.tolist(), cfg.pump_ratio, target)
+        assert st.target_value == expect and type(expect) is float
+
+    def test_design_loop_builds_no_array_steady_state(self, monkeypatch):
+        def no_array_state(*args, **kwargs):
+            raise AssertionError("quantum.steady_state called in the loop")
+
+        monkeypatch.setattr(quantum, "steady_state", no_array_state)
+        grid, emitters, cfg = toy(dims=(4, 4, 4), max_iterations=2,
+                                  exclusion_radius=1.0)
+        rec = optimize(grid, emitters, cfg)
+        assert len(rec.entries) > 1
+
 
 class TestEvaluateCandidate:
+    """One candidate voxel step, scored by `score_q` on its first-Born q."""
+
     def test_zero_increment_returns_current(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
         st = compute_state(grid, emitters, cfg)
-        value, cs = evaluate_candidate(st, voxel=7, delta_eps=0.0, config=cfg)
-        assert value == pytest.approx(st.target_value, abs=1e-14)
-        assert cs.gamma12 == pytest.approx(st.couplings.gamma12, rel=1e-12)
+        q = born_step_q(st, voxel=7, delta_eps=0.0)
+        assert score_q(*q, cfg.pump_ratio, cfg.target) == st.target_value
+        assert couplings_from_q(*q) == st.couplings
 
     @pytest.mark.parametrize("d12", [0.25, 0.5])
     def test_matches_brute_force_pipeline(self, d12):
@@ -288,8 +317,8 @@ class TestEvaluateCandidate:
         st = compute_state(grid, emitters, cfg)
         free = np.nonzero(~grid.frozen)[0]
         for kidx in free[:: max(1, len(free) // 5)][:5]:
-            value, _ = evaluate_candidate(st, voxel=int(kidx), delta_eps=0.05,
-                                          config=cfg)
+            value = score_q(*born_step_q(st, int(kidx), 0.05), cfg.pump_ratio,
+                            cfg.target)
             g2 = grid.copy()
             g2.eps[kidx] += 0.05
             G11, G22, G12 = scattered_green_pair(g2, *emitters, method="dense")
@@ -310,10 +339,12 @@ class TestEvaluateCandidate:
         # the delta_eps that takes Im q11 to minus its current value
         q11 = st.q[0]
         delta_eps = -2 * q11.imag / (K**2 * grid.voxel_volume * s11[kidx].imag)
-        assert evaluate_candidate(st, kidx, delta_eps, cfg) == (None, None)
+        q = born_step_q(st, kidx, delta_eps)
+        assert score_q(*q, cfg.pump_ratio, cfg.target) is None
         # a quarter of that step only halves gamma11 and is scored
-        value, cs = evaluate_candidate(st, kidx, delta_eps / 4, cfg)
-        assert value is not None and cs.gamma11 > 0
+        q = born_step_q(st, kidx, delta_eps / 4)
+        assert score_q(*q, cfg.pump_ratio, cfg.target) is not None
+        assert couplings_from_q(*q).gamma11 > 0
 
     def test_frozen_voxels_never_swept(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
@@ -361,11 +392,11 @@ class TestSweepOnce:
         current = st.target_value
         accepted_hand = []
         for kidx in _symmetry_orbits(hand, cfg, emitters)[:, 0]:
-            value, _ = evaluate_candidate(replace(st, q=q), kidx,
-                                          cfg.delta_eps, cfg)
+            trial = q + _born_dq(cfg.delta_eps, st.s[kidx], hand.voxel_volume)
+            value = score_q(*trial.tolist(), cfg.pump_ratio, cfg.target)
             if value is None or value - current <= cfg.tol_accept:
                 continue
-            q = q + _born_dq(cfg.delta_eps, st.s[kidx], hand.voxel_volume)
+            q = trial
             current = value
             hand.eps[kidx] += cfg.delta_eps
             accepted_hand.append(kidx)
@@ -386,8 +417,8 @@ class TestSweepOnce:
         # the victim is the voxel whose +delta_eps first-Born score is
         # lowest, so extra dielectric there is harmful by construction
         def plus_score(kidx):
-            value, _ = evaluate_candidate(good_state, int(kidx), cfg.delta_eps,
-                                          cfg)
+            value = score_q(*born_step_q(good_state, int(kidx), cfg.delta_eps),
+                            cfg.pump_ratio, cfg.target)
             return np.inf if value is None else value
 
         victim = int(min(free, key=plus_score))
