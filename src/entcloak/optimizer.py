@@ -40,11 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .emcore import (K0, P_HAT, CouplingSet, as_position, couplings_from_q,
-                     dyadic_green, free_space_green, is_physical, project,
-                     rates_from_q, vacuum_self_green)
+from .emcore import (K0, CouplingSet, as_position, couplings_from_q,
+                     free_space_green, is_physical, project, rates_from_q,
+                     vacuum_self_green)
 from .errors import ConfigError
-from .vie import KRYLOV_RTOL, SOLVER_METHODS, PermittivityGrid, solve_fields
+from .vie import (KRYLOV_RTOL, SOLVER_METHODS, PermittivityGrid,
+                  _fields_and_incident)
 # unused here, kept because the benchmark tracer wraps optimizer.solve_green_block
 from .vie import solve_green_block  # noqa: F401
 
@@ -213,24 +214,24 @@ class IterationState:
     target_value: float
 
 
-def _pair_scalars(grid, emitters, fields):
+def _pair_scalars(grid, emitters, fields, incident):
     """P_HAT-projected Green's scalars (q11, q22, q12) of the emitter
     field maps `fields`, by reciprocity:
 
         q_ij = p.G0(r_i, r_j).p + K0^2 dV sum_k chi_k (G0(r_k, r_i) p).f_j[k]
 
     with p = P_HAT and, for i = j, the vacuum self term
-    p.vacuum_self_green().p in place of G0.
+    p.vacuum_self_green().p in place of G0.  `incident[i]` is the
+    solve's right-hand side, the (N, 3) map G0(r_k, r_i) p.
     """
     chi = grid.chi()
     active = np.flatnonzero(chi)
-    pts = grid.centers()[active]
-    incident = [dyadic_green(pts - r) @ P_HAT for r in emitters]
     weighted = [(chi[active] * grid.voxel_volume)[:, None] * f[active]
                 for f in fields]
     q_self = project(vacuum_self_green())
     q_vac = (q_self, q_self, project(free_space_green(*emitters)))
-    return np.array([q0 + K0**2 * np.einsum("ka,ka->", incident[i], weighted[j])
+    return np.array([q0 + K0**2 * np.einsum("ka,ka->", incident[i][active],
+                                            weighted[j])
                      for q0, (i, j) in zip(q_vac, _PAIRS)])
 
 
@@ -238,9 +239,10 @@ def compute_state(grid, emitters, config):
     """P_HAT field solve at the current map plus everything the sweep
     consumes: two right-hand sides, one per emitter."""
     emitters = tuple(as_position(r) for r in emitters)
-    fields = solve_fields(grid, emitters, method=config.solver_method,
-                          rtol=config.solver_rtol)
-    q = _pair_scalars(grid, emitters, fields)
+    fields, incident = _fields_and_incident(grid, emitters,
+                                            config.solver_method,
+                                            config.solver_rtol)
+    q = _pair_scalars(grid, emitters, fields, incident)
     # unphysical couplings raise emcore's SolverInconsistencyError, which
     # names the rates, so score_q below never returns None
     cs = couplings_from_q(*q.tolist()).validate()

@@ -20,6 +20,13 @@ the emcore.P_HAT orientation of each, the design loop's solve.
 re-radiates those blocks into a pair's (G11, G22, G12): the oracle that
 `validate` and the tests check the loop's projected scalars against.
 
+The solver needs numpy alone.  The iterative path (the default) applies
+the operator by FFT on the zero-padded grid, the three field components
+stacked into each transform call, and solves with the module's own
+`bicgstab`; on an all-vacuum map the operator is the identity, and the
+right-hand sides come back without a Krylov solve.  The dense path (an
+LU of the assembled operator) is the oracle.
+
 The self term m = -1/(3 k^2) + (2/(3 k^2)) [(1 - i k a) e^{i k a} - 1],
 with a the radius of the sphere of volume dV, carries the static
 depolarization (Clausius-Mossotti limit) plus the finite-size radiative
@@ -31,8 +38,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .emcore import (COINCIDENT_THRESHOLD, K0, P_HAT, as_position,
                      dyadic_green, free_space_green, vacuum_self_green)
@@ -181,16 +186,19 @@ class _FftInteraction:
     """Block-Toeplitz application of the off-diagonal G0 coupling via FFT.
 
     The lag kernel lives on the (2nx, 2ny, 2nz) circulant embedding;
-    `khat` holds the transforms of its 6 symmetric components.  `apply`
-    pads and transforms one axis at a time, so no 1-D transform runs
-    over a line that is all zero padding: forward, each weight component
-    is padded and transformed along x to 2nx, then y to 2ny, then z to
-    2nz; inverse, x is transformed first and cropped to nx, then y
-    (cropped to ny), then z (cropped to nz).  On an n^3 grid that is
-    14 n^3 instead of 24 n^3 transformed points per component and
-    direction.  The axes go in the order of a full `fftn`, so on grids
-    whose padded extents are powers of two every kept value is bitwise
-    the one the full transform gives.
+    `khat` holds the transforms of its 6 symmetric components, each
+    taken one axis at a time in x, y, z order (`np.fft.fftn` walks the
+    axes in another order, which is not bitwise the same transform).
+    `apply` pads and transforms one axis at a time, so no 1-D transform
+    runs over a line that is all zero padding: forward, the weights are
+    padded and transformed along x to 2nx, then y to 2ny, then z to 2nz;
+    inverse, x is transformed first and cropped to nx, then y (cropped
+    to ny), then z (cropped to nz).  On an n^3 grid that is 14 n^3
+    instead of 24 n^3 transformed points per component and direction.
+    The three components are stacked component-major, so each of those
+    steps is one transform call.  The axes go in the order of a full
+    3-D transform, so on grids whose padded extents are powers of two
+    every kept value is bitwise the one the full transform gives.
     """
 
     def __init__(self, dims, spacing):
@@ -204,32 +212,35 @@ class _FftInteraction:
             lag.append(np.where(idx < n, idx, idx - p))
         LX, LY, LZ = np.meshgrid(*lag, indexing="ij")
         G = dyadic_green(spacing * np.stack([LX, LY, LZ], axis=-1))
-        self.khat = {(a, b): sfft.fftn(G[..., a, b])
-                     for a in range(3) for b in range(a, 3)}
+        self.khat = {}
+        for a in range(3):
+            for b in range(a, 3):
+                t = np.fft.fft(G[..., a, b], axis=0)
+                t = np.fft.fft(t, axis=1)
+                self.khat[(a, b)] = np.fft.fft(t, axis=2)
         self.pad_shape = (px, py, pz)
 
     def apply(self, w):
         """Convolve (N, 3) voxel weights with the off-diagonal kernel."""
         nx, ny, nz = self.dims
         px, py, pz = self.pad_shape
-        w3 = w.reshape(nx, ny, nz, 3)
-        what = []
-        for b in range(3):
-            t = sfft.fft(w3[..., b], n=px, axis=0)
-            t = sfft.fft(t, n=py, axis=1)
-            what.append(sfft.fft(t, n=pz, axis=2))
-        out = np.empty((nx, ny, nz, 3), dtype=complex)
-        acc = np.empty(self.pad_shape, dtype=complex)
+        # a copy, not a transposed view: np.fft keeps its input's memory
+        # layout, and interleaved components would make every line strided
+        t = np.ascontiguousarray(w.T).reshape(3, nx, ny, nz)
+        t = np.fft.fft(t, n=px, axis=1)
+        t = np.fft.fft(t, n=py, axis=2)
+        what = np.fft.fft(t, n=pz, axis=3)
+        acc = np.empty((3,) + self.pad_shape, dtype=complex)
         term = np.empty(self.pad_shape, dtype=complex)
         for a in range(3):
-            np.multiply(self.khat[(0, a)], what[0], out=acc)
+            np.multiply(self.khat[(0, a)], what[0], out=acc[a])
             for b in (1, 2):
                 key = (a, b) if a <= b else (b, a)
-                acc += np.multiply(self.khat[key], what[b], out=term)
-            t = sfft.ifft(acc, axis=0, overwrite_x=True)[:nx]
-            t = sfft.ifft(t, axis=1, overwrite_x=True)[:, :ny]
-            out[..., a] = sfft.ifft(t, axis=2, overwrite_x=True)[..., :nz]
-        return out.reshape(-1, 3)
+                acc[a] += np.multiply(self.khat[key], what[b], out=term)
+        t = np.fft.ifft(acc, axis=1)[:, :nx]
+        t = np.fft.ifft(t, axis=2)[:, :, :ny]
+        t = np.fft.ifft(t, axis=3)[..., :nz]
+        return t.transpose(1, 2, 3, 0).reshape(-1, 3)
 
 
 @functools.lru_cache(maxsize=8)
@@ -270,6 +281,63 @@ def _source_columns(grid, source):
     return dyadic_green(pts - src)
 
 
+def bicgstab(matvec, b, rtol, maxiter, callback=None):
+    """Unpreconditioned BiCGStab for matvec(x) = b; returns (x, info).
+
+    The van der Vorst recurrence (SIAM J. Sci. Stat. Comput. 13, 631
+    (1992)) with the stop tests and codes of the Templates Fortran code
+    (Barrett et al., SIAM 1994), started from x = b: it stops once
+    ||r|| < rtol ||b||, also half-way through an iteration on ||s||;
+    info is 0 on convergence, -10 or -11 on a rho or omega breakdown
+    (|.| below eps^2, or a zero rtilde.v), and `maxiter` when the cap is
+    reached.  `callback(x)` runs after each full iteration.
+    `_solve_system` looks this function up as a module global on every
+    solve, so it can be wrapped.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    tol = rtol * bnrm2
+    x = np.array(b, dtype=complex)
+    tiny = np.finfo(float).eps ** 2
+    r = b - matvec(x)
+    rtilde = r.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < tol:
+            return x, 0
+        rho = np.vdot(rtilde, r)
+        if abs(rho) < tiny:
+            return x, -10
+        if iteration > 0:
+            if abs(omega) < tiny:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        v = matvec(p)
+        rv = np.vdot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < tol:
+            x += alpha * p
+            return x, 0
+        # r is now s; it is read before the update that turns it back into r
+        t = matvec(r)
+        omega = np.vdot(t, r) / np.vdot(t, t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
 def _solve_system(grid, B, method, rtol, maxiter):
     """Solve the VIE for each column of B ((N, 3, m) right-hand sides)."""
     if method not in SOLVER_METHODS:
@@ -280,17 +348,18 @@ def _solve_system(grid, B, method, rtol, maxiter):
         A = assemble_dense(grid)
         sol = np.linalg.solve(A, B.reshape(3 * n, nrhs))
         return sol.reshape(n, 3, nrhs)
+    if not grid.chi().any():
+        # all vacuum: the operator is the identity
+        return B.copy()
     X = np.empty_like(B)
     apply = _fft_operator(grid)
 
     def matvec(v):
         return apply(v.reshape(n, 3)).ravel()
 
-    op = LinearOperator((3 * n, 3 * n), matvec=matvec, dtype=complex)
     for c in range(nrhs):
         b = B[:, :, c].ravel()
-        x, info = bicgstab(op, b, x0=b.copy(), rtol=rtol, atol=0.0,
-                           maxiter=maxiter)
+        x, info = bicgstab(matvec, b, rtol=rtol, maxiter=maxiter)
         if info != 0:
             res = np.linalg.norm(matvec(x) - b) / np.linalg.norm(b)
             raise ConvergenceError(
@@ -333,10 +402,17 @@ def solve_fields(grid, sources, method="iterative", rtol=KRYLOV_RTOL,
         If the Krylov iteration does not reach the residual within
         `maxiter` steps (the error carries the final residual).
     """
+    return _fields_and_incident(grid, sources, method, rtol, maxiter)[0]
+
+
+def _fields_and_incident(grid, sources, method, rtol,
+                         maxiter=MAX_KRYLOV_ITER):
+    """(fields, incident) of `solve_fields`: incident[i] is the (N, 3)
+    right-hand side of fields[i], the vacuum column G0(r_k, r_i) P_HAT."""
     sources = _source_positions(sources)
-    B = np.stack([_source_columns(grid, r) @ P_HAT for r in sources], axis=2)
-    X = _solve_system(grid, B, method, rtol, maxiter)
-    return [X[:, :, i] for i in range(len(sources))]
+    incident = [_source_columns(grid, r) @ P_HAT for r in sources]
+    X = _solve_system(grid, np.stack(incident, axis=2), method, rtol, maxiter)
+    return [X[:, :, i] for i in range(len(sources))], incident
 
 
 def solve_green_block(grid, sources, method="iterative", rtol=KRYLOV_RTOL,

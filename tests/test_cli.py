@@ -253,7 +253,7 @@ class TestOptimizeCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("field solve on a malformed configuration")
 
-        monkeypatch.setattr(optimizer, "solve_fields", no_solve)
+        monkeypatch.setattr(optimizer, "_fields_and_incident", no_solve)
         cfg_path = write_config(tmp_path, line + "\n", name="bad.cfg")
         out = tmp_path / "never"
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
@@ -281,11 +281,11 @@ class TestOptimizeCommand:
 
     def test_guarded_names_reached_on_a_valid_config(self, tmp_path,
                                                      monkeypatch):
-        # the no_solve guards patch optimizer.solve_fields and the
+        # the no_solve guards patch optimizer._fields_and_incident and the
         # lossy_pair_scalars fixture patches optimizer._pair_scalars; were
         # either no longer called, those tests would pass vacuously
         from entcloak import optimizer
-        calls = {"solve_fields": 0, "_pair_scalars": 0}
+        calls = {"_fields_and_incident": 0, "_pair_scalars": 0}
         for name in calls:
             def counting(*args, _name=name, _real=getattr(optimizer, name),
                          **kwargs):
@@ -466,7 +466,7 @@ class TestSweepCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("field solve on a malformed configuration")
 
-        monkeypatch.setattr(optimizer, "solve_fields", no_solve)
+        monkeypatch.setattr(optimizer, "_fields_and_incident", no_solve)
         text = line + "\nd12_list = 0.25,0.375\npump_list = 0.005,0.05\n"
         cfg_path = write_config(tmp_path, text, name="bad.cfg")
         out = tmp_path / "never"

@@ -3,6 +3,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -108,3 +110,19 @@ def test_only_the_cli_warns():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "warn"]
     assert calls == []
+
+
+def test_cli_start_up_imports_no_scipy():
+    # the package runs on numpy alone; a stray scipy import would add
+    # its load time to every command's start-up
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import entcloak, entcloak.cli as cli\n"
+        "cli.build_grid(cli.parse_config(sys.argv[2]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    toy = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent), str(toy)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

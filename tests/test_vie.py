@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from entcloak import emcore, vie
-from entcloak.errors import CoincidentPointsError, GridTooLargeError
+from entcloak.errors import (CoincidentPointsError, ConvergenceError,
+                             GridTooLargeError)
 from entcloak.validate import rayleigh_sphere_polarizability
 from entcloak.vie import (
     PermittivityGrid,
@@ -195,13 +196,85 @@ class TestSolveFields:
         with pytest.raises(CoincidentPointsError):
             solve_fields(g, [(0.05, 0.05, 0.05)], method="dense")
 
+    def test_vacuum_iterative_solve_skips_krylov(self, monkeypatch):
+        # the operator is the identity: the right-hand sides come back as
+        # they are, with no Krylov iteration
+        calls = []
+        monkeypatch.setattr(vie, "bicgstab", lambda *a, **k: calls.append(a))
+        g = PermittivityGrid.vacuum((4, 4, 4), 0.03)
+        sources = (np.array([0.0, 0.01, -0.4]), np.array([0.02, 0.0, 0.4]))
+        fields = solve_fields(g, sources)
+        assert calls == []
+        for f, r in zip(fields, sources, strict=True):
+            assert np.array_equal(f, emcore.dyadic_green(g.centers() - r)
+                                  @ emcore.P_HAT)
+
     def test_krylov_exhaustion_carries_residual(self, rng):
-        from entcloak.errors import ConvergenceError
         g = random_grid(rng, (5, 5, 5), contrast=8.0, eps_max=9.0)
         with pytest.raises(ConvergenceError) as err:
             solve_fields(g, [(0, 0, 0.5)], method="iterative",
                          rtol=1e-14, maxiter=1)
         assert err.value.residual is not None and err.value.residual > 0
+
+
+class TestBicgstab:
+    def test_matches_dense_solve(self, rng):
+        g = random_grid(rng, (5, 5, 5), contrast=8.0)
+        b = rng.standard_normal(3 * g.n_voxels) + 1j * rng.standard_normal(3 * g.n_voxels)
+        x, info = vie.bicgstab(lambda v: fft_matvec(g, v), b, rtol=1e-12,
+                               maxiter=2000)
+        ref = np.linalg.solve(assemble_dense(g), b)
+        assert info == 0
+        assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
+
+    def test_zero_rhs_returns_zeros(self):
+        b = np.zeros(12, dtype=complex)
+        x, info = vie.bicgstab(lambda v: v, b, rtol=1e-10, maxiter=10)
+        assert info == 0 and not x.any()
+
+    def test_zero_operator_breaks_down(self, rng, monkeypatch):
+        b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        _, info = vie.bicgstab(np.zeros_like, b, rtol=1e-10, maxiter=10)
+        assert info == -11
+        # the solve turns the breakdown into an error carrying the residual
+        monkeypatch.setattr(vie, "_fft_operator", lambda grid: np.zeros_like)
+        g = random_grid(rng, (3, 3, 3))
+        with pytest.raises(ConvergenceError, match="info=-11") as err:
+            solve_fields(g, [(0, 0, 0.5)])
+        assert err.value.residual == 1.0
+
+    def test_callback_once_per_full_iteration(self, rng):
+        # with no tolerance to meet, the cap stops the solve: three full
+        # iterations, two matvecs each after the initial residual's one
+        g = random_grid(rng, (3, 3, 3))
+        matvecs, seen = [], []
+
+        def matvec(v):
+            matvecs.append(v)
+            return fft_matvec(g, v)
+
+        b = rng.standard_normal(3 * g.n_voxels) + 0j
+        x, info = vie.bicgstab(matvec, b, rtol=0.0, maxiter=3,
+                               callback=lambda xk: seen.append(xk.copy()))
+        assert info == 3 and len(seen) == 3 and len(matvecs) == 7
+        assert np.array_equal(seen[-1], x)
+
+    def test_same_iterates_as_scipy(self, rng):
+        # the recurrence, stop tests and callbacks are scipy's, step for step
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        g = random_grid(rng, (4, 4, 4), contrast=8.0)
+        b = rng.standard_normal(3 * g.n_voxels) + 1j * rng.standard_normal(3 * g.n_voxels)
+        op = linalg.LinearOperator((b.size, b.size), dtype=complex,
+                                   matvec=lambda v: fft_matvec(g, v))
+        ours, theirs = [], []
+        x, info = vie.bicgstab(op.matvec, b, rtol=1e-10, maxiter=2000,
+                               callback=lambda xk: ours.append(xk.copy()))
+        x_ref, info_ref = linalg.bicgstab(op, b, x0=b.copy(), rtol=1e-10,
+                                          atol=0.0, maxiter=2000,
+                                          callback=lambda xk: theirs.append(xk.copy()))
+        assert info == info_ref == 0 and len(ours) == len(theirs) > 3
+        assert np.array_equal(x, x_ref)
+        assert all(np.array_equal(a, c) for a, c in zip(ours, theirs, strict=True))
 
 
 class TestScatteredGreenPair:
