@@ -37,9 +37,11 @@ state.
 
 The resolution rule, spacing <= lambda/(10 sqrt(eps_max)), is checked
 here and nowhere else: `optimize` and `sweep` issue one
-GridResolutionWarning for a coarser config and run on.  A sweep point
-that fails, also by its worker process dying, becomes a failures.csv
-row; the other points are still written and the sweep exits 0.
+GridResolutionWarning for a coarser config and run on.  `sweep` runs
+every point in a pool of worker processes (`--threads` of them, at
+most one per point).  A point that fails, also by its worker process
+dying, becomes a failures.csv row; the other points are still written
+and the sweep exits 0.
 """
 
 import argparse
@@ -353,7 +355,7 @@ def validate_meta(meta):
     return meta
 
 
-def save_meta(cfg, grid, emitters, path, d12=None):
+def save_meta(cfg, grid, emitters, path):
     meta = {
         "format_version": 1,
         "dims": list(grid.dims),
@@ -362,7 +364,7 @@ def save_meta(cfg, grid, emitters, path, d12=None):
         "emitters": [[float(x) for x in r] for r in emitters],
         "lambda0": 1.0,
         "eps_max": grid.eps_max,
-        "d12": cfg.d12 if d12 is None else d12,
+        "d12": cfg.d12,
         "target": cfg.design.target,
         "pump_ratio": cfg.design.pump_ratio,
         "seed": cfg.seed,
@@ -440,10 +442,7 @@ def cmd_sweep(cfg, out_dir, threads=1):
     prepare_design(_vacuum_grid(cfg), _emitter_pair(cfg.d12), cfg.design)
     _warn_if_coarse(cfg)
     tasks = [(cfg, d, p) for d in cfg.d12_list for p in cfg.pump_list]
-    if threads > 1:
-        outcomes = _pool_outcomes(tasks, threads)
-    else:
-        outcomes = [_sweep_point_safe(task) for task in tasks]
+    outcomes = _pool_outcomes(tasks, threads)
     # outcomes come back in task order, i.e. deterministic (d, P) order
     rows = [out for out in outcomes if not isinstance(out, str)]
     failures = [[d12, pump, out] for (_, d12, pump), out in zip(tasks, outcomes)
@@ -471,7 +470,11 @@ def cmd_sweep(cfg, out_dir, threads=1):
 
 
 def _sweep_point_safe(task):
-    """The sweep.csv row of one point, or the error text if it failed."""
+    """The sweep.csv row of one point, or the error text if it failed.
+
+    Runs in the worker, so an error crosses back to the sweep as text:
+    not every entcloak error can be unpickled from its args.
+    """
     try:
         return _sweep_point(task)
     except Exception as exc:  # record the point, keep the sweep alive
@@ -535,8 +538,8 @@ def cmd_mems(out_dir):
     return 0
 
 
-def cmd_validate(seed=0, corrupt_self_term=False):
-    ok = validate_mod.run_all(seed=seed, corrupt_self_term=corrupt_self_term)
+def cmd_validate(seed=0):
+    ok = validate_mod.run_all(seed=seed)
     print("validate:", "all checks passed" if ok else "FAILURES detected")
     return 0 if ok else 1
 
@@ -563,11 +566,10 @@ def _build_parser():
                      help="seed recorded in design.meta.json "
                           "(overrides the config seed)")
     sweep.add_argument("--threads", type=int, default=1,
-                       help="worker processes, one sweep point each")
+                       help="worker processes that run the points "
+                            "(at most one per point)")
     val.add_argument("--seed", type=int, default=0,
                      help="seed of the randomized checks")
-    val.add_argument("--corrupt-self-term", action="store_true",
-                     help=argparse.SUPPRESS)  # negative-control fixture
     return ap
 
 
@@ -575,8 +577,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(seed=args.seed,
-                                corrupt_self_term=args.corrupt_self_term)
+            return cmd_validate(seed=args.seed)
         out_dir = Path(args.out)
         if args.command == "mems":
             return cmd_mems(out_dir)

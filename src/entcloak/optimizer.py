@@ -145,7 +145,6 @@ class DesignRecord:
     entries: list
     final_grid: PermittivityGrid
     target: str
-    emitters: tuple
 
     @property
     def values(self):
@@ -163,32 +162,40 @@ class DesignRecord:
 def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume):
     """First-Born Green's-tensor increment of one voxel perturbation.
 
-    K0^2 G(r_i, r_k) . delta_eps . G(r_k, r_j) . dV; exactly linear in
-    delta_eps.  Broadcasts over leading axes: stacks of (3, 3) tensors
-    with delta_eps shaped (..., 1, 1) give one increment per voxel.
+    K0^2 G(r_i, r_k) . delta_eps . G(r_k, r_j) . dV, the `_born_dq`
+    prefactor on the tensor product; exactly linear in delta_eps.
+    Broadcasts over leading axes: stacks of (3, 3) tensors with
+    delta_eps shaped (..., 1, 1) give one increment per voxel.
     """
-    return (K0**2 * delta_eps * voxel_volume) * (np.asarray(G_ik) @ np.asarray(G_kj))
+    return _born_dq(delta_eps, np.asarray(G_ik) @ np.asarray(G_kj), voxel_volume)
 
 
 def _born_dq(delta_eps, s, voxel_volume):
     """First-Born increments K0^2 dV delta_eps s of the P_HAT-projected
-    Green's scalars, from a voxel's field products `s` (broadcasts)."""
+    Green's scalars, from a voxel's field products `s` (broadcasts); the
+    one place the first-Born prefactor is written."""
     return (K0**2 * voxel_volume * delta_eps) * s
 
 
+def _pump_rate(gamma11, pump_ratio):
+    """The pump rule: P = pump_ratio * gamma11, held at a fixed ratio of
+    the current decay rate; on plain numbers, as `score_q` needs."""
+    return pump_ratio * gamma11
+
+
 def pump_params(cs, pump_ratio):
-    """Master-equation rates of a coupling set with the pump held at
-    P = pump_ratio * gamma11."""
+    """Master-equation rates of a coupling set with the pump of
+    `_pump_rate`."""
     return quantum.MasterEqParams(
         gamma11=cs.gamma11, gamma22=cs.gamma22, gamma12=cs.gamma12,
-        g12=cs.g12, P=pump_ratio * cs.gamma11,
+        g12=cs.g12, P=_pump_rate(cs.gamma11, pump_ratio),
     )
 
 
 def score_q(q11, q22, q12, pump_ratio, target):
     """Witness `target` of the steady state of the P_HAT-projected Green's
-    scalars with the pump rule of `pump_params`, or None when the rates
-    fail emcore's `is_physical`.
+    scalars with the pump of `_pump_rate`, or None when the rates fail
+    emcore's `is_physical`.
 
     The one witness evaluation of the loop, for trial steps and
     re-solved states alike.  It runs on Python numbers and builds no
@@ -198,7 +205,7 @@ def score_q(q11, q22, q12, pump_ratio, target):
     if not is_physical(gamma11, gamma22, gamma12):
         return None
     rho00, _, _, rho33, rho12 = quantum.x_block_steady_state(
-        gamma11, gamma22, gamma12, g12, pump_ratio * gamma11)
+        gamma11, gamma22, gamma12, g12, _pump_rate(gamma11, pump_ratio))
     return _WITNESSES[target](rho00, rho33, rho12)
 
 
@@ -476,4 +483,4 @@ def optimize(grid0, emitters, config):
             break
 
     return DesignRecord(entries=entries, final_grid=grid,
-                        target=config.target, emitters=state.emitters)
+                        target=config.target)

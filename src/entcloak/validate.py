@@ -1,31 +1,16 @@
 """Named invariant suite covering every module; backs the `validate` command.
 
 Each check returns (ok, detail).  `run_all` executes all of them, prints
-one PASS/FAIL line per check, and reports overall success.  The
-`corrupt_self_term` flag deliberately breaks the voxel self-interaction
-constant so the electromagnetic checks must fail; it exists as a
-negative control for the suite itself.
+one PASS/FAIL line per check to stdout, and reports overall success.
 """
 
-import sys
 import time
-from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
 from . import emcore, optimizer, quantum, vie
 
 __all__ = ["run_all", "CHECKS"]
-
-
-@contextmanager
-def _corrupted_self_term():
-    orig = vie.self_interaction
-    vie.self_interaction = lambda spacing: 0.0 * orig(spacing)
-    try:
-        yield
-    finally:
-        vie.self_interaction = orig
 
 
 # ---------------------------------------------------------------------------
@@ -470,25 +455,21 @@ CHECKS = [
 ]
 
 
-def run_all(seed=0, corrupt_self_term=False, stream=None):
+def run_all(seed=0):
     """Run every named check; returns True iff all pass.
 
     Prints one `PASS name (detail)` / `FAIL name (detail)` line per
-    check to `stream` (default stdout).
+    check to stdout.
     """
-    out = stream if stream is not None else sys.stdout
     ok_all = True
-    ctx = _corrupted_self_term() if corrupt_self_term else nullcontext()
-    with ctx:
-        for name, fn in CHECKS:
-            rng = np.random.default_rng(seed)
-            t0 = time.time()
-            try:
-                ok, detail = fn(rng)
-            except Exception as exc:  # a crashed check is a failed check
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            ok_all &= ok
-            status = "PASS" if ok else "FAIL"
-            print(f"{status}  {name:45s} {detail}  [{time.time() - t0:.1f}s]",
-                  file=out)
+    for name, fn in CHECKS:
+        rng = np.random.default_rng(seed)
+        t0 = time.time()
+        try:
+            ok, detail = fn(rng)
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        ok_all &= ok
+        status = "PASS" if ok else "FAIL"
+        print(f"{status}  {name:45s} {detail}  [{time.time() - t0:.1f}s]")
     return ok_all

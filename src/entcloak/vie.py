@@ -23,9 +23,10 @@ re-radiates those blocks into a pair's (G11, G22, G12): the oracle that
 The solver needs numpy alone.  The iterative path (the default) applies
 the operator by FFT on the zero-padded grid, the three field components
 stacked into each transform call, and solves with the module's own
-`bicgstab`; on an all-vacuum map the operator is the identity, and the
-right-hand sides come back without a Krylov solve.  The dense path (an
-LU of the assembled operator) is the oracle.
+`bicgstab`, capped at MAX_KRYLOV_ITER iterations per right-hand side
+(a ConvergenceError past it); on an all-vacuum map the operator is the
+identity, and the right-hand sides come back without a Krylov solve.
+The dense path (an LU of the assembled operator) is the oracle.
 
 The self term m = -1/(3 k^2) + (2/(3 k^2)) [(1 - i k a) e^{i k a} - 1],
 with a the radius of the sphere of volume dV, carries the static
@@ -62,7 +63,7 @@ DENSE_UNKNOWN_LIMIT = 6000
 #: caller uses unless it asks otherwise, and the dense LU oracle.
 SOLVER_METHODS = ("iterative", "dense")
 
-#: Default Krylov iteration cap.
+#: Krylov iteration cap of every solve (read when a solve starts).
 MAX_KRYLOV_ITER = 2000
 
 #: Default relative residual of the Krylov solves (and of the design loop).
@@ -338,7 +339,7 @@ def bicgstab(matvec, b, rtol, maxiter, callback=None):
     return x, maxiter
 
 
-def _solve_system(grid, B, method, rtol, maxiter):
+def _solve_system(grid, B, method, rtol):
     """Solve the VIE for each column of B ((N, 3, m) right-hand sides)."""
     if method not in SOLVER_METHODS:
         raise ValueError(f"method must be one of {SOLVER_METHODS}, got {method!r}")
@@ -359,7 +360,7 @@ def _solve_system(grid, B, method, rtol, maxiter):
 
     for c in range(nrhs):
         b = B[:, :, c].ravel()
-        x, info = bicgstab(matvec, b, rtol=rtol, maxiter=maxiter)
+        x, info = bicgstab(matvec, b, rtol=rtol, maxiter=MAX_KRYLOV_ITER)
         if info != 0:
             res = np.linalg.norm(matvec(x) - b) / np.linalg.norm(b)
             raise ConvergenceError(
@@ -379,8 +380,7 @@ def _source_positions(sources):
     return [as_position(r) for r in sources]
 
 
-def solve_fields(grid, sources, method="iterative", rtol=KRYLOV_RTOL,
-                 maxiter=MAX_KRYLOV_ITER):
+def solve_fields(grid, sources, method="iterative", rtol=KRYLOV_RTOL):
     """Total-field maps of unit P_HAT point dipoles inside the voxel map.
 
     `sources` is a sequence of m positions (a bare position raises
@@ -400,23 +400,21 @@ def solve_fields(grid, sources, method="iterative", rtol=KRYLOV_RTOL,
     ------
     ConvergenceError
         If the Krylov iteration does not reach the residual within
-        `maxiter` steps (the error carries the final residual).
+        MAX_KRYLOV_ITER steps (the error carries the final residual).
     """
-    return _fields_and_incident(grid, sources, method, rtol, maxiter)[0]
+    return _fields_and_incident(grid, sources, method, rtol)[0]
 
 
-def _fields_and_incident(grid, sources, method, rtol,
-                         maxiter=MAX_KRYLOV_ITER):
+def _fields_and_incident(grid, sources, method, rtol):
     """(fields, incident) of `solve_fields`: incident[i] is the (N, 3)
     right-hand side of fields[i], the vacuum column G0(r_k, r_i) P_HAT."""
     sources = _source_positions(sources)
     incident = [_source_columns(grid, r) @ P_HAT for r in sources]
-    X = _solve_system(grid, np.stack(incident, axis=2), method, rtol, maxiter)
+    X = _solve_system(grid, np.stack(incident, axis=2), method, rtol)
     return [X[:, :, i] for i in range(len(sources))], incident
 
 
-def solve_green_block(grid, sources, method="iterative", rtol=KRYLOV_RTOL,
-                      maxiter=MAX_KRYLOV_ITER):
+def solve_green_block(grid, sources, method="iterative", rtol=KRYLOV_RTOL):
     """Field blocks of all three orientations of several point sources.
 
     `sources` is a sequence of m positions; the result is a list of m
@@ -427,7 +425,7 @@ def solve_green_block(grid, sources, method="iterative", rtol=KRYLOV_RTOL,
     """
     sources = _source_positions(sources)
     B = np.concatenate([_source_columns(grid, r) for r in sources], axis=2)
-    X = _solve_system(grid, B, method, rtol, maxiter)
+    X = _solve_system(grid, B, method, rtol)
     return [X[:, :, 3 * i:3 * i + 3] for i in range(len(sources))]
 
 
@@ -441,8 +439,7 @@ def _reradiated(grid, r, block):
     return K0**2 * np.einsum("jab,jbc->ac", G0, w)
 
 
-def scattered_green_pair(grid, r1, r2, method="iterative", rtol=KRYLOV_RTOL,
-                         maxiter=MAX_KRYLOV_ITER):
+def scattered_green_pair(grid, r1, r2, method="iterative", rtol=KRYLOV_RTOL):
     """The three Green's tensors (G11, G22, G12) of an emitter pair.
 
     Both emitters are solved together by `solve_green_block` with
@@ -455,7 +452,7 @@ def scattered_green_pair(grid, r1, r2, method="iterative", rtol=KRYLOV_RTOL,
     r2 = as_position(r2)
     if np.linalg.norm(r1 - r2) < COINCIDENT_THRESHOLD:
         raise ValueError("emitters must be separated")
-    X1, X2 = solve_green_block(grid, (r1, r2), method, rtol, maxiter)
+    X1, X2 = solve_green_block(grid, (r1, r2), method, rtol)
     return (vacuum_self_green() + _reradiated(grid, r1, X1),
             vacuum_self_green() + _reradiated(grid, r2, X2),
             free_space_green(r1, r2) + _reradiated(grid, r1, X2))

@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
 from dataclasses import fields
@@ -42,6 +44,25 @@ def write_config(tmp_path, text=TINY_CONFIG, name="run.cfg"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+class InlinePool:
+    """ProcessPoolExecutor stand-in that runs each task in this process,
+    so a test's patches and counters see the work of every sweep point."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestConfigParsing:
@@ -293,6 +314,9 @@ class TestOptimizeCommand:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(optimizer, name, counting)
+        # sweep points run in worker processes, whose calls a counter in
+        # this process cannot see
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         sweep_cfg = write_config(
             tmp_path, TINY_CONFIG + "d12_list = 0.25\npump_list = 0.005\n",
             name="sweep.cfg")
@@ -442,6 +466,37 @@ class TestSweepCommand:
         assert [float(f["d12_over_lambda"]) for f in failures] == [0.375]
         assert failures[0]["error"].startswith("BrokenProcessPool: ")
 
+    def test_crashed_worker_at_default_threads_fails_only_its_point(
+            self, tmp_path):
+        # the same crash with no --threads; in a child interpreter, since
+        # a sweep that ran its points in-process would die with them
+        code = (
+            "import os, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from entcloak import cli\n"
+            "real = cli._sweep_point\n"
+            "def crash_at_375(task):\n"
+            "    if task[1] == 0.375:\n"
+            "        os._exit(1)\n"
+            "    return real(task)\n"
+            "cli._sweep_point = crash_at_375\n"
+            "sys.exit(cli.main(['sweep', '--config', sys.argv[2],"
+            " '--out', sys.argv[3]]))\n"
+        )
+        text = TINY_CONFIG + "d12_list = 0.25,0.375\npump_list = 0.005\n"
+        cfg_path = write_config(tmp_path, text, name="sweepcrash.cfg")
+        out = tmp_path / "outsc"
+        src = Path(cli.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src), str(cfg_path), str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [float(r["d12_over_lambda"])
+                for r in read_csv(out / "sweep.csv")] == [0.25]
+        failures = read_csv(out / "failures.csv")
+        assert [float(f["d12_over_lambda"]) for f in failures] == [0.375]
+        assert failures[0]["error"].startswith("BrokenProcessPool: ")
+
     def test_clean_rerun_leaves_no_earlier_failure_rows(self, tmp_path):
         # the first run fails its d12 = 0.1875 point (see above); a clean
         # rerun into the same directory must not keep that row
@@ -488,25 +543,14 @@ class TestSweepCommand:
 
     def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
         # a fork pool starts all its workers up front: 64 asked for one
-        # point must start one; this stand-in runs each task inline
+        # point must start one
         seen = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        def recording_pool(max_workers):
+            seen.append(max_workers)
+            return InlinePool(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
         text = TINY_CONFIG + "d12_list = 0.25\npump_list = 0.005\n"
         cfg_path = write_config(tmp_path, text, name="sweep1.cfg")
         out = tmp_path / "outs1"
@@ -619,12 +663,16 @@ class TestAtomicWrites:
 
 class TestValidateCommand:
     def test_negative_control_fails_rayleigh(self, monkeypatch, capsys):
-        from entcloak import validate as vmod
+        # the suite must catch a voxel self term zeroed out
+        from entcloak import validate as vmod, vie
         monkeypatch.setattr(
             vmod, "CHECKS",
             [("vie/rayleigh-sphere", vmod.check_rayleigh_sphere)])
         assert cli.main(["validate"]) == 0
-        assert cli.main(["validate", "--corrupt-self-term"]) == 1
+        orig = vie.self_interaction
+        monkeypatch.setattr(vie, "self_interaction",
+                            lambda spacing: 0.0 * orig(spacing))
+        assert cli.main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "rayleigh" in out
 
@@ -655,7 +703,8 @@ class TestDocDrift:
         subparsers = next(a for a in cli._build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         for name, parser in subparsers.choices.items():
-            flags = {opt for a in parser._actions if a.help != argparse.SUPPRESS
+            # a hidden (argparse.SUPPRESS) flag counts too
+            flags = {opt for a in parser._actions
                      for opt in a.option_strings if opt not in ("-h", "--help")}
             row = re.search(rf"^\| `{name}` +\|(.*)\|$", readme, re.M)
             assert row is not None, name
