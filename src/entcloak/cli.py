@@ -305,56 +305,6 @@ def save_grid_csv(grid, path):
                     w.writerow([ix, iy, iz, f"{eps[ix, iy, iz]:.17g}"])
 
 
-def load_grid(csv_path, meta_path):
-    """Inverse of save_grid_csv + save_meta; returns (grid, meta dict).
-    Any malformed file (bad JSON or CSV, metadata out of META_SCHEMA's
-    bounds, a row the grid rejects: eps nan or out of range, an index
-    off the grid) raises ConfigError."""
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        validate_meta(meta)
-        dims = tuple(meta["dims"])
-        eps = np.ones(dims[0] * dims[1] * dims[2])
-        with open(csv_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                idx = np.ravel_multi_index(
-                    (int(row["ix"]), int(row["iy"]), int(row["iz"])), dims)
-                eps[idx] = float(row["eps"])
-        grid = PermittivityGrid(origin=np.asarray(meta["origin"], dtype=float),
-                                spacing=float(meta["spacing"]), dims=dims,
-                                eps=eps, eps_max=float(meta["eps_max"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad grid {csv_path}, {meta_path}: {exc}") from exc
-    return grid, meta
-
-
-def validate_meta(meta):
-    """Keys, entry counts and bounds of META_SCHEMA (no dependency)."""
-    if not isinstance(meta, dict):
-        raise ConfigError(f"metadata must be a JSON object, got {type(meta).__name__}")
-    for key in META_SCHEMA["required"]:
-        if key not in meta:
-            raise ConfigError(f"metadata missing required key {key!r}")
-    if meta["format_version"] != 1:
-        raise ConfigError(f"unsupported format_version {meta['format_version']}")
-    for key in ("dims", "origin", "emitters"):
-        if not isinstance(meta[key], list):
-            raise ConfigError(f"{key} must be a JSON array, got "
-                              f"{type(meta[key]).__name__}")
-    if len(meta["dims"]) != 3 or len(meta["origin"]) != 3:
-        raise ConfigError("dims and origin must have 3 entries")
-    if not all(type(n) is int and n >= 1 for n in meta["dims"]):
-        raise ConfigError(f"dims must be integers >= 1, got {meta['dims']}")
-    if not (isinstance(meta["spacing"], (int, float)) and meta["spacing"] > 0):
-        raise ConfigError(f"spacing must be a number > 0, got {meta['spacing']!r}")
-    if not (isinstance(meta["eps_max"], (int, float)) and meta["eps_max"] >= 1):
-        raise ConfigError(f"eps_max must be a number >= 1, got {meta['eps_max']!r}")
-    if len(meta["emitters"]) != 2:
-        raise ConfigError("metadata must list exactly two emitters")
-    return meta
-
-
 def save_meta(cfg, grid, emitters, path):
     meta = {
         "format_version": 1,
@@ -515,7 +465,7 @@ def cmd_freespace(cfg, out_dir):
         w.writerow(header)
         vac_self = vacuum_self_green()
         for d in cfg.d12_list:
-            G12 = free_space_green((0, 0, 0), (0, 0, d))
+            G12 = free_space_green(*_emitter_pair(d))
             cs = couplings_from_green(vac_self, vac_self, G12)
             row = [d, cs.gamma12, cs.g12]
             for p in cfg.pump_list:

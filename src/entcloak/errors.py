@@ -8,7 +8,9 @@ class EntcloakError(Exception):
 class CoincidentPointsError(EntcloakError):
     """Two evaluation points are too close for the homogeneous Green's tensor.
 
-    Callers hitting this must switch to the regularized self-term path.
+    From `emcore.free_space_green`, the remedy is the self-term path
+    (`vacuum_self_green`); from a VIE solve, a source sits on a voxel
+    center, and the remedy is to move the emitter or shift the grid.
     """
 
 

@@ -144,7 +144,6 @@ class DesignRecord:
 
     entries: list
     final_grid: PermittivityGrid
-    target: str
 
     @property
     def values(self):
@@ -482,5 +481,4 @@ def optimize(grid0, emitters, config):
         if gain < config.tol_accept:
             break
 
-    return DesignRecord(entries=entries, final_grid=grid,
-                        target=config.target)
+    return DesignRecord(entries=entries, final_grid=grid)

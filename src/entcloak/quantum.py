@@ -266,15 +266,14 @@ def steady_state_svd(params, check=True):
     return rho
 
 
-def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
-                        residual_tol=1e-12, check_every=200):
+def propagate_to_steady(params, rho0=None, t_max=None, dt=None):
     """Independent steady-state oracle: fixed-step RK4 time integration.
 
     Integrates drho/dt = L rho from rho0 (default: both emitters in the
-    ground state) until ||L rho|| <= residual_tol, then returns the
-    final (4, 4) state.  Because L is linear, any stable fixed step
-    converges to the exact kernel direction; dt only has to satisfy the
-    stated precondition dt <= 0.01 / max rate.
+    ground state) until ||L rho|| <= 1e-12, tested every 200 steps, then
+    returns the final (4, 4) state.  Because L is linear, any stable
+    fixed step converges to the exact kernel direction; dt only has to
+    satisfy the stated precondition dt <= 0.01 / max rate.
 
     Raises
     ------
@@ -307,7 +306,7 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None,
         k3 = L @ (v + 0.5 * dt * k2)
         k4 = L @ (v + dt * k3)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % check_every == 0 and np.linalg.norm(L @ v) <= residual_tol:
+        if step % 200 == 0 and np.linalg.norm(L @ v) <= 1e-12:
             break
     else:
         residual = float(np.linalg.norm(L @ v))
@@ -425,9 +424,9 @@ def mems_curve(r):
 # Random-state sampling for test oracles
 # ---------------------------------------------------------------------------
 
-def random_density_matrix(rng, dim=4):
-    """Ginibre-induced random density matrix (normalized A A+)."""
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density_matrix(rng):
+    """Ginibre-induced random two-qubit density matrix (normalized A A+)."""
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = A @ A.conj().T
     return m / np.trace(m).real
 
@@ -443,10 +442,10 @@ def random_x_state(rng):
     return m
 
 
-def random_params(rng, pump_range=(0.02, 1.0), rate_range=(0.2, 2.0)):
+def random_params(rng, pump_range=(0.02, 1.0)):
     """Random valid MasterEqParams for property tests."""
-    g11 = rng.uniform(*rate_range)
-    g22 = rng.uniform(*rate_range)
+    g11 = rng.uniform(0.2, 2.0)
+    g22 = rng.uniform(0.2, 2.0)
     s = rng.uniform(-0.999, 0.999)
     return MasterEqParams(
         gamma11=g11,

@@ -62,10 +62,10 @@ def check_self_limit_richardson(rng):
 # vie-solver
 # ---------------------------------------------------------------------------
 
-def _random_grid(rng, max_dim=6, contrast=2.5):
+def _random_grid(rng, max_dim=6):
     dims = tuple(int(d) for d in rng.integers(2, max_dim + 1, 3))
     g = vie.PermittivityGrid.vacuum(dims, 1.0 / 20.0)
-    g.eps[:] = rng.uniform(1.0, contrast, g.n_voxels)
+    g.eps[:] = rng.uniform(1.0, 2.5, g.n_voxels)
     return g
 
 
@@ -109,14 +109,14 @@ def check_dense_iterative_solve(rng):
     return worst <= 1e-6, f"max rel difference {worst:.2e} (tol 1e-6)"
 
 
-def rayleigh_sphere_polarizability(method="iterative"):
+def rayleigh_sphere_polarizability():
     """Induced dipole of the a = lambda/20, eps = 2.25 reference sphere."""
     n, delta, radius_vox, eps = 11, 1.0 / 100.0, 5, 2.25
     g = vie.PermittivityGrid.vacuum((n, n, n), delta)
     r = np.linalg.norm(g.centers(), axis=1)
     g.eps[r <= radius_vox * delta + 1e-12] = eps
     src = np.array([10.0, 0.0, 0.0])
-    [field] = vie.solve_fields(g, [src], method=method, rtol=1e-10)
+    [field] = vie.solve_fields(g, [src], method="iterative", rtol=1e-10)
     p_ind = ((g.chi() * g.voxel_volume)[:, None] * field).sum(axis=0)
     e_inc = emcore.free_space_green((0, 0, 0), src) @ emcore.P_HAT
     alpha = p_ind[2] / e_inc[2]
@@ -314,9 +314,10 @@ def check_mems_bound(rng):
 # optimizer
 # ---------------------------------------------------------------------------
 
-def _toy_setup(dims=(6, 6, 6), spacing=1.0 / 16.0, d12=0.25, **cfg_kw):
-    grid = vie.PermittivityGrid.vacuum(dims, spacing)
-    emitters = (np.array([0.0, 0.0, -d12 / 2]), np.array([0.0, 0.0, d12 / 2]))
+def _toy_setup(dims=(6, 6, 6), **cfg_kw):
+    grid = vie.PermittivityGrid.vacuum(dims, 1.0 / 16.0)
+    # the d12 = 0.25 pair on the z axis, as the CLI places it
+    emitters = (np.array([0.0, 0.0, -0.125]), np.array([0.0, 0.0, 0.125]))
     cfg = optimizer.DesignConfig(**cfg_kw)
     return grid, emitters, cfg
 

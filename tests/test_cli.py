@@ -117,22 +117,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.RunConfig(**{field: value})
 
-    # the list holds every required key, so each `key in meta` test passes
-    @pytest.mark.parametrize("meta", [5, list(cli.META_SCHEMA["required"])],
-                             ids=["int", "list"])
-    def test_meta_not_an_object_rejected(self, meta):
-        with pytest.raises(ConfigError, match="JSON object"):
-            cli.validate_meta(meta)
-
-    @pytest.mark.parametrize("key", ["dims", "origin", "emitters"])
-    def test_meta_array_key_not_a_list_rejected(self, key):
-        meta = {"format_version": 1, "dims": [4, 4, 4], "spacing": 0.0625,
-                "origin": [0.0, 0.0, 0.0], "emitters": [[0.0] * 3, [0.1] * 3],
-                "lambda0": 1.0, "eps_max": 9.0}
-        cli.validate_meta(meta)
-        with pytest.raises(ConfigError, match=f"{key} must be a JSON array"):
-            cli.validate_meta({**meta, key: 5})
-
     def test_logspace_lists(self, tmp_path):
         path = write_config(tmp_path, "d12_list = logspace:0.1,1.0,3\n")
         cfg = cli.parse_config(path)
@@ -164,8 +148,7 @@ class TestOptimizeCommand:
         vals = [float(r["target_value"]) for r in rows]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert (out / "design.eps.csv").exists()
-        meta = json.loads((out / "design.meta.json").read_text())
-        cli.validate_meta(meta)
+        assert (out / "design.meta.json").exists()
 
     def test_meta_validates_against_shipped_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
@@ -176,59 +159,24 @@ class TestOptimizeCommand:
         meta = json.loads((out / "design.meta.json").read_text())
         jsonschema.validate(meta, cli.META_SCHEMA)
 
-    def test_corrupted_meta_rejected(self, tmp_path):
+    def test_eps_roundtrip_lossless(self, tmp_path):
+        # rebuild the grid from the two design files with the standard
+        # library alone, rewrite it, and compare bytes
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["optimize", "--config", str(cfg_path),
                          "--out", str(out)]) == 0
         meta = json.loads((out / "design.meta.json").read_text())
-        del meta["dims"]
-        bad = tmp_path / "bad.meta.json"
-        bad.write_text(json.dumps(meta))
-        with pytest.raises(ConfigError):
-            cli.load_grid(out / "design.eps.csv", bad)
-
-    @pytest.mark.parametrize("meta_edit, csv_edit", [
-        ({}, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan"]),
-        ({"spacing": 0}, None),
-        ({"dims": [0, 2, 2]}, None),
-        ({}, lambda lines: [line.rsplit(",", 1)[0] for line in lines]),
-        ({}, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]]),
-        ("{not json", None),
-        ("5", None),
-        ({"dims": 5}, None),
-    ], ids=["eps-nan", "spacing-zero", "dims-zero", "no-eps-column",
-            "short-row", "invalid-json", "meta-not-object", "dims-not-list"])
-    def test_out_of_range_grid_file_rejected(self, tmp_path, meta_edit,
-                                             csv_edit):
-        # meta_edit is merged into the metadata, or a string replaces its
-        # text; csv_edit maps the grid file's lines to the ones written
-        out = tmp_path / "out"
-        assert cli.main(["optimize", "--config", str(write_config(tmp_path)),
-                         "--out", str(out)]) == 0
-        meta_text = (out / "design.meta.json").read_text()
-        if not isinstance(meta_edit, str):
-            meta_edit = json.dumps(json.loads(meta_text) | meta_edit)
-        (tmp_path / "g.meta.json").write_text(meta_edit)
-        lines = (out / "design.eps.csv").read_text().splitlines()
-        if csv_edit is not None:
-            lines = csv_edit(lines)
-        (tmp_path / "g.eps.csv").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError):
-            cli.load_grid(tmp_path / "g.eps.csv", tmp_path / "g.meta.json")
-
-    def test_eps_roundtrip_lossless(self, tmp_path):
-        cfg_path = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert cli.main(["optimize", "--config", str(cfg_path),
-                         "--out", str(out)]) == 0
-        grid, meta = cli.load_grid(out / "design.eps.csv",
-                                   out / "design.meta.json")
-        cfg = cli.parse_config(cfg_path)
-        ref_grid, _ = cli.build_grid(cfg)
+        dims = tuple(meta["dims"])
+        eps = np.ones(dims)
+        for row in read_csv(out / "design.eps.csv"):
+            eps[int(row["ix"]), int(row["iy"]), int(row["iz"])] = float(row["eps"])
+        grid = PermittivityGrid(origin=np.array(meta["origin"]),
+                                spacing=meta["spacing"], dims=dims,
+                                eps=eps.ravel(), eps_max=meta["eps_max"])
+        ref_grid, _ = cli.build_grid(cli.parse_config(cfg_path))
         assert grid.dims == ref_grid.dims
         assert np.array_equal(grid.origin, ref_grid.origin)
-        # real round-trip check: rewrite what we loaded and compare bytes
         cli.save_grid_csv(grid, out / "design2.eps.csv")
         assert (out / "design.eps.csv").read_bytes() == \
             (out / "design2.eps.csv").read_bytes()
@@ -383,7 +331,6 @@ class TestResolutionWarning:
             grid.copy()
             cli.save_grid_csv(grid, csv_path)
             cli.save_meta(cfg, grid, cli._emitter_pair(0.25), meta_path)
-            cli.load_grid(csv_path, meta_path)
 
 
 class TestSweepCommand:

@@ -605,7 +605,12 @@ class TestOptimize:
                                   max_iterations=2, exclusion_radius=1.0)
         rec = optimize(grid, emitters, cfg)
         assert rec.final_value >= rec.initial_value
-        assert rec.target == "negativity"
+        # each recorded value is the negativity of that entry's state, to
+        # the bit, and not the concurrence
+        states = [quantum.steady_state(pump_params(e.couplings, cfg.pump_ratio))
+                  for e in rec.entries]
+        assert rec.values == [quantum.negativity(rho) for rho in states]
+        assert rec.values != [quantum.concurrence(rho) for rho in states]
 
     def test_loop_agrees_across_solver_paths(self):
         # the whole design iteration must not depend on which linear

@@ -126,3 +126,26 @@ def test_cli_start_up_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, str(SRC.parent), str(toy)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_definition_has_a_program_caller():
+    # a top-level function or class that only the tests name is surface
+    # no command runs; a name counts wherever the package or the
+    # benchmark spells it, the tracer's WRAP_POINTS strings included
+    program = sorted(SRC.glob("*.py")) + sorted(TRACING.parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in program}
+    named = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname})
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    uncalled = [f"{path.name}:{node.name}" for path in sorted(SRC.glob("*.py"))
+                for node in trees[path].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in named]
+    assert uncalled == []
