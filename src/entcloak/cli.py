@@ -17,7 +17,7 @@ Normative keys and defaults:
     max_iterations  = 200
     sweep_mode      = sequential     or frozen-reference
     bidirectional   = false
-    exclusion_radius= 2.0            frozen shell around emitters, in spacings
+    exclusion_radius= 2.0            vacuum shell around emitters, in spacings
     symmetry        = none           or mirror-z, z-axis-rotation-4fold
     target          = concurrence    or negativity
     pump_ratio      = 0.005          P / gamma, held fixed during design
@@ -118,11 +118,14 @@ class RunConfig:
             raise ConfigError("spacing must be positive and finite")
         if self.origin != "auto" and len(self.origin) != 3:
             raise ConfigError("origin must be 'auto' or three finite numbers x,y,z")
-        if not 0 < self.d12 < math.inf:
-            raise ConfigError("d12 must be positive and finite")
-        if len(self.d12_list) == 0 or any(not 0 < d < math.inf
+        # emcore refuses emitters closer than COINCIDENT_THRESHOLD
+        d_min = COINCIDENT_THRESHOLD
+        if not d_min <= self.d12 < math.inf:
+            raise ConfigError(f"d12 must be finite and at least {d_min:g}")
+        if len(self.d12_list) == 0 or any(not d_min <= d < math.inf
                                           for d in self.d12_list):
-            raise ConfigError("d12_list must be non-empty, positive and finite")
+            raise ConfigError("d12_list must be non-empty, finite and at "
+                              f"least {d_min:g}")
         if len(self.pump_list) == 0 or any(not 0 < p < math.inf
                                            for p in self.pump_list):
             raise ConfigError("pump_list must be non-empty, positive and finite")
@@ -140,7 +143,11 @@ def _parse_scalar_list(text):
     if text.startswith("logspace:"):
         try:
             lo, hi, num = text[len("logspace:"):].split(",")
-            return tuple(np.geomspace(_parse_float(lo), _parse_float(hi), int(num)))
+            lo, hi = _parse_float(lo), _parse_float(hi)
+            # checked here: np.geomspace warns before it returns nan
+            if not (lo > 0 and hi > 0):
+                raise ValueError("bounds must be positive")
+            return tuple(np.geomspace(lo, hi, int(num)))
         except Exception as exc:
             raise ConfigError(f"bad logspace spec {text!r}: {exc}") from exc
     try:

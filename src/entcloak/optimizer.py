@@ -2,17 +2,19 @@
 
 One iteration: solve the two emitter field problems on the current
 map into an `IterationState`, the one carrier of the loop's state,
-visit each symmetry orbit of free voxels once (orbits are built once
-per design, before any solve), score its trial step through the
-first-Born perturbation of the three P_HAT-projected Green's scalars
+visit each symmetry orbit of free voxels once (`prepare_design`, the
+one owner of the free set, builds the orbits once per design, before
+any solve), score its trial step through the first-Born perturbation
+of the three P_HAT-projected Green's scalars
 
     dq_ij = k^2 dV d_eps (G(r_k, r_i) p) . (G(r_k, r_j) p),
 
 with k = emcore.K0 and p = emcore.P_HAT, keep the step when the
 steady-state witness improves, apply the kept steps together, re-solve
 and verify that the accumulated perturbative estimate matches the
-re-solved scalars (the convergence identity).  Only the P_HAT
-orientation of each emitter is solved: the loop reads nothing else.
+re-solved scalars (the convergence identity, `verify_convergence`).
+Only the P_HAT orientation of each emitter is solved: the loop reads
+nothing else.
 Every witness of the loop, of each trial step and of each re-solved
 state, is scored by `score_q`, one function of the three scalars and
 the pump ratio on plain Python numbers: emcore's rate conversion and
@@ -61,7 +63,6 @@ __all__ = [
     "optimize",
     "prepare_design",
     "compute_state",
-    "freeze_exclusion_zone",
 ]
 
 log = logging.getLogger(__name__)
@@ -261,25 +262,23 @@ def compute_state(grid, emitters, config):
     )
 
 
-def sweep_once(state, config, delta_eps=None, orbits=None):
-    """Visit each orbit of state.grid once; returns (grid, sum_dq, accepted).
+def sweep_once(state, config, orbits, delta_eps=None):
+    """Visit each orbit once; returns (state.grid, sum_dq, accepted).
 
-    `orbits` rows are the visiting order (default `_symmetry_orbits`).
-    Each orbit's +delta_eps step is scored first; with
-    `config.bidirectional` the -delta_eps step (clipped so eps stays
-    >= 1) is scored only when the increment is not accepted.  Sequential
-    mode folds each accepted step into the running estimate before
-    scoring later orbits; frozen-reference mode scores every orbit
-    against the iteration-start scalars (order independent).  Accepted
-    steps are added to the grid in place when the sweep ends; no step
-    takes eps past `grid.eps_max`.  sum_dq holds the accumulated
-    first-Born increments of `state.q`, consumed by `verify_convergence`.
+    `orbits` rows (normally `prepare_design`'s) are the visiting order and
+    the only voxels the sweep may change.  Each orbit's +delta_eps step is
+    scored first; with `config.bidirectional` the -delta_eps step (clipped
+    so eps stays >= 1) is scored only when the increment is not accepted.
+    Sequential mode folds each accepted step into the running estimate
+    before scoring later orbits; frozen-reference mode scores every orbit
+    against the iteration-start scalars (order independent).  Accepted steps
+    are added to the grid in place when the sweep ends; no step takes eps
+    past `grid.eps_max`.  sum_dq holds the accumulated first-Born increments
+    of `state.q`, consumed by `verify_convergence`.
     """
     grid = state.grid
     if delta_eps is None:
         delta_eps = config.delta_eps
-    if orbits is None:
-        orbits = _symmetry_orbits(grid, config, state.emitters)
 
     # orbits are disjoint, so no orbit's eps moves before its own visit:
     # its headrooms and summed field products are fixed at sweep start;
@@ -343,9 +342,9 @@ def _by_member(values, orbits, fill):
     return np.concatenate([values, np.full_like(values[:1], fill)])[orbits.T]
 
 
-def _symmetry_orbits(grid, config, emitters):
-    """Ascending member voxels of each orbit without a frozen member, one
-    row per orbit (padded with -1) in representative order; raises
+def _symmetry_orbits(grid, config, emitters, excluded):
+    """Ascending member voxels of each orbit without an `excluded` member,
+    one row per orbit (padded with -1) in representative order; raises
     ConfigError when the layout cannot carry the symmetry."""
     nx, ny, nz = grid.dims
     idx = np.arange(grid.n_voxels)
@@ -369,7 +368,7 @@ def _symmetry_orbits(grid, config, emitters):
         groups = np.stack([idx, g1, g2, g3], axis=1)
 
     groups = np.sort(groups, axis=1)
-    orbits = groups[(groups[:, 0] == idx) & ~grid.frozen[groups].any(axis=1)]
+    orbits = groups[(groups[:, 0] == idx) & ~excluded[groups].any(axis=1)]
     orbits[:, 1:][orbits[:, 1:] == orbits[:, :-1]] = -1  # repeated members
     return orbits
 
@@ -391,42 +390,38 @@ def _require_axis_symmetry(grid, emitters, mirror):
                               "symmetrically about the grid midplane")
 
 
-def _mismatch(q_old, sum_dq, q_new):
-    """Max over the pairs of |q_old + sum_dq - q_new| / |q_new|."""
-    return float(np.max(np.abs(q_old + sum_dq - q_new) / np.abs(q_new)))
-
-
 def verify_convergence(state, sum_dq, grid_next, config):
-    """Re-solve at grid_next and measure the accumulated-vs-resolved mismatch.
+    """Re-solve at grid_next; returns (new_state, mismatch).
 
-    Pure measurement: returns the max relative mismatch over the three
-    projected scalars of `state`, with `sum_dq` added to them.
+    The mismatch is the max over the pairs of |q + sum_dq - q_new| /
+    |q_new|, with q the scalars of `state`, sum_dq their accumulated
+    first-Born increments and q_new the re-solved scalars.
     """
     new_state = compute_state(grid_next, state.emitters, config)
-    return _mismatch(state.q, sum_dq, new_state.q)
-
-
-def freeze_exclusion_zone(grid, emitters, exclusion_radius):
-    """Freeze (at eps = 1) all voxels within exclusion_radius spacings
-    of either emitter; keeps the field solves away from the source
-    singularities."""
-    pts = grid.centers()
-    for r in emitters:
-        d = np.linalg.norm(pts - as_position(r)[None, :], axis=1)
-        near = d <= exclusion_radius * grid.spacing + 1e-12
-        grid.frozen |= near
-        grid.eps[near] = 1.0
-    return grid
+    mismatch = float(np.max(np.abs(state.q + sum_dq - new_state.q)
+                            / np.abs(new_state.q)))
+    return new_state, mismatch
 
 
 def prepare_design(grid, emitters, config):
-    """Freeze the exclusion zone of `grid` and return its symmetry orbits;
-    raises ConfigError, before any field solve, when grid.eps_max leaves
-    no room for one delta_eps step or the layout cannot carry the symmetry."""
+    """Reset the exclusion zone of `grid` to eps = 1 and return the
+    symmetry orbits of the other voxels, the only voxels a sweep visits.
+
+    The zone is every voxel within config.exclusion_radius spacings of
+    either emitter; it keeps the field solves away from the source
+    singularities.  Raises ConfigError, before any field solve, when
+    grid.eps_max leaves no room for one delta_eps step or the layout
+    cannot carry the symmetry.
+    """
     if grid.eps_max < 1.0 + config.delta_eps:
         raise ConfigError("eps_max must allow at least one increment")
-    freeze_exclusion_zone(grid, emitters, config.exclusion_radius)
-    return _symmetry_orbits(grid, config, emitters)
+    pts = grid.centers()
+    excluded = np.zeros(grid.n_voxels, dtype=bool)
+    for r in emitters:
+        excluded |= (np.linalg.norm(pts - as_position(r)[None, :], axis=1)
+                     <= config.exclusion_radius * grid.spacing + 1e-12)
+    grid.eps[excluded] = 1.0
+    return _symmetry_orbits(grid, config, emitters, excluded)
 
 
 def optimize(grid0, emitters, config):
@@ -451,12 +446,11 @@ def optimize(grid0, emitters, config):
     n = 0
     while n < config.max_iterations:
         eps_backup = grid.eps.copy()
-        _, sum_dq, accepted = sweep_once(state, config, delta_eps=delta_eps,
-                                         orbits=orbits)
+        _, sum_dq, accepted = sweep_once(state, config, orbits,
+                                         delta_eps=delta_eps)
         if accepted == 0:
             break
-        new_state = compute_state(grid, emitters, config)
-        mismatch = _mismatch(state.q, sum_dq, new_state.q)
+        new_state, mismatch = verify_convergence(state, sum_dq, grid, config)
         regressed = new_state.target_value < state.target_value
         if regressed or mismatch > config.eta_converge:
             grid.eps[:] = eps_backup

@@ -81,8 +81,7 @@ class PermittivityGrid:
 
     origin is the center of voxel (0, 0, 0); voxel (ix, iy, iz) is
     centered at origin + spacing * (ix, iy, iz).  Voxels are stored flat
-    in lexicographic (ix, iy, iz) order (C order).  `frozen` marks
-    voxels excluded from optimization.
+    in lexicographic (ix, iy, iz) order (C order).
     """
 
     origin: np.ndarray
@@ -90,17 +89,11 @@ class PermittivityGrid:
     dims: tuple
     eps: np.ndarray
     eps_max: float = 9.0
-    frozen: np.ndarray = None
 
     def __post_init__(self):
         self.origin = as_position(self.origin)
         self.dims = tuple(int(n) for n in self.dims)
-        n = self.n_voxels
-        self.eps = np.asarray(self.eps, dtype=float).reshape(n)
-        if self.frozen is None:
-            self.frozen = np.zeros(n, dtype=bool)
-        else:
-            self.frozen = np.asarray(self.frozen, dtype=bool).reshape(n)
+        self.eps = np.asarray(self.eps, dtype=float).reshape(self.n_voxels)
         # each test is written so that nan fails it
         if not 0 < self.spacing < np.inf:
             raise ValueError("voxel spacing must be positive and finite")
@@ -137,7 +130,6 @@ class PermittivityGrid:
         return PermittivityGrid(
             origin=self.origin.copy(), spacing=self.spacing, dims=self.dims,
             eps=self.eps.copy(), eps_max=self.eps_max,
-            frozen=self.frozen.copy(),
         )
 
     def chi(self):
@@ -204,7 +196,6 @@ class _FftInteraction:
 
     def __init__(self, dims, spacing):
         self.dims = dims
-        self.spacing = spacing
         nx, ny, nz = dims
         px, py, pz = 2 * nx, 2 * ny, 2 * nz
         lag = []

@@ -110,10 +110,14 @@ class TestConfigParsing:
         ("d12", float("inf")),
         ("d12_list", (float("inf"),)),
         ("pump_list", (0.005, float("inf"))),
+        ("d12", 1e-7),
+        ("d12_list", (0.25, 1e-7)),
     ], ids=["spacing", "d12", "d12_list", "pump_list", "spacing-inf",
-            "d12-inf", "d12_list-inf", "pump_list-inf"])
+            "d12-inf", "d12_list-inf", "pump_list-inf", "d12-coincident",
+            "d12_list-coincident"])
     def test_nan_range_rejected(self, field, value):
-        # a RunConfig built directly, not parsed: nan and inf both fail
+        # a RunConfig built directly, not parsed: nan and inf both fail,
+        # and so does a d12 below emcore.COINCIDENT_THRESHOLD
         with pytest.raises(ConfigError):
             cli.RunConfig(**{field: value})
 
@@ -121,6 +125,16 @@ class TestConfigParsing:
         path = write_config(tmp_path, "d12_list = logspace:0.1,1.0,3\n")
         cfg = cli.parse_config(path)
         assert np.allclose(cfg.d12_list, np.geomspace(0.1, 1.0, 3))
+
+    @pytest.mark.parametrize("spec", ["-1,1,3", "0.1,-1,3"])
+    def test_logspace_nonpositive_bound_rejected_silently(self, tmp_path, spec):
+        # the bounds are checked before np.geomspace, which would warn
+        path = write_config(tmp_path, f"pump_list = logspace:{spec}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match="bad logspace spec"):
+                cli.parse_config(path)
+        assert caught == []
 
     def test_explicit_lists(self, tmp_path):
         path = write_config(tmp_path, "pump_list = 0.005, 0.05\n")

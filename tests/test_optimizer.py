@@ -14,15 +14,14 @@ from entcloak.optimizer import (
     DesignConfig,
     born_delta_green,
     compute_state,
-    freeze_exclusion_zone,
     optimize,
+    prepare_design,
     pump_params,
     score_q,
     sweep_once,
     verify_convergence,
     _born_dq,
     _sum_dq,
-    _symmetry_orbits,
 )
 from entcloak.vie import (
     PermittivityGrid,
@@ -39,6 +38,13 @@ def toy(dims=(6, 6, 6), spacing=1 / 16, d12=0.25, eps_max=9.0, **cfg_kw):
     emitters = (np.array([0.0, 0.0, -d12 / 2]), np.array([0.0, 0.0, d12 / 2]))
     cfg = DesignConfig(**cfg_kw)
     return grid, emitters, cfg
+
+
+def prepared(grid, emitters, cfg):
+    """`prepare_design`'s orbits of `grid` and the mask of the voxels
+    they hold, the only voxels a sweep may change."""
+    orbits = prepare_design(grid, emitters, cfg)
+    return orbits, np.isin(np.arange(grid.n_voxels), orbits)
 
 
 class TestBornDeltaGreen:
@@ -195,21 +201,21 @@ class TestScoreQ:
         # solved when each candidate built a CouplingSet, a
         # MasterEqParams and a (4, 4) state
         grid, emitters, cfg = toy(bidirectional=True, exclusion_radius=1.0)
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
-        grid.eps[~grid.frozen & (grid.centers()[:, 0] > 0)] = 2.0
+        orbits, free = prepared(grid, emitters, cfg)
+        grid.eps[free & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
         from entcloak import optimizer
         calls = count_calls(monkeypatch, optimizer, "score_q")
         states = count_calls(monkeypatch, quantum, "steady_state")
-        _, _, accepted = sweep_once(st, cfg)
+        _, _, accepted = sweep_once(st, cfg, orbits)
         assert (len(calls), accepted, len(states)) == (266, 176, 0)
 
 
 def filled_toy(rng, **cfg_kw):
     """6^3 toy whose free voxels are 40 % filled at random eps in [1, 4]."""
     grid, emitters, cfg = toy(**cfg_kw)
-    freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
-    filled = ~grid.frozen & (rng.random(grid.n_voxels) < 0.4)
+    _, free = prepared(grid, emitters, cfg)
+    filled = free & (rng.random(grid.n_voxels) < 0.4)
     grid.eps[filled] = rng.uniform(1.0, 4.0, int(filled.sum()))
     return grid, emitters, cfg
 
@@ -303,7 +309,7 @@ class TestEvaluateCandidate:
 
     def test_zero_increment_returns_current(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
         q = born_step_q(st, voxel=7, delta_eps=0.0)
         assert score_q(*q, cfg.pump_ratio, cfg.target) == st.target_value
@@ -313,9 +319,8 @@ class TestEvaluateCandidate:
     def test_matches_brute_force_pipeline(self, d12):
         # candidate estimate vs full re-solve with that one voxel changed
         grid, emitters, cfg = toy(dims=(6, 6, 6), d12=d12)
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        free = prepare_design(grid, emitters, cfg)[:, 0]
         st = compute_state(grid, emitters, cfg)
-        free = np.nonzero(~grid.frozen)[0]
         for kidx in free[:: max(1, len(free) // 5)][:5]:
             value = score_q(*born_step_q(st, int(kidx), 0.05), cfg.pump_ratio,
                             cfg.target)
@@ -332,10 +337,10 @@ class TestEvaluateCandidate:
 
     def test_unphysical_candidate_rejected(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        _, free = prepared(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
         s11 = st.s[:, 0]
-        kidx = int(np.argmax(np.abs(s11.imag) * ~grid.frozen))
+        kidx = int(np.argmax(np.abs(s11.imag) * free))
         # the delta_eps that takes Im q11 to minus its current value
         q11 = st.q[0]
         delta_eps = -2 * q11.imag / (K**2 * grid.voxel_volume * s11[kidx].imag)
@@ -347,23 +352,31 @@ class TestEvaluateCandidate:
         assert couplings_from_q(*q).gamma11 > 0
 
     def test_frozen_voxels_never_swept(self):
+        # the exclusion zone is in no orbit and stays at eps = 1 through a
+        # sweep, also when the start map has dielectric there
         grid, emitters, cfg = toy(dims=(4, 4, 4))
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        grid.eps[:] = 2.0
+        dist = np.min([np.linalg.norm(grid.centers() - r, axis=1)
+                       for r in emitters], axis=0)
+        zone = dist <= cfg.exclusion_radius * grid.spacing
+        assert 0 < zone.sum() < grid.n_voxels
+        orbits, free = prepared(grid, emitters, cfg)
+        assert np.array_equal(free, ~zone)
+        assert np.all(grid.eps[zone] == 1.0)
         st = compute_state(grid, emitters, cfg)
-        orbits = _symmetry_orbits(grid, cfg, st.emitters)
-        swept = set(orbits[orbits >= 0].tolist())
-        assert swept.isdisjoint(set(np.nonzero(grid.frozen)[0].tolist()))
-        assert len(swept) == int((~grid.frozen).sum())
+        _, _, accepted = sweep_once(st, cfg, orbits)
+        assert accepted > 0
+        assert np.all(grid.eps[zone] == 1.0)
 
 
 class TestSweepOnce:
     def test_no_improvement_leaves_grid_unchanged(self):
         # a huge acceptance threshold rejects every candidate
         grid, emitters, cfg = toy(dims=(4, 4, 4), tol_accept=1.0)
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
         eps0 = grid.eps.copy()
-        _, sum_dq, accepted = sweep_once(st, cfg)
+        _, sum_dq, accepted = sweep_once(st, cfg, orbits)
         assert accepted == 0
         assert np.array_equal(grid.eps, eps0)
         assert np.all(sum_dq == 0)
@@ -371,27 +384,26 @@ class TestSweepOnce:
     def test_frozen_reference_order_independent(self, rng):
         base_grid, emitters, cfg = toy(dims=(4, 4, 4),
                                        sweep_mode="frozen-reference")
-        freeze_exclusion_zone(base_grid, emitters, cfg.exclusion_radius)
-        orbits = _symmetry_orbits(base_grid, cfg, emitters)
+        orbits = prepare_design(base_grid, emitters, cfg)
         outcomes = set()
         for _ in range(5):
             g = base_grid.copy()
             st = compute_state(g, emitters, cfg)
-            _, _, acc = sweep_once(st, cfg, orbits=rng.permutation(orbits))
+            _, _, acc = sweep_once(st, cfg, rng.permutation(orbits))
             outcomes.add((acc, tuple(np.round(g.eps, 13))))
         assert len(outcomes) == 1
 
     def test_sequential_matches_hand_trace(self):
         # independent scripted re-implementation of the acceptance rule
         grid, emitters, cfg = toy(dims=(4, 4, 4))
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
 
         hand = grid.copy()
         q = st.q.copy()
         current = st.target_value
         accepted_hand = []
-        for kidx in _symmetry_orbits(hand, cfg, emitters)[:, 0]:
+        for kidx in orbits[:, 0]:
             trial = q + _born_dq(cfg.delta_eps, st.s[kidx], hand.voxel_volume)
             value = score_q(*trial.tolist(), cfg.pump_ratio, cfg.target)
             if value is None or value - current <= cfg.tol_accept:
@@ -401,7 +413,7 @@ class TestSweepOnce:
             hand.eps[kidx] += cfg.delta_eps
             accepted_hand.append(kidx)
 
-        _, _, acc = sweep_once(st, cfg)
+        _, _, acc = sweep_once(st, cfg, orbits)
         assert acc == len(accepted_hand)
         assert np.allclose(grid.eps, hand.eps, atol=0, rtol=0)
 
@@ -412,7 +424,7 @@ class TestSweepOnce:
         rec = optimize(grid, emitters, cfg)
         good = rec.final_grid
         good_state = compute_state(good, emitters, cfg)
-        free = np.nonzero(~good.frozen)[0]
+        free = prepare_design(good.copy(), emitters, cfg)[:, 0]
 
         # the victim is the voxel whose +delta_eps first-Born score is
         # lowest, so extra dielectric there is harmful by construction
@@ -432,26 +444,26 @@ class TestSweepOnce:
         before = spoiled.eps[victim]
         # victim first, so no earlier acceptance in the sweep shifts its score
         orbits = np.array([[victim]] + [[m] for m in free if m != victim])
-        sweep_once(state, bi_cfg, orbits=orbits)
+        sweep_once(state, bi_cfg, orbits)
         assert spoiled.eps[victim] < before
 
     def test_eps_max_cap_respected(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4), eps_max=1.06)
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
-        sweep_once(st, cfg)
+        sweep_once(st, cfg, orbits)
         assert np.all(grid.eps <= grid.eps_max + 1e-12)
         # second sweep cannot push past the cap
         st = compute_state(grid, emitters, cfg)
-        sweep_once(st, cfg)
+        sweep_once(st, cfg, orbits)
         assert np.all(grid.eps <= grid.eps_max + 1e-12)
         # free voxels just below the default bound: the sweep's headroom
         # is the grid's own eps_max, so the swept map stays a valid grid
         grid, emitters, cfg = toy(dims=(4, 4, 4), exclusion_radius=1.0)
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
-        grid.eps[~grid.frozen] = grid.eps_max - 0.02
+        orbits, free = prepared(grid, emitters, cfg)
+        grid.eps[free] = grid.eps_max - 0.02
         st = compute_state(grid, emitters, cfg)
-        sweep_once(st, cfg)
+        sweep_once(st, cfg, orbits)
         assert grid.eps.max() <= grid.eps_max
         grid.copy()  # the copy re-checks eps against the grid's bound
 
@@ -460,15 +472,14 @@ class TestSweepOnce:
         # steps of both signs on two-member orbits
         grid, emitters, cfg = toy(dims=(6, 6, 6), symmetry="mirror-z",
                                   bidirectional=True, exclusion_radius=1.0)
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
-        grid.eps[~grid.frozen & (grid.centers()[:, 0] > 0)] = 2.0
+        orbits, free = prepared(grid, emitters, cfg)
+        grid.eps[free & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
         before_grid = grid.copy()
-        _, sum_dq, _ = sweep_once(st, cfg)
+        _, sum_dq, _ = sweep_once(st, cfg, orbits)
         delta = grid.eps - before_grid.eps
         changed = np.flatnonzero(delta)
         assert (delta < 0).any() and (delta > 0).any()
-        orbits = _symmetry_orbits(grid, cfg, emitters)
         assert (np.isin(orbits[:, 1], changed)).any()
         # the full-tensor first-Born sum over the oracle's blocks, projected
         X1, X2 = solve_green_block(before_grid, emitters, rtol=cfg.solver_rtol)
@@ -484,38 +495,38 @@ class TestVerifyConvergence:
     def test_zero_accepted_zero_mismatch(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         st = compute_state(grid, emitters, cfg)
-        mism = verify_convergence(st, np.zeros_like(st.q), grid, cfg)
+        new_state, mism = verify_convergence(st, np.zeros_like(st.q), grid, cfg)
         assert mism == 0.0
+        assert np.array_equal(new_state.q, st.q)
 
     def test_one_voxel_small_mismatch(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        kidx = prepare_design(grid, emitters, cfg)[0, 0]
         st = compute_state(grid, emitters, cfg)
-        kidx = int(np.argmax(~grid.frozen))
         g2 = grid.copy()
         g2.eps[kidx] += 0.05
         sum_dq = _sum_dq(st, g2.eps - grid.eps)
-        mism = verify_convergence(st, sum_dq, g2, cfg)
+        _, mism = verify_convergence(st, sum_dq, g2, cfg)
         assert 0 < mism <= 1e-3
 
     def test_large_increment_breaks_identity(self):
         # delta_eps = 1 on a cluster: the accumulated first-Born estimate
         # must overshoot the threshold used for adaptive halving
         grid, emitters, cfg = toy(dims=(6, 6, 6))
-        freeze_exclusion_zone(grid, emitters, cfg.exclusion_radius)
+        free = prepare_design(grid, emitters, cfg)[:40, 0]
         st = compute_state(grid, emitters, cfg)
-        free = np.nonzero(~grid.frozen)[0][:40]
         g2 = grid.copy()
         g2.eps[free] += 1.0
         sum_dq = _sum_dq(st, g2.eps - grid.eps)
-        mism = verify_convergence(st, sum_dq, g2, cfg)
+        _, mism = verify_convergence(st, sum_dq, g2, cfg)
         assert mism > cfg.eta_converge
 
 
 class TestOptimize:
     def test_all_frozen_returns_initial(self):
-        grid, emitters, cfg = toy(dims=(4, 4, 4))
-        grid.frozen[:] = True
+        # an exclusion zone wider than the grid leaves no voxel free
+        grid, emitters, cfg = toy(dims=(4, 4, 4), exclusion_radius=100.0)
+        assert prepare_design(grid.copy(), emitters, cfg).size == 0
         rec = optimize(grid, emitters, cfg)
         assert len(rec.entries) == 1
         assert rec.entries[0].n == 0
@@ -554,9 +565,8 @@ class TestOptimize:
     def test_rotation_symmetry_requires_square_section(self):
         grid, emitters, _ = toy(dims=(4, 6, 6))
         cfg = DesignConfig(symmetry="z-axis-rotation-4fold")
-        state = compute_state(grid, emitters, cfg)
         with pytest.raises(ValueError):
-            sweep_once(state, cfg)
+            prepare_design(grid, emitters, cfg)
 
     def test_adaptive_halving_on_identity_violation(self):
         # a coarse increment must trigger the safeguard, then proceed

@@ -87,6 +87,13 @@ def test_design_config_owns_no_grid_value():
     assert names[0] & names[1] == set()
 
 
+def test_grid_carries_no_design_state():
+    # which voxels a design may change is the design loop's decision
+    # (`optimizer.prepare_design`); the grid holds only the map itself
+    names = [f.name for f in dataclasses.fields(PermittivityGrid)]
+    assert names == ["origin", "spacing", "dims", "eps", "eps_max"]
+
+
 SRC = Path(entcloak.__file__).resolve().parent
 
 
