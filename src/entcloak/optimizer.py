@@ -271,10 +271,12 @@ def sweep_once(state, config, orbits, delta_eps=None):
     so eps stays >= 1) is scored only when the increment is not accepted.
     Sequential mode folds each accepted step into the running estimate
     before scoring later orbits; frozen-reference mode scores every orbit
-    against the iteration-start scalars (order independent).  Accepted steps
-    are added to the grid in place when the sweep ends; no step takes eps
-    past `grid.eps_max`.  sum_dq holds the accumulated first-Born increments
-    of `state.q`, consumed by `verify_convergence`.
+    against the iteration-start scalars (order independent).  The loop
+    runs on Python numbers: it records each accepted orbit's step in a
+    per-orbit list, and when the sweep ends those steps are added to the
+    grid in place, every member of an orbit getting its orbit's step; no
+    step takes eps past `grid.eps_max`.  sum_dq holds the accumulated
+    first-Born increments of `state.q`, consumed by `verify_convergence`.
     """
     grid = state.grid
     if delta_eps is None:
@@ -288,44 +290,45 @@ def sweep_once(state, config, orbits, delta_eps=None):
                                           np.inf).min(axis=0))
     down = -np.minimum(delta_eps, _by_member(grid.eps - 1.0, orbits,
                                              np.inf).min(axis=0))
-    trials = (up, down) if config.bidirectional else (up,)
-    # each trial sign's steps and Delta q of every orbit, as Python
-    # floats and complex values: numpy scalars would cost the scorer
-    # more than its own arithmetic
-    trials = [(t.tolist(), _born_dq(t[:, None], s, grid.voxel_volume).tolist())
-              for t in trials]
+    # per orbit, each trial sign's (step, Delta q) as Python floats and
+    # complex values: numpy scalars would cost the scorer more than its
+    # own arithmetic
+    trials = zip(*[zip(t.tolist(),
+                       _born_dq(t[:, None], s, grid.voxel_volume).tolist())
+                   for t in ((up, down) if config.bidirectional else (up,))])
 
-    q = state.q.tolist()
+    q11, q22, q12 = state.q.tolist()
     current = state.target_value
     pump_ratio, target = config.pump_ratio, config.target
-    steps = np.zeros(grid.n_voxels)
-    accepted = 0
+    tol_accept = config.tol_accept
+    sequential = config.sweep_mode == "sequential"
+    chosen = [0.0] * len(orbits)
     rejected_unphysical = 0
-    for o, orbit in enumerate(orbits):
-        for trial_steps, trial_dq in trials:
-            step = trial_steps[o]
+    for o, candidates in enumerate(trials):
+        for step, (d11, d22, d12) in candidates:
             if abs(step) < 1e-15:
                 continue
-            trial_q = [x + dx for x, dx in zip(q, trial_dq[o])]
-            value = score_q(*trial_q, pump_ratio, target)
+            t11, t22, t12 = q11 + d11, q22 + d22, q12 + d12
+            value = score_q(t11, t22, t12, pump_ratio, target)
             if value is None:
                 rejected_unphysical += 1
                 continue
-            if value - current <= config.tol_accept:
+            if value - current <= tol_accept:
                 continue
-            members = orbit[orbit >= 0]
-            steps[members] = step
-            accepted += len(members)
-            if config.sweep_mode == "sequential":
-                q = trial_q
+            chosen[o] = step
+            if sequential:
+                q11, q22, q12 = t11, t22, t12
                 current = value
             break  # do not also try the opposite sign
 
+    members = orbits >= 0
+    steps = np.zeros(grid.n_voxels)
+    steps[orbits[members]] = np.repeat(chosen, members.sum(axis=1))
     grid.eps += steps
     if rejected_unphysical:
         log.debug("sweep rejected %d candidates whose perturbed couplings "
                   "left the physical manifold", rejected_unphysical)
-    return grid, _sum_dq(state, steps), accepted
+    return grid, _sum_dq(state, steps), int(np.count_nonzero(steps))
 
 
 def _sum_dq(state, steps):

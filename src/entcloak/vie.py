@@ -15,7 +15,11 @@ the tensor anywhere else follows from the re-radiation sum
     G(r, r_s) = G0(r, r_s) + k^2 sum_k G0(r, r_k) chi_k dV x_k.
 
 Both solves take a sequence of sources.  `solve_fields` solves only
-the emcore.P_HAT orientation of each, the design loop's solve.
+the emcore.P_HAT orientation of each, the design loop's solve.  Its
+right-hand sides, the free-space columns G0(r_k, r_source) P_HAT,
+depend on the geometry (dims, spacing, origin) and the source alone, so
+they are built once and cached read-only beside the FFT kernel: one
+design builds them once per emitter, however many maps it solves.
 `solve_green_block` solves all three, and `scattered_green_pair`
 re-radiates those blocks into a pair's (G11, G22, G12): the oracle that
 `validate` and the tests check the loop's projected scalars against.
@@ -263,6 +267,18 @@ def fft_matvec(grid, x):
     return _fft_operator(grid)(xv).reshape(np.asarray(x).shape)
 
 
+@functools.lru_cache(maxsize=16)
+def _incident_column(dims, spacing, origin, source):
+    """Read-only (N, 3) column G0(r_k, r_source) P_HAT over the voxel
+    centers of a geometry; it does not depend on the map, so a design
+    builds it once per emitter (an error is raised again on every call:
+    the cache keeps only results)."""
+    geometry = PermittivityGrid.vacuum(dims, spacing, origin)
+    column = _source_columns(geometry, source) @ P_HAT
+    column.flags.writeable = False
+    return column
+
+
 def _source_columns(grid, source):
     """(N, 3, 3) blocks G0(r_k, r_source) for every voxel center."""
     pts = grid.centers()
@@ -398,9 +414,12 @@ def solve_fields(grid, sources, method="iterative", rtol=KRYLOV_RTOL):
 
 def _fields_and_incident(grid, sources, method, rtol):
     """(fields, incident) of `solve_fields`: incident[i] is the (N, 3)
-    right-hand side of fields[i], the vacuum column G0(r_k, r_i) P_HAT."""
+    right-hand side of fields[i], the vacuum column G0(r_k, r_i) P_HAT
+    (read-only, shared through `_incident_column`'s cache)."""
     sources = _source_positions(sources)
-    incident = [_source_columns(grid, r) @ P_HAT for r in sources]
+    origin = tuple(grid.origin.tolist())
+    incident = [_incident_column(grid.dims, grid.spacing, origin,
+                                 tuple(r.tolist())) for r in sources]
     X = _solve_system(grid, np.stack(incident, axis=2), method, rtol)
     return [X[:, :, i] for i in range(len(sources))], incident
 

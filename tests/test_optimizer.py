@@ -491,6 +491,78 @@ class TestSweepOnce:
             assert abs(dq - expected) <= 1e-12 * abs(expected)
 
 
+def reference_sweep(state, cfg, orbits):
+    """`sweep_once` written out one orbit at a time, leaving the grid as
+    it is: each trial step is scored by `score_q`, and an accepted
+    orbit's members are assigned its step at once.  Returns (eps after
+    the sweep, sum_dq, accepted)."""
+    grid = state.grid
+    q = state.q.tolist()
+    current = state.target_value
+    steps = np.zeros(grid.n_voxels)
+    accepted = 0
+    for orbit in orbits:
+        members = orbit[orbit >= 0]
+        s = sum(state.s[m] for m in members)
+        up = min(cfg.delta_eps, min(grid.eps_max - grid.eps[m] for m in members))
+        down = -min(cfg.delta_eps, min(grid.eps[m] - 1.0 for m in members))
+        for step in (up, down) if cfg.bidirectional else (up,):
+            if abs(step) < 1e-15:
+                continue
+            dq = _born_dq(step, s, grid.voxel_volume).tolist()
+            trial = [x + d for x, d in zip(q, dq, strict=True)]
+            value = score_q(*trial, cfg.pump_ratio, cfg.target)
+            if value is None or value - current <= cfg.tol_accept:
+                continue
+            steps[members] = step
+            accepted += len(members)
+            if cfg.sweep_mode == "sequential":
+                q, current = trial, value
+            break
+    return grid.eps + steps, _sum_dq(state, steps), accepted
+
+
+class TestSweepEquivalence:
+    #: (dims, d12): the 5^3 layout puts voxels on the central axis and
+    #: the midplane, whose symmetry orbits are padded with -1
+    LAYOUTS = {"even": ((6, 6, 6), 0.25), "odd": ((5, 5, 5), 0.1875)}
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("symmetry",
+                             ["none", "mirror-z", "z-axis-rotation-4fold"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("sweep_mode", ["sequential", "frozen-reference"])
+    def test_matches_per_orbit_loop(self, rng, layout, symmetry,
+                                    bidirectional, sweep_mode):
+        dims, d12 = self.LAYOUTS[layout]
+        grid, emitters, cfg = toy(dims=dims, d12=d12, exclusion_radius=1.0,
+                                  symmetry=symmetry, sweep_mode=sweep_mode,
+                                  bidirectional=bidirectional)
+        orbits, free = prepared(grid, emitters, cfg)
+        assert (orbits < 0).any() == (layout == "odd" and symmetry != "none")
+        # eps at 1 and eps_max (one sign has no room), just inside them
+        # (clipped steps) and in between
+        grid.eps[free] = rng.choice([1.0, 1.01, 1.5, 2.0, 8.97, 9.0],
+                                    int(free.sum()))
+        st = compute_state(grid, emitters, cfg)
+        eps_ref, sum_dq_ref, accepted_ref = reference_sweep(st, cfg, orbits)
+        _, sum_dq, accepted = sweep_once(st, cfg, orbits)
+        assert accepted_ref > 0
+        assert accepted == accepted_ref
+        assert np.array_equal(grid.eps, eps_ref)
+        assert np.array_equal(sum_dq, sum_dq_ref)
+
+    def test_no_orbits_leave_the_grid_unchanged(self):
+        grid, emitters, cfg = toy(exclusion_radius=1.0, bidirectional=True)
+        orbits = prepare_design(grid, emitters, cfg)
+        st = compute_state(grid, emitters, cfg)
+        eps0 = grid.eps.copy()
+        _, sum_dq, accepted = sweep_once(st, cfg, orbits[:0])
+        assert accepted == 0
+        assert np.array_equal(grid.eps, eps0)
+        assert np.all(sum_dq == 0)
+
+
 class TestVerifyConvergence:
     def test_zero_accepted_zero_mismatch(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4))

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -133,6 +134,20 @@ def test_cli_start_up_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, str(SRC.parent), str(toy)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_start_up_leaves_the_check_suite_unloaded():
+    # only `entcloak validate` needs entcloak.validate; every other
+    # command would pay for compiling it when no bytecode cache is kept
+    code = (
+        "import sys\n"
+        "import entcloak.cli\n"
+        "print('entcloak.validate' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_every_definition_has_a_program_caller():

@@ -217,6 +217,43 @@ class TestSolveFields:
         assert err.value.residual is not None and err.value.residual > 0
 
 
+class TestIncidentColumns:
+    def test_built_once_per_emitter_of_a_design(self, monkeypatch):
+        # the columns depend on the geometry alone, so every state of a
+        # design (and each re-solve after a reverted sweep) reuses them
+        from entcloak.optimizer import DesignConfig, optimize
+        vie._incident_column.cache_clear()
+        calls = []
+        real = vie._source_columns
+
+        def counting(grid, source):
+            calls.append(tuple(source))
+            return real(grid, source)
+
+        monkeypatch.setattr(vie, "_source_columns", counting)
+        grid = PermittivityGrid.vacuum((6, 6, 6), 1 / 16)
+        emitters = (np.array([0.0, 0.0, -0.125]), np.array([0.0, 0.0, 0.125]))
+        rec = optimize(grid, emitters, DesignConfig(max_iterations=3,
+                                                    exclusion_radius=1.0))
+        assert len(rec.entries) == 4
+        assert calls == [(0.0, 0.0, -0.125), (0.0, 0.0, 0.125)]
+
+    def test_cached_columns_equal_and_read_only(self):
+        g = PermittivityGrid.vacuum((4, 5, 3), 0.03)
+        r = np.array([0.01, -0.02, 0.4])
+        column = vie._incident_column(g.dims, g.spacing,
+                                      tuple(g.origin.tolist()), tuple(r.tolist()))
+        assert np.array_equal(column, vie._source_columns(g, r) @ emcore.P_HAT)
+        with pytest.raises(ValueError):
+            column[0, 0] = 0.0
+
+    def test_coincident_source_raises_on_every_call(self):
+        g = PermittivityGrid.vacuum((3, 3, 3), 0.05, origin=(0, 0, 0))
+        for _ in range(2):
+            with pytest.raises(CoincidentPointsError):
+                solve_fields(g, [(0.05, 0.05, 0.05)])
+
+
 class TestBicgstab:
     def test_matches_dense_solve(self, rng):
         g = random_grid(rng, (5, 5, 5), contrast=8.0)
