@@ -15,7 +15,6 @@ Normative keys and defaults:
     tol_accept      = 1e-9
     eta_converge    = 0.01
     max_iterations  = 200
-    sweep_mode      = sequential     or frozen-reference
     bidirectional   = false
     exclusion_radius= 2.0            vacuum shell around emitters, in spacings
     symmetry        = none           or mirror-z, z-axis-rotation-4fold

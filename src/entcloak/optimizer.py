@@ -20,13 +20,12 @@ state, is scored by `score_q`, one function of the three scalars and
 the pump ratio on plain Python numbers: emcore's rate conversion and
 positivity rule, then quantum's scalar X-block kernels.  It builds no
 CouplingSet, MasterEqParams or array.
-The sequential and frozen-reference modes share that one loop; they
-differ only in whether later orbits are scored against the running
-estimate or the iteration-start scalars.  The bound eps_max is the
-grid's own.  The pump is held at a fixed ratio P/gamma11 of the
-current device decay rate, so the steady state depends only on the
-coupling ratios and the loop effectively shapes (gamma12/gamma,
-g12/gamma) and the Purcell factor.
+Each accepted step is folded into the running estimate of the scalars
+before later orbits are scored.  The bound eps_max is the grid's own.
+The pump is held at a fixed ratio P/gamma11 of the current device decay
+rate, so the steady state depends only on the coupling ratios and the
+loop effectively shapes (gamma12/gamma, g12/gamma) and the Purcell
+factor.
 
 Safeguard: if a completed sweep lowers the re-solved target or breaks
 the convergence identity beyond eta_converge, the sweep is reverted and
@@ -71,7 +70,6 @@ log = logging.getLogger(__name__)
 #: (rho00, rho33, rho12) of the X-type steady state, for `score_q`.
 _WITNESSES = {"concurrence": quantum.concurrence_x,
               "negativity": quantum.negativity_x}
-_SWEEP_MODES = ("sequential", "frozen-reference")
 _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
 
 #: Emitter index pairs (i, j) of the pair axis of `q` and `s`: 11, 22, 12.
@@ -87,7 +85,6 @@ class DesignConfig:
     tol_accept: float = 1e-9
     eta_converge: float = 1e-2
     max_iterations: int = 200
-    sweep_mode: str = "sequential"
     # +delta_eps is scored first; -delta_eps (down to eps = 1) is scored
     # only when the increment is not accepted
     bidirectional: bool = False
@@ -117,8 +114,6 @@ class DesignConfig:
             raise ValueError("pump_ratio must be positive and finite")
         if self.target not in _WITNESSES:
             raise ValueError(f"target must be one of {tuple(_WITNESSES)}")
-        if self.sweep_mode not in _SWEEP_MODES:
-            raise ValueError(f"sweep_mode must be one of {_SWEEP_MODES}")
         if self.symmetry not in _SYMMETRIES:
             raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
         if self.solver_method not in SOLVER_METHODS:
@@ -269,14 +264,13 @@ def sweep_once(state, config, orbits, delta_eps=None):
     the only voxels the sweep may change.  Each orbit's +delta_eps step is
     scored first; with `config.bidirectional` the -delta_eps step (clipped
     so eps stays >= 1) is scored only when the increment is not accepted.
-    Sequential mode folds each accepted step into the running estimate
-    before scoring later orbits; frozen-reference mode scores every orbit
-    against the iteration-start scalars (order independent).  The loop
-    runs on Python numbers: it records each accepted orbit's step in a
-    per-orbit list, and when the sweep ends those steps are added to the
-    grid in place, every member of an orbit getting its orbit's step; no
-    step takes eps past `grid.eps_max`.  sum_dq holds the accumulated
-    first-Born increments of `state.q`, consumed by `verify_convergence`.
+    Each accepted step becomes the running (q11, q22, q12) and witness
+    that later orbits are scored against.  The loop runs on Python
+    numbers: it records each accepted orbit's step in a per-orbit list,
+    and when the sweep ends those steps are added to the grid in place,
+    every member of an orbit getting its orbit's step; no step takes eps
+    past `grid.eps_max`.  sum_dq holds the accumulated first-Born
+    increments of `state.q`, consumed by `verify_convergence`.
     """
     grid = state.grid
     if delta_eps is None:
@@ -301,7 +295,6 @@ def sweep_once(state, config, orbits, delta_eps=None):
     current = state.target_value
     pump_ratio, target = config.pump_ratio, config.target
     tol_accept = config.tol_accept
-    sequential = config.sweep_mode == "sequential"
     chosen = [0.0] * len(orbits)
     rejected_unphysical = 0
     for o, candidates in enumerate(trials):
@@ -316,9 +309,8 @@ def sweep_once(state, config, orbits, delta_eps=None):
             if value - current <= tol_accept:
                 continue
             chosen[o] = step
-            if sequential:
-                q11, q22, q12 = t11, t22, t12
-                current = value
+            q11, q22, q12 = t11, t22, t12
+            current = value
             break  # do not also try the opposite sign
 
     members = orbits >= 0

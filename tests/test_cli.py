@@ -72,7 +72,6 @@ class TestConfigParsing:
         assert cfg.design.max_iterations == 2
         assert cfg.design.pump_ratio == 0.005
         assert cfg.seed == 7
-        assert cfg.design.sweep_mode == "sequential"
 
     def test_seed_override(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path), seed_override=99)
@@ -221,15 +220,18 @@ class TestOptimizeCommand:
         "dims = 4,4,4\nd12 = 0.0625",
         "dims = 4,4,4\neta_converge = -1", "tol_accept = -1e-9",
         "delta_eps_min = 0", "exclusion_radius = -5", "max_iterations = -1",
+        # a key that no longer exists
+        "sweep_mode = frozen-reference",
     ], ids=["dims", "spacing", "origin", "solver_rtol", "rotation-dims",
             "mirror-off-axis", "max_iterations", "bidirectional",
             "pump_ratio-nan", "d12-nan", "eta_converge-nan", "eps_max-inf",
             "eps_max-no-increment", "eps_max-below-vacuum",
             "emitter-on-center-plane", "eta_converge-negative",
             "tol_accept-negative", "delta_eps_min-zero",
-            "exclusion_radius-negative", "max_iterations-negative"])
+            "exclusion_radius-negative", "max_iterations-negative",
+            "sweep_mode-removed"])
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, monkeypatch,
-                                                line):
+                                                capsys, line):
         # a configuration error must surface before any field solve
         from entcloak import optimizer
 
@@ -242,6 +244,8 @@ class TestOptimizeCommand:
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+        if line.startswith("sweep_mode"):
+            assert "unknown config key 'sweep_mode'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["dens", "auto"])
     def test_unknown_solver_method_exit_2(self, tmp_path, capsys, method):
@@ -658,6 +662,12 @@ class TestDocDrift:
         # every key parses, and at its documented default
         text = "".join(f"{key} = {val}\n" for key, val in documented.items())
         assert cli.parse_config(write_config(tmp_path, text)) == cli.RunConfig()
+
+    def test_readme_check_count_matches_validate(self):
+        from entcloak import validate
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        counts = re.findall(r"all (\d+) named\s+invariant checks", readme)
+        assert counts == [str(len(validate.CHECKS))]
 
     def test_readme_flag_table_matches_parser(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

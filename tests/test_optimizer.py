@@ -381,18 +381,6 @@ class TestSweepOnce:
         assert np.array_equal(grid.eps, eps0)
         assert np.all(sum_dq == 0)
 
-    def test_frozen_reference_order_independent(self, rng):
-        base_grid, emitters, cfg = toy(dims=(4, 4, 4),
-                                       sweep_mode="frozen-reference")
-        orbits = prepare_design(base_grid, emitters, cfg)
-        outcomes = set()
-        for _ in range(5):
-            g = base_grid.copy()
-            st = compute_state(g, emitters, cfg)
-            _, _, acc = sweep_once(st, cfg, rng.permutation(orbits))
-            outcomes.add((acc, tuple(np.round(g.eps, 13))))
-        assert len(outcomes) == 1
-
     def test_sequential_matches_hand_trace(self):
         # independent scripted re-implementation of the acceptance rule
         grid, emitters, cfg = toy(dims=(4, 4, 4))
@@ -516,8 +504,7 @@ def reference_sweep(state, cfg, orbits):
                 continue
             steps[members] = step
             accepted += len(members)
-            if cfg.sweep_mode == "sequential":
-                q, current = trial, value
+            q, current = trial, value
             break
     return grid.eps + steps, _sum_dq(state, steps), accepted
 
@@ -531,13 +518,11 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("symmetry",
                              ["none", "mirror-z", "z-axis-rotation-4fold"])
     @pytest.mark.parametrize("bidirectional", [False, True])
-    @pytest.mark.parametrize("sweep_mode", ["sequential", "frozen-reference"])
     def test_matches_per_orbit_loop(self, rng, layout, symmetry,
-                                    bidirectional, sweep_mode):
+                                    bidirectional):
         dims, d12 = self.LAYOUTS[layout]
         grid, emitters, cfg = toy(dims=dims, d12=d12, exclusion_radius=1.0,
-                                  symmetry=symmetry, sweep_mode=sweep_mode,
-                                  bidirectional=bidirectional)
+                                  symmetry=symmetry, bidirectional=bidirectional)
         orbits, free = prepared(grid, emitters, cfg)
         assert (orbits < 0).any() == (layout == "odd" and symmetry != "none")
         # eps at 1 and eps_max (one sign has no room), just inside them
@@ -661,8 +646,6 @@ class TestOptimize:
             optimize(grid, emitters, cfg)
         with pytest.raises(ValueError):
             DesignConfig(target="fidelity")
-        with pytest.raises(ValueError):
-            DesignConfig(sweep_mode="parallel")
         for method in ("dens", "auto"):
             with pytest.raises(ValueError, match="iterative.*dense"):
                 DesignConfig(solver_method=method)
