@@ -15,7 +15,6 @@ Normative keys and defaults:
     tol_accept      = 1e-9
     eta_converge    = 0.01
     max_iterations  = 200
-    bidirectional   = false
     exclusion_radius= 2.0            vacuum shell around emitters, in spacings
     symmetry        = none           or mirror-z, z-axis-rotation-4fold
     target          = concurrence    or negativity
@@ -155,17 +154,8 @@ def _parse_scalar_list(text):
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"bad boolean {text!r}")
-
-
 #: Config-value parser of each DesignConfig key, from its field's type.
-_PARSERS = {bool: _parse_bool, float: _parse_float, int: int, str: str}
+_PARSERS = {float: _parse_float, int: int, str: str}
 _DESIGN_PARSERS = {f.name: _PARSERS[type(f.default)] for f in dc_fields(DesignConfig)}
 
 

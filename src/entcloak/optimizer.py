@@ -10,9 +10,10 @@ of the three P_HAT-projected Green's scalars
     dq_ij = k^2 dV d_eps (G(r_k, r_i) p) . (G(r_k, r_j) p),
 
 with k = emcore.K0 and p = emcore.P_HAT, keep the step when the
-steady-state witness improves, apply the kept steps together, re-solve
-and verify that the accumulated perturbative estimate matches the
-re-solved scalars (the convergence identity, `verify_convergence`).
+steady-state witness improves, add the kept steps together to a copy
+of the map, re-solve it and verify that the accumulated perturbative
+estimate matches the re-solved scalars (the convergence identity,
+`verify_convergence`).
 Only the P_HAT orientation of each emitter is solved: the loop reads
 nothing else.
 Every witness of the loop, of each trial step and of each re-solved
@@ -27,11 +28,11 @@ rate, so the steady state depends only on the coupling ratios and the
 loop effectively shapes (gamma12/gamma, g12/gamma) and the Purcell
 factor.
 
-Safeguard: if a completed sweep lowers the re-solved target or breaks
-the convergence identity beyond eta_converge, the sweep is reverted and
-delta_eps halved; the loop stops once delta_eps falls below
-delta_eps_min.  The recorded per-iteration target is therefore
-non-decreasing.
+Safeguard: a sweep leaves its state, map included, as it is.  If the
+swept map lowers the re-solved target or breaks the convergence
+identity beyond eta_converge, it is dropped and delta_eps halved; the
+loop stops once delta_eps falls below delta_eps_min.  The recorded
+per-iteration target is therefore non-decreasing.
 """
 
 import logging
@@ -85,9 +86,6 @@ class DesignConfig:
     tol_accept: float = 1e-9
     eta_converge: float = 1e-2
     max_iterations: int = 200
-    # +delta_eps is scored first; -delta_eps (down to eps = 1) is scored
-    # only when the increment is not accepted
-    bidirectional: bool = False
     exclusion_radius: float = 2.0  # in voxel spacings
     symmetry: str = "none"
     target: str = "concurrence"
@@ -258,38 +256,36 @@ def compute_state(grid, emitters, config):
 
 
 def sweep_once(state, config, orbits, delta_eps=None):
-    """Visit each orbit once; returns (state.grid, sum_dq, accepted).
+    """Visit each orbit once; returns (swept_grid, sum_dq, accepted) and
+    leaves `state` as it is.
 
     `orbits` rows (normally `prepare_design`'s) are the visiting order and
-    the only voxels the sweep may change.  Each orbit's +delta_eps step is
-    scored first; with `config.bidirectional` the -delta_eps step (clipped
-    so eps stays >= 1) is scored only when the increment is not accepted.
+    the only voxels the sweep may change.  Each orbit's +delta_eps step,
+    clipped so no member's eps passes `grid.eps_max`, is scored once.
     Each accepted step becomes the running (q11, q22, q12) and witness
     that later orbits are scored against.  The loop runs on Python
     numbers: it records each accepted orbit's step in a per-orbit list,
-    and when the sweep ends those steps are added to the grid in place,
-    every member of an orbit getting its orbit's step; no step takes eps
-    past `grid.eps_max`.  sum_dq holds the accumulated first-Born
-    increments of `state.q`, consumed by `verify_convergence`.
+    and when the sweep ends those steps are added to a copy of
+    `state.grid`, the swept grid, every member of an orbit getting its
+    orbit's step.  sum_dq holds the accumulated first-Born increments of
+    `state.q`, consumed by `verify_convergence`; accepted counts the
+    changed voxels.
     """
     grid = state.grid
     if delta_eps is None:
         delta_eps = config.delta_eps
 
     # orbits are disjoint, so no orbit's eps moves before its own visit:
-    # its headrooms and summed field products are fixed at sweep start;
+    # its headroom and summed field products are fixed at sweep start;
     # sum() adds an orbit's members one at a time, in ascending order
     s = sum(_by_member(state.s, orbits, 0))
     up = np.minimum(delta_eps, _by_member(grid.eps_max - grid.eps, orbits,
                                           np.inf).min(axis=0))
-    down = -np.minimum(delta_eps, _by_member(grid.eps - 1.0, orbits,
-                                             np.inf).min(axis=0))
-    # per orbit, each trial sign's (step, Delta q) as Python floats and
-    # complex values: numpy scalars would cost the scorer more than its
-    # own arithmetic
-    trials = zip(*[zip(t.tolist(),
-                       _born_dq(t[:, None], s, grid.voxel_volume).tolist())
-                   for t in ((up, down) if config.bidirectional else (up,))])
+    # per orbit, the step and its Delta q as Python floats and complex
+    # values: numpy scalars would cost the scorer more than its own
+    # arithmetic
+    trials = zip(up.tolist(),
+                 _born_dq(up[:, None], s, grid.voxel_volume).tolist())
 
     q11, q22, q12 = state.q.tolist()
     current = state.target_value
@@ -297,30 +293,29 @@ def sweep_once(state, config, orbits, delta_eps=None):
     tol_accept = config.tol_accept
     chosen = [0.0] * len(orbits)
     rejected_unphysical = 0
-    for o, candidates in enumerate(trials):
-        for step, (d11, d22, d12) in candidates:
-            if abs(step) < 1e-15:
-                continue
-            t11, t22, t12 = q11 + d11, q22 + d22, q12 + d12
-            value = score_q(t11, t22, t12, pump_ratio, target)
-            if value is None:
-                rejected_unphysical += 1
-                continue
-            if value - current <= tol_accept:
-                continue
-            chosen[o] = step
-            q11, q22, q12 = t11, t22, t12
-            current = value
-            break  # do not also try the opposite sign
+    for o, (step, (d11, d22, d12)) in enumerate(trials):
+        if abs(step) < 1e-15:
+            continue
+        t11, t22, t12 = q11 + d11, q22 + d22, q12 + d12
+        value = score_q(t11, t22, t12, pump_ratio, target)
+        if value is None:
+            rejected_unphysical += 1
+            continue
+        if value - current <= tol_accept:
+            continue
+        chosen[o] = step
+        q11, q22, q12 = t11, t22, t12
+        current = value
 
     members = orbits >= 0
     steps = np.zeros(grid.n_voxels)
     steps[orbits[members]] = np.repeat(chosen, members.sum(axis=1))
-    grid.eps += steps
+    swept = grid.copy()
+    swept.eps += steps
     if rejected_unphysical:
         log.debug("sweep rejected %d candidates whose perturbed couplings "
                   "left the physical manifold", rejected_unphysical)
-    return grid, _sum_dq(state, steps), int(np.count_nonzero(steps))
+    return swept, _sum_dq(state, steps), int(np.count_nonzero(steps))
 
 
 def _sum_dq(state, steps):
@@ -440,15 +435,13 @@ def optimize(grid0, emitters, config):
     delta_eps = config.delta_eps
     n = 0
     while n < config.max_iterations:
-        eps_backup = grid.eps.copy()
-        _, sum_dq, accepted = sweep_once(state, config, orbits,
-                                         delta_eps=delta_eps)
+        swept, sum_dq, accepted = sweep_once(state, config, orbits,
+                                             delta_eps=delta_eps)
         if accepted == 0:
             break
-        new_state, mismatch = verify_convergence(state, sum_dq, grid, config)
+        new_state, mismatch = verify_convergence(state, sum_dq, swept, config)
         regressed = new_state.target_value < state.target_value
         if regressed or mismatch > config.eta_converge:
-            grid.eps[:] = eps_backup
             delta_eps *= 0.5
             log.info("iteration %d rejected (%s); delta_eps halved to %g",
                      n + 1, "target regression" if regressed else
@@ -470,4 +463,4 @@ def optimize(grid0, emitters, config):
         if gain < config.tol_accept:
             break
 
-    return DesignRecord(entries=entries, final_grid=grid)
+    return DesignRecord(entries=entries, final_grid=state.grid)

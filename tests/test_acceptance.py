@@ -213,8 +213,8 @@ def test_criterion_9_witness_target_first_sweep_agreement(toy_instance):
                            exclusion_radius=1.0)
         orbits = prepare_design(g, emitters, cfg)
         state = compute_state(g, emitters, cfg)
-        sweep_once(state, cfg, orbits)
-        sets[target] = frozenset(np.nonzero(g.eps > 1.0)[0].tolist())
+        swept, _, _ = sweep_once(state, cfg, orbits)
+        sets[target] = frozenset(np.nonzero(swept.eps > 1.0)[0].tolist())
     diff = sets["concurrence"] ^ sets["negativity"]
     shared = sets["concurrence"] & sets["negativity"]
     ok = not diff

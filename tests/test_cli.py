@@ -213,23 +213,23 @@ class TestOptimizeCommand:
         "dims = 4,4", "spacing = -0.0625", "origin = 0.1,0.2", "solver_rtol = 0",
         "dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
         "dims = 4,4,4\norigin = 0.03,-0.09375,-0.09375\nsymmetry = mirror-z",
-        "max_iterations = 2.5", "bidirectional = maybe",
+        "max_iterations = 2.5",
         "pump_ratio = nan", "d12 = nan", "eta_converge = nan", "eps_max = inf",
         "eps_max = 1.0", "eps_max = 0.5",
         # the emitters at z = +-0.03125 lie on voxel-center planes
         "dims = 4,4,4\nd12 = 0.0625",
         "dims = 4,4,4\neta_converge = -1", "tol_accept = -1e-9",
         "delta_eps_min = 0", "exclusion_radius = -5", "max_iterations = -1",
-        # a key that no longer exists
-        "sweep_mode = frozen-reference",
+        # keys that no longer exist
+        "sweep_mode = frozen-reference", "bidirectional = true",
     ], ids=["dims", "spacing", "origin", "solver_rtol", "rotation-dims",
-            "mirror-off-axis", "max_iterations", "bidirectional",
+            "mirror-off-axis", "max_iterations",
             "pump_ratio-nan", "d12-nan", "eta_converge-nan", "eps_max-inf",
             "eps_max-no-increment", "eps_max-below-vacuum",
             "emitter-on-center-plane", "eta_converge-negative",
             "tol_accept-negative", "delta_eps_min-zero",
             "exclusion_radius-negative", "max_iterations-negative",
-            "sweep_mode-removed"])
+            "sweep_mode-removed", "bidirectional"])
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, monkeypatch,
                                                 capsys, line):
         # a configuration error must surface before any field solve
@@ -244,8 +244,9 @@ class TestOptimizeCommand:
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        if line.startswith("sweep_mode"):
-            assert "unknown config key 'sweep_mode'" in capsys.readouterr().err
+        key = line.split(" =")[0]
+        if key in ("sweep_mode", "bidirectional"):
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["dens", "auto"])
     def test_unknown_solver_method_exit_2(self, tmp_path, capsys, method):

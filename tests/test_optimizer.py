@@ -196,11 +196,11 @@ class TestScoreQ:
             array_path_score(q, 1e-13, target)
 
     def test_one_call_per_scored_candidate(self, monkeypatch):
-        # bidirectional sweep of a 6^3 map half at eps = 2: 266 candidate
-        # steps of both signs are scored, as many as the steady states
-        # solved when each candidate built a CouplingSet, a
-        # MasterEqParams and a (4, 4) state
-        grid, emitters, cfg = toy(bidirectional=True, exclusion_radius=1.0)
+        # sweep of a 6^3 map half at eps = 2: the +delta_eps steps of its
+        # 200 orbits are scored, as many as the steady states solved when
+        # each candidate built a CouplingSet, a MasterEqParams and a
+        # (4, 4) state
+        grid, emitters, cfg = toy(exclusion_radius=1.0)
         orbits, free = prepared(grid, emitters, cfg)
         grid.eps[free & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
@@ -208,7 +208,7 @@ class TestScoreQ:
         calls = count_calls(monkeypatch, optimizer, "score_q")
         states = count_calls(monkeypatch, quantum, "steady_state")
         _, _, accepted = sweep_once(st, cfg, orbits)
-        assert (len(calls), accepted, len(states)) == (266, 176, 0)
+        assert (len(calls), accepted, len(states)) == (200, 110, 0)
 
 
 def filled_toy(rng, **cfg_kw):
@@ -364,9 +364,9 @@ class TestEvaluateCandidate:
         assert np.array_equal(free, ~zone)
         assert np.all(grid.eps[zone] == 1.0)
         st = compute_state(grid, emitters, cfg)
-        _, _, accepted = sweep_once(st, cfg, orbits)
+        swept, _, accepted = sweep_once(st, cfg, orbits)
         assert accepted > 0
-        assert np.all(grid.eps[zone] == 1.0)
+        assert np.all(swept.eps[zone] == 1.0)
 
 
 class TestSweepOnce:
@@ -375,11 +375,28 @@ class TestSweepOnce:
         grid, emitters, cfg = toy(dims=(4, 4, 4), tol_accept=1.0)
         orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
-        eps0 = grid.eps.copy()
-        _, sum_dq, accepted = sweep_once(st, cfg, orbits)
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits)
         assert accepted == 0
-        assert np.array_equal(grid.eps, eps0)
+        assert np.array_equal(swept.eps, grid.eps)
         assert np.all(sum_dq == 0)
+
+    def test_leaves_state_unchanged_and_returns_the_swept_map(self, rng):
+        # dyadic eps and delta_eps make every sum and difference below
+        # exact, so the step map is recovered bitwise from the swept map
+        grid, emitters, cfg = toy(symmetry="mirror-z", exclusion_radius=1.0,
+                                  delta_eps=0.0625)
+        orbits, free = prepared(grid, emitters, cfg)
+        grid.eps[free] = rng.choice([1.0, 2.0], int(free.sum()))
+        st = compute_state(grid, emitters, cfg)
+        eps0, q0, s0 = st.grid.eps.copy(), st.q.copy(), st.s.copy()
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits)
+        assert accepted > 0
+        assert np.array_equal(st.grid.eps, eps0)
+        assert np.array_equal(st.q, q0) and np.array_equal(st.s, s0)
+        assert swept is not st.grid
+        steps = swept.eps - st.grid.eps
+        assert np.count_nonzero(steps) == accepted
+        assert np.array_equal(_sum_dq(st, steps), sum_dq)
 
     def test_sequential_matches_hand_trace(self):
         # independent scripted re-implementation of the acceptance rule
@@ -401,76 +418,45 @@ class TestSweepOnce:
             hand.eps[kidx] += cfg.delta_eps
             accepted_hand.append(kidx)
 
-        _, _, acc = sweep_once(st, cfg, orbits)
+        swept, _, acc = sweep_once(st, cfg, orbits)
         assert acc == len(accepted_hand)
-        assert np.allclose(grid.eps, hand.eps, atol=0, rtol=0)
-
-    def test_bidirectional_walks_back_harmful_dielectric(self):
-        # worsen a good map by hand; decrement trials must undo some of it
-        grid, emitters, cfg = toy(dims=(6, 6, 6), max_iterations=2,
-                                  exclusion_radius=1.0)
-        rec = optimize(grid, emitters, cfg)
-        good = rec.final_grid
-        good_state = compute_state(good, emitters, cfg)
-        free = prepare_design(good.copy(), emitters, cfg)[:, 0]
-
-        # the victim is the voxel whose +delta_eps first-Born score is
-        # lowest, so extra dielectric there is harmful by construction
-        def plus_score(kidx):
-            value = score_q(*born_step_q(good_state, int(kidx), cfg.delta_eps),
-                            cfg.pump_ratio, cfg.target)
-            return np.inf if value is None else value
-
-        victim = int(min(free, key=plus_score))
-        spoiled = good.copy()
-        spoiled.eps[victim] = min(spoiled.eps[victim] + 2.0, good.eps_max)
-        bi_cfg = toy(dims=(6, 6, 6), max_iterations=1, exclusion_radius=1.0,
-                     bidirectional=True)[2]
-        state = compute_state(spoiled, emitters, bi_cfg)
-        # the full solve confirms the spoiling is harmful
-        assert state.target_value < good_state.target_value
-        before = spoiled.eps[victim]
-        # victim first, so no earlier acceptance in the sweep shifts its score
-        orbits = np.array([[victim]] + [[m] for m in free if m != victim])
-        sweep_once(state, bi_cfg, orbits)
-        assert spoiled.eps[victim] < before
+        assert np.allclose(swept.eps, hand.eps, atol=0, rtol=0)
 
     def test_eps_max_cap_respected(self):
         grid, emitters, cfg = toy(dims=(4, 4, 4), eps_max=1.06)
         orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
-        sweep_once(st, cfg, orbits)
-        assert np.all(grid.eps <= grid.eps_max + 1e-12)
-        # second sweep cannot push past the cap
-        st = compute_state(grid, emitters, cfg)
-        sweep_once(st, cfg, orbits)
-        assert np.all(grid.eps <= grid.eps_max + 1e-12)
+        swept, _, _ = sweep_once(st, cfg, orbits)
+        assert np.all(swept.eps <= grid.eps_max + 1e-12)
+        # second sweep, from the first one's map, cannot push past the cap
+        st = compute_state(swept, emitters, cfg)
+        swept, _, _ = sweep_once(st, cfg, orbits)
+        assert np.all(swept.eps <= grid.eps_max + 1e-12)
         # free voxels just below the default bound: the sweep's headroom
         # is the grid's own eps_max, so the swept map stays a valid grid
         grid, emitters, cfg = toy(dims=(4, 4, 4), exclusion_radius=1.0)
         orbits, free = prepared(grid, emitters, cfg)
         grid.eps[free] = grid.eps_max - 0.02
         st = compute_state(grid, emitters, cfg)
-        sweep_once(st, cfg, orbits)
-        assert grid.eps.max() <= grid.eps_max
-        grid.copy()  # the copy re-checks eps against the grid's bound
+        swept, _, _ = sweep_once(st, cfg, orbits)
+        assert swept.eps.max() <= grid.eps_max
+        swept.copy()  # the copy re-checks eps against the grid's bound
 
     def test_sum_dq_is_the_born_sum_of_the_eps_changes(self):
-        # bidirectional mirror-z on a map half at eps = 2: the sweep takes
-        # steps of both signs on two-member orbits
+        # mirror-z on a map half at eps = 2: the sweep takes +delta_eps
+        # steps on two-member orbits
         grid, emitters, cfg = toy(dims=(6, 6, 6), symmetry="mirror-z",
-                                  bidirectional=True, exclusion_radius=1.0)
+                                  exclusion_radius=1.0)
         orbits, free = prepared(grid, emitters, cfg)
         grid.eps[free & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
-        before_grid = grid.copy()
-        _, sum_dq, _ = sweep_once(st, cfg, orbits)
-        delta = grid.eps - before_grid.eps
+        swept, sum_dq, _ = sweep_once(st, cfg, orbits)
+        delta = swept.eps - grid.eps
         changed = np.flatnonzero(delta)
-        assert (delta < 0).any() and (delta > 0).any()
+        assert (delta >= 0).all() and (delta > 0).any()
         assert (np.isin(orbits[:, 1], changed)).any()
         # the full-tensor first-Born sum over the oracle's blocks, projected
-        X1, X2 = solve_green_block(before_grid, emitters, rtol=cfg.solver_rtol)
+        X1, X2 = solve_green_block(grid, emitters, rtol=cfg.solver_rtol)
         pairs = ((X1, X1), (X2, X2), (X1, X2))
         for dq, (X_i, X_j) in zip(sum_dq, pairs, strict=True):
             expected = project(sum(born_delta_green(
@@ -492,20 +478,17 @@ def reference_sweep(state, cfg, orbits):
     for orbit in orbits:
         members = orbit[orbit >= 0]
         s = sum(state.s[m] for m in members)
-        up = min(cfg.delta_eps, min(grid.eps_max - grid.eps[m] for m in members))
-        down = -min(cfg.delta_eps, min(grid.eps[m] - 1.0 for m in members))
-        for step in (up, down) if cfg.bidirectional else (up,):
-            if abs(step) < 1e-15:
-                continue
-            dq = _born_dq(step, s, grid.voxel_volume).tolist()
-            trial = [x + d for x, d in zip(q, dq, strict=True)]
-            value = score_q(*trial, cfg.pump_ratio, cfg.target)
-            if value is None or value - current <= cfg.tol_accept:
-                continue
-            steps[members] = step
-            accepted += len(members)
-            q, current = trial, value
-            break
+        step = min(cfg.delta_eps, min(grid.eps_max - grid.eps[m] for m in members))
+        if abs(step) < 1e-15:
+            continue
+        dq = _born_dq(step, s, grid.voxel_volume).tolist()
+        trial = [x + d for x, d in zip(q, dq, strict=True)]
+        value = score_q(*trial, cfg.pump_ratio, cfg.target)
+        if value is None or value - current <= cfg.tol_accept:
+            continue
+        steps[members] = step
+        accepted += len(members)
+        q, current = trial, value
     return grid.eps + steps, _sum_dq(state, steps), accepted
 
 
@@ -517,34 +500,31 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("symmetry",
                              ["none", "mirror-z", "z-axis-rotation-4fold"])
-    @pytest.mark.parametrize("bidirectional", [False, True])
-    def test_matches_per_orbit_loop(self, rng, layout, symmetry,
-                                    bidirectional):
+    def test_matches_per_orbit_loop(self, rng, layout, symmetry):
         dims, d12 = self.LAYOUTS[layout]
         grid, emitters, cfg = toy(dims=dims, d12=d12, exclusion_radius=1.0,
-                                  symmetry=symmetry, bidirectional=bidirectional)
+                                  symmetry=symmetry)
         orbits, free = prepared(grid, emitters, cfg)
         assert (orbits < 0).any() == (layout == "odd" and symmetry != "none")
-        # eps at 1 and eps_max (one sign has no room), just inside them
-        # (clipped steps) and in between
+        # eps at eps_max (no room), just inside it (clipped steps) and
+        # below
         grid.eps[free] = rng.choice([1.0, 1.01, 1.5, 2.0, 8.97, 9.0],
                                     int(free.sum()))
         st = compute_state(grid, emitters, cfg)
         eps_ref, sum_dq_ref, accepted_ref = reference_sweep(st, cfg, orbits)
-        _, sum_dq, accepted = sweep_once(st, cfg, orbits)
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits)
         assert accepted_ref > 0
         assert accepted == accepted_ref
-        assert np.array_equal(grid.eps, eps_ref)
+        assert np.array_equal(swept.eps, eps_ref)
         assert np.array_equal(sum_dq, sum_dq_ref)
 
     def test_no_orbits_leave_the_grid_unchanged(self):
-        grid, emitters, cfg = toy(exclusion_radius=1.0, bidirectional=True)
+        grid, emitters, cfg = toy(exclusion_radius=1.0)
         orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
-        eps0 = grid.eps.copy()
-        _, sum_dq, accepted = sweep_once(st, cfg, orbits[:0])
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits[:0])
         assert accepted == 0
-        assert np.array_equal(grid.eps, eps0)
+        assert np.array_equal(swept.eps, grid.eps)
         assert np.all(sum_dq == 0)
 
 
