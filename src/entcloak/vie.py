@@ -26,9 +26,15 @@ re-radiates those blocks into a pair's (G11, G22, G12): the oracle that
 
 The solver needs numpy alone.  The iterative path (the default) applies
 the operator by FFT on the zero-padded grid, the three field components
-stacked into each transform call, and solves with the module's own
-`bicgstab`, capped at MAX_KRYLOV_ITER iterations per right-hand side
-(a ConvergenceError past it); on an all-vacuum map the operator is the
+stacked into each transform call and the kernel product and the first
+inverse transform done a slab at a time, so beside the padded spectrum
+one application holds at most one half-padded array.  It solves with
+the module's own `bicgstab`, capped at MAX_KRYLOV_ITER iterations per
+right-hand side (a ConvergenceError past it).  On maps of
+THREADED_MIN_VOXELS voxels or more, when the environment pins the BLAS
+to one thread, it solves the right-hand sides side by side, at most one
+thread per usable core (see `_solve_system`); the values do not depend
+on the threads.  On an all-vacuum map the operator is the
 identity, and the right-hand sides come back without a Krylov solve.
 The dense path (an LU of the assembled operator) is the oracle.
 
@@ -40,6 +46,8 @@ can be swapped in.
 """
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +80,16 @@ MAX_KRYLOV_ITER = 2000
 
 #: Default relative residual of the Krylov solves (and of the design loop).
 KRYLOV_RTOL = 1e-10
+
+#: Smallest map whose Krylov right-hand sides are solved side by side.
+#: Below it two threads lose more to handing the GIL back and forth than
+#: they overlap: on a 2-core host a pair of solves takes 8 ms in turn and
+#: 10 ms on two threads at 8^3, 13 and 11 ms at 9^3, 29 and 19 ms at 12^3.
+THREADED_MIN_VOXELS = 1000
+
+#: Environment variables that set the BLAS thread count, in the order
+#: OpenBLAS reads them; the first one set decides.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class GridResolutionWarning(UserWarning):
@@ -179,6 +197,12 @@ def assemble_dense(grid):
     return A.reshape(3 * n, 3 * n)
 
 
+#: Padded spectrum points per component that `apply` multiplies by the
+#: kernel, or inverse-transforms along x, at a time (8 planes of a 16^3
+#: grid's 32^3 padding).
+_SLAB_POINTS = 8 * 32 * 32
+
+
 class _FftInteraction:
     """Block-Toeplitz application of the off-diagonal G0 coupling via FFT.
 
@@ -216,25 +240,47 @@ class _FftInteraction:
                 self.khat[(a, b)] = np.fft.fft(t, axis=2)
         self.pad_shape = (px, py, pz)
 
-    def apply(self, w):
-        """Convolve (N, 3) voxel weights with the off-diagonal kernel."""
+    def apply(self, x, weight):
+        """Convolve the (N, 3) voxel field x, scaled per voxel by the (N,)
+        `weight`, with the off-diagonal kernel.
+
+        Every stage is bound to the one name `t`.  The product with the
+        kernel is formed a slab of x-planes (_SLAB_POINTS points per
+        component) at a time in a small buffer that is written back into
+        the spectrum, and the inverse x transform runs in place a slab of
+        y-planes at a time, so beside the padded spectrum an application
+        holds at most one half-padded array, and two solves can run side
+        by side.  Every value is the one whole-array steps give: the
+        products and sums are formed in the same order, and each line is
+        transformed alone either way."""
         nx, ny, nz = self.dims
         px, py, pz = self.pad_shape
         # a copy, not a transposed view: np.fft keeps its input's memory
         # layout, and interleaved components would make every line strided
-        t = np.ascontiguousarray(w.T).reshape(3, nx, ny, nz)
+        t = np.ascontiguousarray(x.T)
+        t *= weight
+        t = t.reshape(3, nx, ny, nz)
         t = np.fft.fft(t, n=px, axis=1)
         t = np.fft.fft(t, n=py, axis=2)
-        what = np.fft.fft(t, n=pz, axis=3)
-        acc = np.empty((3,) + self.pad_shape, dtype=complex)
-        term = np.empty(self.pad_shape, dtype=complex)
-        for a in range(3):
-            np.multiply(self.khat[(0, a)], what[0], out=acc[a])
-            for b in (1, 2):
-                key = (a, b) if a <= b else (b, a)
-                acc[a] += np.multiply(self.khat[key], what[b], out=term)
-        t = np.fft.ifft(acc, axis=1)[:, :nx]
-        t = np.fft.ifft(t, axis=2)[:, :, :ny]
+        t = np.fft.fft(t, n=pz, axis=3)
+        slab = max(1, _SLAB_POINTS // (py * pz))
+        acc = np.empty((3, min(slab, px), py, pz), dtype=complex)
+        term = np.empty(acc.shape[1:], dtype=complex)
+        for s in range(0, px, slab):
+            what = t[:, s:s + slab]
+            m = what.shape[1]
+            for a in range(3):
+                np.multiply(self.khat[(0, a)][s:s + m], what[0], out=acc[a, :m])
+                for b in (1, 2):
+                    key = (a, b) if a <= b else (b, a)
+                    acc[a, :m] += np.multiply(self.khat[key][s:s + m], what[b],
+                                              out=term[:m])
+            what[...] = acc[:, :m]
+        del acc, term, what   # `what`, a view, would keep the spectrum alive
+        slab = max(1, _SLAB_POINTS // (px * pz))
+        for s in range(0, py, slab):
+            t[:, :, s:s + slab] = np.fft.ifft(t[:, :, s:s + slab], axis=1)
+        t = np.fft.ifft(t[:, :nx], axis=2)[:, :, :ny]
         t = np.fft.ifft(t, axis=3)[..., :nz]
         return t.transpose(1, 2, 3, 0).reshape(-1, 3)
 
@@ -249,10 +295,10 @@ def _fft_operator(grid):
     kern = _fft_kernel(grid.dims, grid.spacing)
     chi = grid.chi()
     m = self_interaction(grid.spacing)
-    w_scale = (chi * grid.voxel_volume)[:, None]
+    weight = chi * grid.voxel_volume
 
     def apply(xv):
-        return xv - K0**2 * (kern.apply(xv * w_scale) + m * chi[:, None] * xv)
+        return xv - K0**2 * (kern.apply(xv, weight) + m * chi[:, None] * xv)
 
     return apply
 
@@ -300,7 +346,9 @@ def bicgstab(matvec, b, rtol, maxiter, callback=None):
     (|.| below eps^2, or a zero rtilde.v), and `maxiter` when the cap is
     reached.  `callback(x)` runs after each full iteration.
     `_solve_system` looks this function up as a module global on every
-    solve, so it can be wrapped.
+    solve, so it can be wrapped; it may call it from several threads at
+    once, one per right-hand side, so it keeps no state outside its own
+    call, and a wrapper must be safe to call from several threads too.
     """
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
@@ -347,7 +395,24 @@ def bicgstab(matvec, b, rtol, maxiter, callback=None):
 
 
 def _solve_system(grid, B, method, rtol):
-    """Solve the VIE for each column of B ((N, 3, m) right-hand sides)."""
+    """Solve the VIE for each column of B ((N, 3, m) right-hand sides).
+
+    On the iterative path the columns are solved side by side: the
+    calling thread solves column 0, and a thread pool that lives only
+    for this call solves the rest, with at most one thread per usable
+    core (numpy's FFTs and array loops release the GIL, so two 16^3
+    solves take about two thirds of the time they take in turn).  Each
+    column runs its own `bicgstab` on the shared read-only operator, so
+    every value is the one a solve in turn gives.  The columns are
+    solved in turn on maps below THREADED_MIN_VOXELS voxels, on one
+    usable core, and unless the environment pins the BLAS to one thread
+    (`_blas_single_threaded`): the BLAS's own threads (OpenBLAS starts
+    one per core) wake on every inner product of `bicgstab` and compete
+    with the solve threads, so that on a 2-core host a 4-iteration 16^3
+    design took 0.31 s on two threads against 0.27 s in turn.  A column
+    that does not converge raises ConvergenceError: the lowest such
+    column's, as in turn, and no thread outlives the call.
+    """
     if method not in SOLVER_METHODS:
         raise ValueError(f"method must be one of {SOLVER_METHODS}, got {method!r}")
     n = grid.n_voxels
@@ -365,7 +430,7 @@ def _solve_system(grid, B, method, rtol):
     def matvec(v):
         return apply(v.reshape(n, 3)).ravel()
 
-    for c in range(nrhs):
+    def solve(c):
         b = B[:, :, c].ravel()
         x, info = bicgstab(matvec, b, rtol=rtol, maxiter=MAX_KRYLOV_ITER)
         if info != 0:
@@ -376,7 +441,42 @@ def _solve_system(grid, B, method, rtol):
                 residual=res,
             )
         X[:, :, c] = x.reshape(n, 3)
+
+    helpers = min(nrhs, _usable_cores()) - 1
+    if helpers < 1 or n < THREADED_MIN_VOXELS or not _blas_single_threaded():
+        for c in range(nrhs):
+            solve(c)
+        return X
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        rest = [pool.submit(solve, c) for c in range(1, nrhs)]
+        try:
+            solve(0)
+            for future in rest:
+                future.result()
+        finally:
+            # after a failure, the columns not yet started are dropped
+            pool.shutdown(cancel_futures=True)
     return X
+
+
+def _usable_cores():
+    """Cores this process may run on (all of them where the OS does not say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_single_threaded():
+    """Whether the first of BLAS_THREAD_VARIABLES that is set reads 1.
+
+    The BLAS reads them when numpy loads it, so they count only if they
+    were set before numpy's import (as `bench/run.py` sets them).
+    """
+    for var in BLAS_THREAD_VARIABLES:
+        value = os.environ.get(var, "").strip()
+        if value:
+            return value == "1"
+    return False
 
 
 def _source_positions(sources):

@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,28 @@ def random_grid(rng, dims, spacing=1 / 20, contrast=2.5, eps_max=9.0):
     g = PermittivityGrid.vacuum(dims, spacing, eps_max=eps_max)
     g.eps[:] = rng.uniform(1.0, contrast, g.n_voxels)
     return g
+
+
+def filled_grid(rng, dims, eps=1.5):
+    """A lambda/16 map with eps in 60 % of its voxels."""
+    g = PermittivityGrid.vacuum(dims, 1 / 16)
+    g.eps[rng.random(g.n_voxels) < 0.6] = eps
+    return g
+
+
+#: Two sources just outside a 16^3 lambda/16 map (and so outside smaller ones).
+PAIR = (np.array([0.01, 0.0, -0.6]), np.array([0.0, 0.02, 0.6]))
+
+
+def thread_recording(threads):
+    """vie.bicgstab, noting the thread of each call in `threads`."""
+    real = vie.bicgstab
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    return recording
 
 
 class TestPermittivityGrid:
@@ -158,6 +184,30 @@ class TestFftMatvec:
         y1, y2 = A @ x, fft_matvec(g, x)
         assert np.linalg.norm(y1 - y2) / np.linalg.norm(y1) < 1e-12
 
+    def test_one_application_peak_memory(self, rng):
+        # an application holds at most what the last forward transform
+        # needs, the padded spectrum of the three components and whatever
+        # numpy's FFT allocates on the way, beside its one half-padded
+        # input: 2.36 MB with numpy 2.4 at 16^3, where whole-array
+        # steps took 6.29 MB
+        def peak(f, *args):
+            tracemalloc.start()
+            try:
+                f(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        g = filled_grid(rng, (16, 16, 16), eps=5.0)
+        x = rng.standard_normal((g.n_voxels, 3)) + 1j * rng.standard_normal((g.n_voxels, 3))
+        apply = vie._fft_operator(g)   # kernel and per-voxel arrays built outside
+        apply(x)
+        px, py, pz = (2 * d for d in g.dims)
+        half_padded = np.ones((3, px, py, g.dims[2]), dtype=complex)
+        last_forward = peak(np.fft.fft, half_padded, pz, 3)
+        # 4 kB for array headers and slices
+        assert peak(apply, x) <= last_forward + half_padded.nbytes + 4096
+
     def test_linearity(self, rng):
         g = random_grid(rng, (4, 4, 4))
         u = rng.standard_normal(3 * g.n_voxels) + 1j * rng.standard_normal(3 * g.n_voxels)
@@ -215,6 +265,88 @@ class TestSolveFields:
         with pytest.raises(ConvergenceError) as err:
             solve_fields(g, [(0, 0, 0.5)], method="iterative", rtol=1e-14)
         assert err.value.residual is not None and err.value.residual > 0
+
+
+@pytest.fixture
+def report_cores(monkeypatch):
+    """Make os.sched_getaffinity report k usable cores; the real
+    affinity is left alone."""
+    def report(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                            raising=False)
+    return report
+
+
+@pytest.fixture
+def blas_env(monkeypatch):
+    """Set the BLAS thread variables to the given values and unset the
+    others; the BLAS numpy loaded is left alone."""
+    def set_env(values):
+        for var in vie.BLAS_THREAD_VARIABLES:
+            if var in values:
+                monkeypatch.setenv(var, values[var])
+            else:
+                monkeypatch.delenv(var, raising=False)
+    return set_env
+
+
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.fixture
+def bicgstab_threads(monkeypatch):
+    """The thread of each vie.bicgstab call, in call order."""
+    threads = []
+    monkeypatch.setattr(vie, "bicgstab", thread_recording(threads))
+    return threads
+
+
+class TestConcurrentSolves:
+    def test_values_equal_solves_in_turn(self, rng, report_cores, blas_env):
+        # 16^3 with chi > 0, so the Krylov path runs; the reference
+        # solves run in turn on one reported core
+        g = filled_grid(rng, (16, 16, 16))
+        blas_env(ONE_BLAS_THREAD)
+        report_cores(2)
+        fields = solve_fields(g, PAIR)
+        blocks = solve_green_block(g, PAIR)   # six columns, more than the cores
+        report_cores(1)
+        for f, block, r in zip(fields, blocks, PAIR, strict=True):
+            assert np.array_equal(f, solve_fields(g, [r])[0])
+            assert np.array_equal(block, solve_green_block(g, [r])[0])
+
+    @pytest.mark.parametrize("dims, cores, env, n_threads", [
+        ((10, 10, 10), 2, ONE_BLAS_THREAD, 2),
+        ((10, 10, 10), 1, ONE_BLAS_THREAD, 1),
+        ((8, 8, 8), 2, ONE_BLAS_THREAD, 1),
+        ((10, 10, 10), 2, {}, 1),
+        ((10, 10, 10), 2, {"OMP_NUM_THREADS": "1"}, 2),
+        ((10, 10, 10), 2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ], ids=["two-cores", "one-core", "below-threaded-min", "blas-threads-unset",
+            "omp-one-thread", "openblas-two-threads"])
+    def test_one_thread_per_usable_core(self, rng, report_cores, blas_env,
+                                        bicgstab_threads, dims, cores, env, n_threads):
+        blas_env(env)
+        report_cores(cores)
+        solve_fields(filled_grid(rng, dims), PAIR)
+        # the calling thread solves one column, in whichever order
+        assert len(bicgstab_threads) == 2
+        assert threading.main_thread() in bicgstab_threads
+        assert len(set(bicgstab_threads)) == n_threads
+
+    def test_failure_raises_and_no_thread_outlives_the_call(self, rng, monkeypatch,
+                                                           report_cores, blas_env):
+        blas_env(ONE_BLAS_THREAD)
+        report_cores(2)
+        g = filled_grid(rng, (10, 10, 10), eps=3.0)
+        before = threading.active_count()
+        solve_fields(g, PAIR)
+        assert threading.active_count() == before
+        monkeypatch.setattr(vie, "MAX_KRYLOV_ITER", 1)
+        with pytest.raises(ConvergenceError) as err:
+            solve_fields(g, PAIR, rtol=1e-14)
+        assert err.value.residual is not None and err.value.residual > 0
+        assert threading.active_count() == before
 
 
 class TestIncidentColumns:
