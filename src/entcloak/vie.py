@@ -31,11 +31,11 @@ inverse transform done a slab at a time, so beside the padded spectrum
 one application holds at most one half-padded array.  It solves with
 the module's own `bicgstab`, capped at MAX_KRYLOV_ITER iterations per
 right-hand side (a ConvergenceError past it).  On maps of
-THREADED_MIN_VOXELS voxels or more, when the environment pins the BLAS
-to one thread, it solves the right-hand sides side by side, at most one
-thread per usable core (see `_solve_system`); the values do not depend
-on the threads.  On an all-vacuum map the operator is the
-identity, and the right-hand sides come back without a Krylov solve.
+THREADED_MIN_VOXELS voxels or more it solves the right-hand sides side
+by side, at most one thread per usable core (see `_solve_system`); the
+values do not depend on the threads.  On an all-vacuum map the operator
+is the identity, and the right-hand sides come back without a Krylov
+solve.
 The dense path (an LU of the assembled operator) is the oracle.
 
 The self term m = -1/(3 k^2) + (2/(3 k^2)) [(1 - i k a) e^{i k a} - 1],
@@ -86,10 +86,6 @@ KRYLOV_RTOL = 1e-10
 #: they overlap: on a 2-core host a pair of solves takes 8 ms in turn and
 #: 10 ms on two threads at 8^3, 13 and 11 ms at 9^3, 29 and 19 ms at 12^3.
 THREADED_MIN_VOXELS = 1000
-
-#: Environment variables that set the BLAS thread count, in the order
-#: OpenBLAS reads them; the first one set decides.
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class GridResolutionWarning(UserWarning):
@@ -335,6 +331,22 @@ def _source_columns(grid, source):
     return dyadic_green(pts - src)
 
 
+def _vdot(a, b):
+    """conj(a) . b of two 1-D arrays, summed by numpy's own einsum loop.
+
+    `bicgstab` takes its inner products from here and `_norm`, never from
+    the BLAS, so that the threads of a side-by-side solve do not compete
+    with the BLAS's own threads (OpenBLAS starts one per core unless the
+    environment says otherwise), and every sum runs in one fixed order.
+    """
+    return np.einsum("i,i->", a.conj(), b)
+
+
+def _norm(x):
+    """Euclidean norm of a 1-D array, the root of `_vdot(x, x)`."""
+    return np.sqrt(_vdot(x, x).real)
+
+
 def bicgstab(matvec, b, rtol, maxiter, callback=None):
     """Unpreconditioned BiCGStab for matvec(x) = b; returns (x, info).
 
@@ -344,13 +356,15 @@ def bicgstab(matvec, b, rtol, maxiter, callback=None):
     ||r|| < rtol ||b||, also half-way through an iteration on ||s||;
     info is 0 on convergence, -10 or -11 on a rho or omega breakdown
     (|.| below eps^2, or a zero rtilde.v), and `maxiter` when the cap is
-    reached.  `callback(x)` runs after each full iteration.
-    `_solve_system` looks this function up as a module global on every
-    solve, so it can be wrapped; it may call it from several threads at
-    once, one per right-hand side, so it keeps no state outside its own
-    call, and a wrapper must be safe to call from several threads too.
+    reached.  `callback(x)` runs after each full iteration.  It takes
+    its inner products and norms from `_vdot` and `_norm` where scipy's
+    `bicgstab` calls `np.vdot` and `np.linalg.norm`.  `_solve_system`
+    looks this function up as a module global on every solve, so it can
+    be wrapped; it may call it from several threads at once, one per
+    right-hand side, so it keeps no state outside its own call, and a
+    wrapper must be safe to call from several threads too.
     """
-    bnrm2 = np.linalg.norm(b)
+    bnrm2 = _norm(b)
     if bnrm2 == 0:
         return b, 0
     tol = rtol * bnrm2
@@ -359,9 +373,9 @@ def bicgstab(matvec, b, rtol, maxiter, callback=None):
     r = b - matvec(x)
     rtilde = r.copy()
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < tol:
+        if _norm(r) < tol:
             return x, 0
-        rho = np.vdot(rtilde, r)
+        rho = _vdot(rtilde, r)
         if abs(rho) < tiny:
             return x, -10
         if iteration > 0:
@@ -374,17 +388,17 @@ def bicgstab(matvec, b, rtol, maxiter, callback=None):
         else:
             p = r.copy()
         v = matvec(p)
-        rv = np.vdot(rtilde, v)
+        rv = _vdot(rtilde, v)
         if rv == 0:
             return x, -11
         alpha = rho / rv
         r -= alpha * v
-        if np.linalg.norm(r) < tol:
+        if _norm(r) < tol:
             x += alpha * p
             return x, 0
         # r is now s; it is read before the update that turns it back into r
         t = matvec(r)
-        omega = np.vdot(t, r) / np.vdot(t, t)
+        omega = _vdot(t, r) / _vdot(t, t)
         x += alpha * p
         x += omega * r
         r -= omega * t
@@ -404,14 +418,10 @@ def _solve_system(grid, B, method, rtol):
     solves take about two thirds of the time they take in turn).  Each
     column runs its own `bicgstab` on the shared read-only operator, so
     every value is the one a solve in turn gives.  The columns are
-    solved in turn on maps below THREADED_MIN_VOXELS voxels, on one
-    usable core, and unless the environment pins the BLAS to one thread
-    (`_blas_single_threaded`): the BLAS's own threads (OpenBLAS starts
-    one per core) wake on every inner product of `bicgstab` and compete
-    with the solve threads, so that on a 2-core host a 4-iteration 16^3
-    design took 0.31 s on two threads against 0.27 s in turn.  A column
-    that does not converge raises ConvergenceError: the lowest such
-    column's, as in turn, and no thread outlives the call.
+    solved in turn on maps below THREADED_MIN_VOXELS voxels and on one
+    usable core.  A column that does not converge raises
+    ConvergenceError: the lowest such column's, as in turn, and no
+    thread outlives the call.
     """
     if method not in SOLVER_METHODS:
         raise ValueError(f"method must be one of {SOLVER_METHODS}, got {method!r}")
@@ -434,7 +444,7 @@ def _solve_system(grid, B, method, rtol):
         b = B[:, :, c].ravel()
         x, info = bicgstab(matvec, b, rtol=rtol, maxiter=MAX_KRYLOV_ITER)
         if info != 0:
-            res = np.linalg.norm(matvec(x) - b) / np.linalg.norm(b)
+            res = _norm(matvec(x) - b) / _norm(b)
             raise ConvergenceError(
                 f"Krylov iteration failed (info={info}) with relative "
                 f"residual {res:.3e}",
@@ -443,7 +453,7 @@ def _solve_system(grid, B, method, rtol):
         X[:, :, c] = x.reshape(n, 3)
 
     helpers = min(nrhs, _usable_cores()) - 1
-    if helpers < 1 or n < THREADED_MIN_VOXELS or not _blas_single_threaded():
+    if helpers < 1 or n < THREADED_MIN_VOXELS:
         for c in range(nrhs):
             solve(c)
         return X
@@ -464,19 +474,6 @@ def _usable_cores():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _blas_single_threaded():
-    """Whether the first of BLAS_THREAD_VARIABLES that is set reads 1.
-
-    The BLAS reads them when numpy loads it, so they count only if they
-    were set before numpy's import (as `bench/run.py` sets them).
-    """
-    for var in BLAS_THREAD_VARIABLES:
-        value = os.environ.get(var, "").strip()
-        if value:
-            return value == "1"
-    return False
 
 
 def _source_positions(sources):

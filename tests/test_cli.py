@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from entcloak import cli, quantum
+from entcloak import cli, quantum, vie
 from entcloak.emcore import CouplingSet, aligned_g12, aligned_gamma12
 from entcloak.errors import ConfigError
 from entcloak.optimizer import IterationEntry
@@ -33,6 +33,10 @@ exclusion_radius = 1.0
 target = concurrence
 seed = 7
 """
+
+#: TINY_CONFIG on a 6^3 map.  The first state is vacuum and skips the
+#: Krylov solve; the swept map of the first iteration needs one.
+KRYLOV_CONFIG = TINY_CONFIG.replace("dims = 4,4,4", "dims = 6,6,6")
 
 
 def write_config(tmp_path, text=TINY_CONFIG, name="run.cfg"):
@@ -267,6 +271,16 @@ class TestOptimizeCommand:
         assert not out.exists()
         assert "gamma11=" in capsys.readouterr().err
 
+    def test_krylov_non_convergence_exit_3_no_outputs(self, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(vie, "MAX_KRYLOV_ITER", 1)
+        out = tmp_path / "never"
+        rc = cli.main(["optimize", "--config",
+                       str(write_config(tmp_path, KRYLOV_CONFIG)), "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "ConvergenceError" in capsys.readouterr().err
+
     def test_guarded_names_reached_on_a_valid_config(self, tmp_path,
                                                      monkeypatch):
         # the no_solve guards patch optimizer._fields_and_incident and the
@@ -406,6 +420,19 @@ class TestSweepCommand:
         failures = read_csv(out / "failures.csv")
         assert len(failures) == 1
         assert float(failures[0]["d12_over_lambda"]) == 0.1875
+
+    def test_krylov_non_convergence_recorded_as_failure(self, tmp_path, monkeypatch):
+        # points run in this process, so they see the patched cap
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(vie, "MAX_KRYLOV_ITER", 1)
+        text = KRYLOV_CONFIG + "d12_list = 0.25\npump_list = 0.005\n"
+        out = tmp_path / "outsk"
+        assert cli.main(["sweep", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 0
+        assert read_csv(out / "sweep.csv") == []
+        failures = read_csv(out / "failures.csv")
+        assert len(failures) == 1
+        assert failures[0]["error"].startswith("ConvergenceError: ")
 
     def test_crashed_worker_fails_only_its_point(self, tmp_path, monkeypatch):
         # the worker of the d12 = 0.375 point dies outright; the pool it

@@ -109,6 +109,15 @@ def test_no_warning_filters_in_package():
     assert calls == []
 
 
+def test_package_reads_no_environment():
+    # every behaviour follows from the inputs and what the code observes
+    # (map size, usable cores), never from an environment variable
+    uses = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")]
+    assert uses == []
+
+
 def test_only_the_cli_warns():
     # library layers raise or return; the CLI is the one place that
     # talks to the user

@@ -278,22 +278,6 @@ def report_cores(monkeypatch):
 
 
 @pytest.fixture
-def blas_env(monkeypatch):
-    """Set the BLAS thread variables to the given values and unset the
-    others; the BLAS numpy loaded is left alone."""
-    def set_env(values):
-        for var in vie.BLAS_THREAD_VARIABLES:
-            if var in values:
-                monkeypatch.setenv(var, values[var])
-            else:
-                monkeypatch.delenv(var, raising=False)
-    return set_env
-
-
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
-
-
-@pytest.fixture
 def bicgstab_threads(monkeypatch):
     """The thread of each vie.bicgstab call, in call order."""
     threads = []
@@ -302,11 +286,10 @@ def bicgstab_threads(monkeypatch):
 
 
 class TestConcurrentSolves:
-    def test_values_equal_solves_in_turn(self, rng, report_cores, blas_env):
+    def test_values_equal_solves_in_turn(self, rng, report_cores):
         # 16^3 with chi > 0, so the Krylov path runs; the reference
         # solves run in turn on one reported core
         g = filled_grid(rng, (16, 16, 16))
-        blas_env(ONE_BLAS_THREAD)
         report_cores(2)
         fields = solve_fields(g, PAIR)
         blocks = solve_green_block(g, PAIR)   # six columns, more than the cores
@@ -315,18 +298,13 @@ class TestConcurrentSolves:
             assert np.array_equal(f, solve_fields(g, [r])[0])
             assert np.array_equal(block, solve_green_block(g, [r])[0])
 
-    @pytest.mark.parametrize("dims, cores, env, n_threads", [
-        ((10, 10, 10), 2, ONE_BLAS_THREAD, 2),
-        ((10, 10, 10), 1, ONE_BLAS_THREAD, 1),
-        ((8, 8, 8), 2, ONE_BLAS_THREAD, 1),
-        ((10, 10, 10), 2, {}, 1),
-        ((10, 10, 10), 2, {"OMP_NUM_THREADS": "1"}, 2),
-        ((10, 10, 10), 2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-    ], ids=["two-cores", "one-core", "below-threaded-min", "blas-threads-unset",
-            "omp-one-thread", "openblas-two-threads"])
-    def test_one_thread_per_usable_core(self, rng, report_cores, blas_env,
-                                        bicgstab_threads, dims, cores, env, n_threads):
-        blas_env(env)
+    @pytest.mark.parametrize("dims, cores, n_threads", [
+        ((10, 10, 10), 2, 2),
+        ((10, 10, 10), 1, 1),
+        ((8, 8, 8), 2, 1),
+    ], ids=["two-cores", "one-core", "below-threaded-min"])
+    def test_one_thread_per_usable_core(self, rng, report_cores, bicgstab_threads,
+                                        dims, cores, n_threads):
         report_cores(cores)
         solve_fields(filled_grid(rng, dims), PAIR)
         # the calling thread solves one column, in whichever order
@@ -334,9 +312,37 @@ class TestConcurrentSolves:
         assert threading.main_thread() in bicgstab_threads
         assert len(set(bicgstab_threads)) == n_threads
 
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                             ids=["blas-threads-unset", "openblas-two-threads"])
+    def test_threads_whatever_the_blas_environment(self, rng, monkeypatch, report_cores,
+                                                   bicgstab_threads, env):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        report_cores(2)
+        solve_fields(filled_grid(rng, (10, 10, 10)), PAIR)
+        assert len(set(bicgstab_threads)) == 2
+
+    def test_threaded_solve_makes_no_blas_call(self, rng, monkeypatch, report_cores):
+        # the first solve builds the cached kernel and incident columns;
+        # the second may reach the BLAS through none of numpy's entry points
+        g = filled_grid(rng, (10, 10, 10))
+        report_cores(2)
+        first = solve_fields(g, PAIR)
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("BLAS call in the Krylov solve")
+
+        for module, name in ((np, "vdot"), (np, "dot"), (np, "inner"),
+                             (np.linalg, "norm")):
+            monkeypatch.setattr(module, name, no_blas)
+        second = solve_fields(g, PAIR)
+        for a, b in zip(first, second, strict=True):
+            assert np.array_equal(a, b)
+
     def test_failure_raises_and_no_thread_outlives_the_call(self, rng, monkeypatch,
-                                                           report_cores, blas_env):
-        blas_env(ONE_BLAS_THREAD)
+                                                           report_cores):
         report_cores(2)
         g = filled_grid(rng, (10, 10, 10), eps=3.0)
         before = threading.active_count()
@@ -428,7 +434,7 @@ class TestBicgstab:
         assert info == 3 and len(seen) == 3 and len(matvecs) == 7
         assert np.array_equal(seen[-1], x)
 
-    def test_same_iterates_as_scipy(self, rng):
+    def test_same_iterates_as_scipy(self, rng, monkeypatch):
         # the recurrence, stop tests and callbacks are scipy's, step for step
         linalg = pytest.importorskip("scipy.sparse.linalg")
         g = random_grid(rng, (4, 4, 4), contrast=8.0)
@@ -438,6 +444,9 @@ class TestBicgstab:
         ours, theirs = [], []
         x, info = vie.bicgstab(op.matvec, b, rtol=1e-10, maxiter=2000,
                                callback=lambda xk: ours.append(xk.copy()))
+        # scipy looks both names up on every call: give it our reductions
+        monkeypatch.setattr(np, "vdot", vie._vdot)
+        monkeypatch.setattr(np.linalg, "norm", vie._norm)
         x_ref, info_ref = linalg.bicgstab(op, b, x0=b.copy(), rtol=1e-10,
                                           atol=0.0, maxiter=2000,
                                           callback=lambda xk: theirs.append(xk.copy()))
