@@ -11,8 +11,6 @@ Normative keys and defaults:
     d12             = 0.25           emitter separation (lambda units)
     eps_max         = 9.0
     delta_eps       = 0.05
-    delta_eps_min   = 0.001
-    tol_accept      = 1e-9
     eta_converge    = 0.01
     max_iterations  = 200
     exclusion_radius= 2.0            vacuum shell around emitters, in spacings
@@ -20,7 +18,6 @@ Normative keys and defaults:
     target          = concurrence    or negativity
     pump_ratio      = 0.005          P / gamma, held fixed during design
     solver_method   = iterative      or dense (the LU oracle)
-    solver_rtol     = 1e-10
     d12_list        = 0.25           list for sweep/freespace; either
                                      comma-separated values or
                                      'logspace:min,max,count'
@@ -53,6 +50,7 @@ from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +177,7 @@ def read_config_file(path):
     return raw
 
 
-def parse_config(path, seed_override=None):
+def parse_config(path):
     """Parse and validate a config file into a RunConfig."""
     raw = read_config_file(path)
 
@@ -210,8 +208,6 @@ def parse_config(path, seed_override=None):
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
 
-    if seed_override is not None:
-        run_kwargs["seed"] = seed_override
     try:
         design = DesignConfig(**design_kwargs)
         return RunConfig(design=design, **run_kwargs)
@@ -293,12 +289,8 @@ def save_grid_csv(grid, path):
     with _atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["ix", "iy", "iz", "eps"])
-        nx, ny, nz = grid.dims
-        eps = grid.eps.reshape(nx, ny, nz)
-        for ix in range(nx):
-            for iy in range(ny):
-                for iz in range(nz):
-                    w.writerow([ix, iy, iz, f"{eps[ix, iy, iz]:.17g}"])
+        w.writerows([ix, iy, iz, f"{e:.17g}"] for (ix, iy, iz), e in
+                    zip(product(*map(range, grid.dims)), grid.eps.tolist()))
 
 
 def save_meta(cfg, grid, emitters, path):
@@ -510,9 +502,6 @@ def _build_parser():
         p.add_argument("--config", required=True, help="key=value config file")
     for p in (opt, sweep, fs, mems):
         p.add_argument("--out", default="out", help="output directory")
-    opt.add_argument("--seed", type=int, default=None,
-                     help="seed recorded in design.meta.json "
-                          "(overrides the config seed)")
     sweep.add_argument("--threads", type=int, default=1,
                        help="worker processes that run the points "
                             "(at most one per point)")
@@ -529,10 +518,9 @@ def main(argv=None):
         out_dir = Path(args.out)
         if args.command == "mems":
             return cmd_mems(out_dir)
-        if args.command == "optimize":
-            return cmd_optimize(parse_config(args.config, seed_override=args.seed),
-                                out_dir)
         cfg = parse_config(args.config)
+        if args.command == "optimize":
+            return cmd_optimize(cfg, out_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, threads=max(1, args.threads))
         if args.command == "freespace":

@@ -31,7 +31,7 @@ factor.
 Safeguard: a sweep leaves its state, map included, as it is.  If the
 swept map lowers the re-solved target or breaks the convergence
 identity beyond eta_converge, it is dropped and delta_eps halved; the
-loop stops once delta_eps falls below delta_eps_min.  The recorded
+loop stops once delta_eps falls below DELTA_EPS_MIN.  The recorded
 per-iteration target is therefore non-decreasing.
 """
 
@@ -41,13 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quantum
+from . import quantum, vie
 from .emcore import (K0, CouplingSet, as_position, couplings_from_q,
                      free_space_green, is_physical, project, rates_from_q,
                      vacuum_self_green)
 from .errors import ConfigError
-from .vie import (KRYLOV_RTOL, SOLVER_METHODS, PermittivityGrid,
-                  _fields_and_incident)
+from .vie import SOLVER_METHODS, PermittivityGrid, _fields_and_incident
 # unused here, kept because the benchmark tracer wraps optimizer.solve_green_block
 from .vie import solve_green_block  # noqa: F401
 
@@ -76,14 +75,22 @@ _SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
 #: Emitter index pairs (i, j) of the pair axis of `q` and `s`: 11, 22, 12.
 _PAIRS = ((0, 0), (1, 1), (0, 1))
 
+#: Noise floor of the witness: a trial step is kept, and the loop goes
+#: on, only while it gains more than this.
+TOL_ACCEPT = 1e-9
+#: The loop stops once halving takes delta_eps below this.
+DELTA_EPS_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Knobs of the greedy design loop (all lengths in lambda units)."""
+    """Knobs of the greedy design loop (all lengths in lambda units).
+
+    The Krylov tolerance (vie.KRYLOV_RTOL), the accept noise floor
+    (TOL_ACCEPT) and the halving floor (DELTA_EPS_MIN) are fixed in code.
+    """
 
     delta_eps: float = 0.05
-    delta_eps_min: float = 1e-3
-    tol_accept: float = 1e-9
     eta_converge: float = 1e-2
     max_iterations: int = 200
     exclusion_radius: float = 2.0  # in voxel spacings
@@ -91,16 +98,11 @@ class DesignConfig:
     target: str = "concurrence"
     pump_ratio: float = 5e-3  # P / gamma11, held fixed
     solver_method: str = "iterative"  # or "dense", the LU oracle
-    solver_rtol: float = KRYLOV_RTOL
 
     def __post_init__(self):
         # each range test is written so that nan fails it
         if not self.delta_eps > 0:
             raise ValueError("delta_eps must be positive")
-        if not self.delta_eps_min > 0:
-            raise ValueError("delta_eps_min must be positive")
-        if not self.tol_accept >= 0:
-            raise ValueError("tol_accept must be non-negative")
         if not self.eta_converge > 0:
             raise ValueError("eta_converge must be positive")
         if not self.max_iterations >= 0:
@@ -116,8 +118,6 @@ class DesignConfig:
             raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
         if self.solver_method not in SOLVER_METHODS:
             raise ValueError(f"solver_method must be one of {SOLVER_METHODS}")
-        if not self.solver_rtol > 0:
-            raise ValueError("solver_rtol must be positive")
 
 
 @dataclass
@@ -241,7 +241,7 @@ def compute_state(grid, emitters, config):
     emitters = tuple(as_position(r) for r in emitters)
     fields, incident = _fields_and_incident(grid, emitters,
                                             config.solver_method,
-                                            config.solver_rtol)
+                                            vie.KRYLOV_RTOL)
     q = _pair_scalars(grid, emitters, fields, incident)
     # unphysical couplings raise emcore's SolverInconsistencyError, which
     # names the rates, so score_q below never returns None
@@ -290,7 +290,7 @@ def sweep_once(state, config, orbits, delta_eps=None):
     q11, q22, q12 = state.q.tolist()
     current = state.target_value
     pump_ratio, target = config.pump_ratio, config.target
-    tol_accept = config.tol_accept
+    tol_accept = TOL_ACCEPT
     chosen = [0.0] * len(orbits)
     rejected_unphysical = 0
     for o, (step, (d11, d22, d12)) in enumerate(trials):
@@ -419,7 +419,7 @@ def optimize(grid0, emitters, config):
 
     Starts from grid0 (normally all vacuum), runs `prepare_design` on a
     copy of it, and iterates sweep / re-solve / verify until no voxel
-    improves the target, the improvement falls below tol_accept,
+    improves the target, the improvement falls below TOL_ACCEPT,
     max_iterations is reached, or adaptive halving exhausts delta_eps.
     """
     grid = grid0.copy()
@@ -446,7 +446,7 @@ def optimize(grid0, emitters, config):
             log.info("iteration %d rejected (%s); delta_eps halved to %g",
                      n + 1, "target regression" if regressed else
                      f"convergence mismatch {mismatch:.2e}", delta_eps)
-            if delta_eps < config.delta_eps_min:
+            if delta_eps < DELTA_EPS_MIN:
                 break
             continue
         n += 1
@@ -460,7 +460,7 @@ def optimize(grid0, emitters, config):
         log.info("iteration %d: %s=%.6f (+%.2e), %d voxels accepted, "
                  "mismatch %.2e", n, config.target, state.target_value,
                  gain, accepted, mismatch)
-        if gain < config.tol_accept:
+        if gain < TOL_ACCEPT:
             break
 
     return DesignRecord(entries=entries, final_grid=state.grid)

@@ -343,17 +343,19 @@ def check_one_voxel_convergence(rng):
 
 
 def check_projected_scalars_vs_oracle(rng):
-    """The loop's P_HAT-only solve against the projections of the full
-    `scattered_green_pair` tensors, on a 6^3 map with 40 % of its free
-    voxels at random eps in [1, 4]."""
+    """The loop's P_HAT-only solve and pair scalars, both at rtol 1e-12,
+    against the projections of the full `scattered_green_pair` tensors,
+    on a 6^3 map with 40 % of its free voxels at random eps in [1, 4]."""
     worst = 0.0
     for method in vie.SOLVER_METHODS:
-        grid, emitters, cfg = _toy_setup(solver_method=method, solver_rtol=1e-12)
+        grid, emitters, cfg = _toy_setup()
         free = np.isin(np.arange(grid.n_voxels),
                        optimizer.prepare_design(grid, emitters, cfg))
         filled = free & (rng.random(grid.n_voxels) < 0.4)
         grid.eps[filled] = rng.uniform(1.0, 4.0, int(filled.sum()))
-        q = optimizer.compute_state(grid, emitters, cfg).q
+        q = optimizer._pair_scalars(
+            grid, emitters, *vie._fields_and_incident(grid, emitters, method,
+                                                      1e-12))
         tensors = vie.scattered_green_pair(grid, *emitters, method=method,
                                            rtol=1e-12)
         q_ref = np.array([emcore.project(G) for G in tensors])

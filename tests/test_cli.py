@@ -18,7 +18,7 @@ import pytest
 
 from entcloak import cli, quantum, vie
 from entcloak.emcore import CouplingSet, aligned_g12, aligned_gamma12
-from entcloak.errors import ConfigError
+from entcloak.errors import ConfigError, DegenerateSteadyStateError
 from entcloak.optimizer import IterationEntry
 from entcloak.vie import GridResolutionWarning, PermittivityGrid
 
@@ -69,6 +69,16 @@ class InlinePool:
         return future
 
 
+@pytest.fixture
+def degenerate_steady_state(monkeypatch):
+    """Make every closed-form steady state report a two-dimensional
+    Liouvillian kernel."""
+    def degenerate(*args):
+        raise DegenerateSteadyStateError("kernel dimension 2", kernel_dim=2)
+
+    monkeypatch.setattr(quantum, "x_block_steady_state", degenerate)
+
+
 class TestConfigParsing:
     def test_defaults_and_overrides(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path))
@@ -77,9 +87,15 @@ class TestConfigParsing:
         assert cfg.design.pump_ratio == 0.005
         assert cfg.seed == 7
 
-    def test_seed_override(self, tmp_path):
-        cfg = cli.parse_config(write_config(tmp_path), seed_override=99)
-        assert cfg.seed == 99
+    def test_optimize_seed_flag_removed(self, tmp_path, capsys):
+        # the seed key is the one way to set the recorded seed
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["optimize", "--config", str(write_config(tmp_path)),
+                      "--out", str(out), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "dims = 4,4,4\nwavelength = 400\n")
@@ -249,7 +265,8 @@ class TestOptimizeCommand:
         assert rc == 2
         assert not out.exists()
         key = line.split(" =")[0]
-        if key in ("sweep_mode", "bidirectional"):
+        if key in ("solver_rtol", "tol_accept", "delta_eps_min", "sweep_mode",
+                   "bidirectional"):
             assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["dens", "auto"])
@@ -280,6 +297,15 @@ class TestOptimizeCommand:
         assert rc == 3
         assert not out.exists()
         assert "ConvergenceError" in capsys.readouterr().err
+
+    def test_degenerate_steady_state_exit_4_no_outputs(self, tmp_path, capsys,
+                                                       degenerate_steady_state):
+        out = tmp_path / "never"
+        rc = cli.main(["optimize", "--config", str(write_config(tmp_path)),
+                       "--out", str(out)])
+        assert rc == 4
+        assert not out.exists()
+        assert "degenerate steady state:" in capsys.readouterr().err
 
     def test_guarded_names_reached_on_a_valid_config(self, tmp_path,
                                                      monkeypatch):
@@ -433,6 +459,20 @@ class TestSweepCommand:
         failures = read_csv(out / "failures.csv")
         assert len(failures) == 1
         assert failures[0]["error"].startswith("ConvergenceError: ")
+
+    def test_degenerate_steady_state_recorded_as_failure(
+            self, tmp_path, monkeypatch, degenerate_steady_state):
+        # points run in this process, so they see the patched steady state
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        text = TINY_CONFIG + "d12_list = 0.25\npump_list = 0.005\n"
+        out = tmp_path / "outsd"
+        assert cli.main(["sweep", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("d12_over_lambda,")
+        failures = read_csv(out / "failures.csv")
+        assert len(failures) == 1
+        assert failures[0]["error"].startswith("DegenerateSteadyStateError: ")
 
     def test_crashed_worker_fails_only_its_point(self, tmp_path, monkeypatch):
         # the worker of the d12 = 0.375 point dies outright; the pool it

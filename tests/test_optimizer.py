@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entcloak import quantum
+from entcloak import optimizer, quantum
 from entcloak.emcore import (
     POSITIVITY_TOL,
     CouplingSet,
@@ -21,10 +21,13 @@ from entcloak.optimizer import (
     sweep_once,
     verify_convergence,
     _born_dq,
+    _pair_scalars,
     _sum_dq,
 )
 from entcloak.vie import (
+    KRYLOV_RTOL,
     PermittivityGrid,
+    _fields_and_incident,
     scattered_green_pair,
     solve_fields,
     solve_green_block,
@@ -204,7 +207,6 @@ class TestScoreQ:
         orbits, free = prepared(grid, emitters, cfg)
         grid.eps[free & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
-        from entcloak import optimizer
         calls = count_calls(monkeypatch, optimizer, "score_q")
         states = count_calls(monkeypatch, quantum, "steady_state")
         _, _, accepted = sweep_once(st, cfg, orbits)
@@ -259,9 +261,9 @@ class TestComputeState:
 
     @pytest.mark.parametrize("method", ["dense", "iterative"])
     def test_projected_scalars_match_the_block_oracle(self, rng, method):
-        grid, emitters, cfg = filled_toy(rng, solver_method=method,
-                                         solver_rtol=1e-12)
-        q = compute_state(grid, emitters, cfg).q
+        grid, emitters, _ = filled_toy(rng)
+        q = _pair_scalars(grid, emitters,
+                          *_fields_and_incident(grid, emitters, method, 1e-12))
         tensors = scattered_green_pair(grid, *emitters, method=method,
                                        rtol=1e-12)
         q_ref = np.array([project(G) for G in tensors])
@@ -370,9 +372,10 @@ class TestEvaluateCandidate:
 
 
 class TestSweepOnce:
-    def test_no_improvement_leaves_grid_unchanged(self):
+    def test_no_improvement_leaves_grid_unchanged(self, monkeypatch):
         # a huge acceptance threshold rejects every candidate
-        grid, emitters, cfg = toy(dims=(4, 4, 4), tol_accept=1.0)
+        monkeypatch.setattr(optimizer, "TOL_ACCEPT", 1.0)
+        grid, emitters, cfg = toy(dims=(4, 4, 4))
         orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
         swept, sum_dq, accepted = sweep_once(st, cfg, orbits)
@@ -411,7 +414,7 @@ class TestSweepOnce:
         for kidx in orbits[:, 0]:
             trial = q + _born_dq(cfg.delta_eps, st.s[kidx], hand.voxel_volume)
             value = score_q(*trial.tolist(), cfg.pump_ratio, cfg.target)
-            if value is None or value - current <= cfg.tol_accept:
+            if value is None or value - current <= optimizer.TOL_ACCEPT:
                 continue
             q = trial
             current = value
@@ -456,7 +459,7 @@ class TestSweepOnce:
         assert (delta >= 0).all() and (delta > 0).any()
         assert (np.isin(orbits[:, 1], changed)).any()
         # the full-tensor first-Born sum over the oracle's blocks, projected
-        X1, X2 = solve_green_block(grid, emitters, rtol=cfg.solver_rtol)
+        X1, X2 = solve_green_block(grid, emitters, rtol=KRYLOV_RTOL)
         pairs = ((X1, X1), (X2, X2), (X1, X2))
         for dq, (X_i, X_j) in zip(sum_dq, pairs, strict=True):
             expected = project(sum(born_delta_green(
@@ -484,7 +487,7 @@ def reference_sweep(state, cfg, orbits):
         dq = _born_dq(step, s, grid.voxel_volume).tolist()
         trial = [x + d for x, d in zip(q, dq, strict=True)]
         value = score_q(*trial, cfg.pump_ratio, cfg.target)
-        if value is None or value - current <= cfg.tol_accept:
+        if value is None or value - current <= optimizer.TOL_ACCEPT:
             continue
         steps[members] = step
         accepted += len(members)
@@ -605,11 +608,11 @@ class TestOptimize:
         with pytest.raises(ValueError):
             prepare_design(grid, emitters, cfg)
 
-    def test_adaptive_halving_on_identity_violation(self):
+    def test_adaptive_halving_on_identity_violation(self, monkeypatch):
         # a coarse increment must trigger the safeguard, then proceed
+        monkeypatch.setattr(optimizer, "DELTA_EPS_MIN", 0.3)
         grid, emitters, cfg = toy(dims=(6, 6, 6), delta_eps=1.6,
-                                  delta_eps_min=0.3, max_iterations=3,
-                                  exclusion_radius=1.0)
+                                  max_iterations=3, exclusion_radius=1.0)
         rec = optimize(grid, emitters, cfg)
         assert all(e.convergence_mismatch <= cfg.eta_converge for e in rec.entries)
         if len(rec.entries) > 1:
@@ -629,12 +632,8 @@ class TestOptimize:
         for method in ("dens", "auto"):
             with pytest.raises(ValueError, match="iterative.*dense"):
                 DesignConfig(solver_method=method)
-        for rtol in (0.0, -1e-10):
-            with pytest.raises(ValueError, match="solver_rtol"):
-                DesignConfig(solver_rtol=rtol)
 
-    @pytest.mark.parametrize("field", ["delta_eps", "delta_eps_min",
-                                       "tol_accept", "eta_converge",
+    @pytest.mark.parametrize("field", ["delta_eps", "eta_converge",
                                        "exclusion_radius", "pump_ratio"])
     def test_nan_knob_rejected(self, field):
         with pytest.raises(ValueError, match=field):
@@ -664,8 +663,7 @@ class TestOptimize:
         for method in ("dense", "iterative"):
             grid, emitters, cfg = toy(dims=(6, 6, 6), max_iterations=2,
                                       exclusion_radius=1.0,
-                                      solver_method=method,
-                                      solver_rtol=1e-11)
+                                      solver_method=method)
             records[method] = optimize(grid, emitters, cfg)
         a, b = records["dense"], records["iterative"]
         assert np.array_equal(a.final_grid.eps > 1.0, b.final_grid.eps > 1.0)
