@@ -1,20 +1,18 @@
 """Batch driver: single designs, (d12, P/gamma) sweeps, reference curves.
 
 Configuration is a flat key=value text file ('#' starts a comment);
-every number in it must be finite.
+every number in it must be finite.  The grid is always centered on
+the emitter midpoint.
 Normative keys and defaults:
 
     dims            = 8,8,8          voxel counts nx,ny,nz
     spacing         = 0.0625         voxel edge in lambda units
-    origin          = auto           'auto' (centered on the emitter
-                                     midpoint) or 'x,y,z'
     d12             = 0.25           emitter separation (lambda units)
     eps_max         = 9.0
-    delta_eps       = 0.05
     eta_converge    = 0.01
     max_iterations  = 200
     exclusion_radius= 2.0            vacuum shell around emitters, in spacings
-    symmetry        = none           or mirror-z, z-axis-rotation-4fold
+    symmetry        = none           or mirror-z
     target          = concurrence    or negativity
     pump_ratio      = 0.005          P / gamma, held fixed during design
     solver_method   = iterative      or dense (the LU oracle)
@@ -98,7 +96,6 @@ class RunConfig:
 
     dims: tuple = (8, 8, 8)
     spacing: float = 0.0625
-    origin: object = "auto"
     d12: float = 0.25
     eps_max: float = 9.0
     d12_list: tuple = (0.25,)
@@ -112,8 +109,6 @@ class RunConfig:
         # each range test is written so that nan and inf fail it
         if not 0 < self.spacing < math.inf:
             raise ConfigError("spacing must be positive and finite")
-        if self.origin != "auto" and len(self.origin) != 3:
-            raise ConfigError("origin must be 'auto' or three finite numbers x,y,z")
         # emcore refuses emitters closer than COINCIDENT_THRESHOLD
         d_min = COINCIDENT_THRESHOLD
         if not d_min <= self.d12 < math.inf:
@@ -192,9 +187,6 @@ def parse_config(path):
                 run_kwargs["dims"] = parts
             elif key in ("spacing", "d12", "eps_max"):
                 run_kwargs[key] = _parse_float(val)
-            elif key == "origin":
-                run_kwargs["origin"] = ("auto" if val.strip() == "auto" else
-                                        tuple(map(_parse_float, val.split(","))))
             elif key in ("d12_list", "pump_list"):
                 run_kwargs[key] = _parse_scalar_list(val)
             elif key == "seed":
@@ -221,10 +213,10 @@ def _emitter_pair(d12):
 
 
 def _vacuum_grid(cfg):
-    """The all-vacuum grid of a config (independent of d12)."""
-    origin = None if cfg.origin == "auto" else np.asarray(cfg.origin, dtype=float)
+    """The all-vacuum grid of a config, centered on the emitter midpoint
+    (independent of d12)."""
     try:
-        return PermittivityGrid.vacuum(cfg.dims, cfg.spacing, origin=origin,
+        return PermittivityGrid.vacuum(cfg.dims, cfg.spacing,
                                        eps_max=cfg.eps_max)
     except ValueError as exc:  # eps_max below the vacuum's 1
         raise ConfigError(str(exc)) from exc
@@ -253,12 +245,12 @@ def build_grid(cfg, d12=None):
         if gap < COINCIDENT_THRESHOLD:
             raise ConfigError(
                 f"emitter at z={r[2]} coincides with a voxel center; "
-                "shift origin or adjust d12/spacing"
+                "adjust d12/spacing"
             )
         if gap < cfg.spacing / 2.0 - 1e-12:
             warnings.warn(
                 f"emitter at z={r[2]} is {gap:.3g} from the nearest voxel "
-                f"center plane (< spacing/2); consider shifting the grid",
+                f"center plane (< spacing/2); consider adjusting d12/spacing",
                 stacklevel=2,
             )
     return grid, emitters
@@ -339,7 +331,8 @@ def save_trace_csv(record, path):
 
 def cmd_optimize(cfg, out_dir):
     grid, emitters = build_grid(cfg)
-    # reject an eps_max or a symmetry the layout cannot carry before warning
+    # reject an eps_max with no room for one step before warning (the
+    # centered, on-axis layout always carries the symmetry)
     prepare_design(grid.copy(), emitters, cfg.design)
     _warn_if_coarse(cfg)
     record = optimize(grid, emitters, cfg.design)
@@ -373,10 +366,9 @@ def _sweep_point(args):
             cs.g12 / cs.gamma11, cs.gamma11, SL, SL0, N, N0]
 
 
-def cmd_sweep(cfg, out_dir, threads=1):
-    # an eps_max or a symmetry the layout cannot carry fails every point
-    # alike: reject it before any point starts (no d12 enters the checks,
-    # since the emitters always sit on the z axis, symmetric about z = 0)
+def cmd_sweep(cfg, out_dir, threads):
+    # an eps_max with no room for one step fails every point alike:
+    # reject it before any point starts (no d12 enters the check)
     prepare_design(_vacuum_grid(cfg), _emitter_pair(cfg.d12), cfg.design)
     _warn_if_coarse(cfg)
     tasks = [(cfg, d, p) for d in cfg.d12_list for p in cfg.pump_list]

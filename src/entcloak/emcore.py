@@ -75,7 +75,8 @@ def as_position(r):
 class CouplingSet:
     """Dimensionless master-equation inputs, all in units of gamma0.
 
-    gamma11/gamma22 are the single-emitter decay rates (Purcell-scaled),
+    gamma11/gamma22 are the single-emitter decay rates, i.e. the Purcell
+    factors (gamma0 = 1),
     gamma12 the correlated-decay rate and g12 the coherent
     excitation-exchange rate.
     """
@@ -84,15 +85,6 @@ class CouplingSet:
     gamma22: float
     gamma12: float
     g12: float
-
-    @property
-    def purcell(self):
-        """Purcell factor of emitter 1 (gamma11 / gamma0 with gamma0 = 1)."""
-        return self.gamma11
-
-    @property
-    def purcell2(self):
-        return self.gamma22
 
     def validate(self):
         """Raise SolverInconsistencyError, naming the rates, if the set

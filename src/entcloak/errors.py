@@ -31,7 +31,7 @@ class ConvergenceError(EntcloakError):
         Final relative residual when the iteration stopped.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
 

@@ -30,9 +30,10 @@ factor.
 
 Safeguard: a sweep leaves its state, map included, as it is.  If the
 swept map lowers the re-solved target or breaks the convergence
-identity beyond eta_converge, it is dropped and delta_eps halved; the
-loop stops once delta_eps falls below DELTA_EPS_MIN.  The recorded
-per-iteration target is therefore non-decreasing.
+identity beyond eta_converge, it is dropped and the step delta_eps,
+DELTA_EPS at the start, halved; the loop stops once delta_eps falls
+below DELTA_EPS_MIN.  The recorded per-iteration target is therefore
+non-decreasing.
 """
 
 import logging
@@ -70,11 +71,13 @@ log = logging.getLogger(__name__)
 #: (rho00, rho33, rho12) of the X-type steady state, for `score_q`.
 _WITNESSES = {"concurrence": quantum.concurrence_x,
               "negativity": quantum.negativity_x}
-_SYMMETRIES = ("none", "mirror-z", "z-axis-rotation-4fold")
+_SYMMETRIES = ("none", "mirror-z")
 
 #: Emitter index pairs (i, j) of the pair axis of `q` and `s`: 11, 22, 12.
 _PAIRS = ((0, 0), (1, 1), (0, 1))
 
+#: The permittivity step of a sweep, before any halving.
+DELTA_EPS = 0.05
 #: Noise floor of the witness: a trial step is kept, and the loop goes
 #: on, only while it gains more than this.
 TOL_ACCEPT = 1e-9
@@ -86,11 +89,11 @@ DELTA_EPS_MIN = 1e-3
 class DesignConfig:
     """Knobs of the greedy design loop (all lengths in lambda units).
 
-    The Krylov tolerance (vie.KRYLOV_RTOL), the accept noise floor
-    (TOL_ACCEPT) and the halving floor (DELTA_EPS_MIN) are fixed in code.
+    The Krylov tolerance (vie.KRYLOV_RTOL), the permittivity step
+    (DELTA_EPS), the accept noise floor (TOL_ACCEPT) and the halving
+    floor (DELTA_EPS_MIN) are fixed in code.
     """
 
-    delta_eps: float = 0.05
     eta_converge: float = 1e-2
     max_iterations: int = 200
     exclusion_radius: float = 2.0  # in voxel spacings
@@ -101,8 +104,6 @@ class DesignConfig:
 
     def __post_init__(self):
         # each range test is written so that nan fails it
-        if not self.delta_eps > 0:
-            raise ValueError("delta_eps must be positive")
         if not self.eta_converge > 0:
             raise ValueError("eta_converge must be positive")
         if not self.max_iterations >= 0:
@@ -255,7 +256,7 @@ def compute_state(grid, emitters, config):
     )
 
 
-def sweep_once(state, config, orbits, delta_eps=None):
+def sweep_once(state, config, orbits, delta_eps):
     """Visit each orbit once; returns (swept_grid, sum_dq, accepted) and
     leaves `state` as it is.
 
@@ -272,8 +273,6 @@ def sweep_once(state, config, orbits, delta_eps=None):
     changed voxels.
     """
     grid = state.grid
-    if delta_eps is None:
-        delta_eps = config.delta_eps
 
     # orbits are disjoint, so no orbit's eps moves before its own visit:
     # its headroom and summed field products are fixed at sweep start;
@@ -336,26 +335,14 @@ def _symmetry_orbits(grid, config, emitters, excluded):
     """Ascending member voxels of each orbit without an `excluded` member,
     one row per orbit (padded with -1) in representative order; raises
     ConfigError when the layout cannot carry the symmetry."""
-    nx, ny, nz = grid.dims
     idx = np.arange(grid.n_voxels)
-    ix, iy, iz = np.unravel_index(idx, grid.dims)
-
-    def flat(ax, ay, az):
-        return np.ravel_multi_index((ax, ay, az), grid.dims)
-
     if config.symmetry == "none":
         groups = idx[:, None]
-    elif config.symmetry == "mirror-z":
-        _require_axis_symmetry(grid, emitters, mirror=True)
-        groups = np.stack([idx, flat(ix, iy, nz - 1 - iz)], axis=1)
-    else:  # z-axis-rotation-4fold
-        if nx != ny:
-            raise ConfigError("4-fold rotation symmetry requires nx == ny")
-        _require_axis_symmetry(grid, emitters, mirror=False)
-        g1 = flat(iy, nx - 1 - ix, iz)
-        g2 = flat(nx - 1 - ix, ny - 1 - iy, iz)
-        g3 = flat(ny - 1 - iy, ix, iz)
-        groups = np.stack([idx, g1, g2, g3], axis=1)
+    else:  # mirror-z
+        _require_axis_symmetry(grid, emitters)
+        ix, iy, iz = np.unravel_index(idx, grid.dims)
+        mirror = np.ravel_multi_index((ix, iy, grid.dims[2] - 1 - iz), grid.dims)
+        groups = np.stack([idx, mirror], axis=1)
 
     groups = np.sort(groups, axis=1)
     orbits = groups[(groups[:, 0] == idx) & ~excluded[groups].any(axis=1)]
@@ -363,21 +350,19 @@ def _symmetry_orbits(grid, config, emitters, excluded):
     return orbits
 
 
-def _require_axis_symmetry(grid, emitters, mirror):
-    """The symmetry constraint only makes sense on a compatible layout."""
+def _require_axis_symmetry(grid, emitters):
+    """The mirror-z constraint only makes sense on a compatible layout:
+    both emitters on the grid's central z axis, symmetric about its
+    midplane."""
     r1, r2 = emitters
-    cx = grid.origin[0] + grid.spacing * (grid.dims[0] - 1) / 2.0
-    cy = grid.origin[1] + grid.spacing * (grid.dims[1] - 1) / 2.0
+    center = grid.origin + grid.spacing * (np.asarray(grid.dims) - 1) / 2.0
     tol = 1e-9
-    if abs(r1[0] - cx) > tol or abs(r1[1] - cy) > tol \
-            or abs(r2[0] - cx) > tol or abs(r2[1] - cy) > tol:
-        raise ConfigError("symmetry constraints require emitters on the "
-                          "grid's central z axis")
-    if mirror:
-        cz = grid.origin[2] + grid.spacing * (grid.dims[2] - 1) / 2.0
-        if abs((r1[2] + r2[2]) / 2.0 - cz) > tol:
-            raise ConfigError("mirror-z requires emitters placed "
-                              "symmetrically about the grid midplane")
+    if any(abs(r[a] - center[a]) > tol for r in emitters for a in (0, 1)):
+        raise ConfigError("mirror-z requires emitters on the grid's "
+                          "central z axis")
+    if abs((r1[2] + r2[2]) / 2.0 - center[2]) > tol:
+        raise ConfigError("mirror-z requires emitters placed "
+                          "symmetrically about the grid midplane")
 
 
 def verify_convergence(state, sum_dq, grid_next, config):
@@ -400,10 +385,10 @@ def prepare_design(grid, emitters, config):
     The zone is every voxel within config.exclusion_radius spacings of
     either emitter; it keeps the field solves away from the source
     singularities.  Raises ConfigError, before any field solve, when
-    grid.eps_max leaves no room for one delta_eps step or the layout
+    grid.eps_max leaves no room for one DELTA_EPS step or the layout
     cannot carry the symmetry.
     """
-    if grid.eps_max < 1.0 + config.delta_eps:
+    if grid.eps_max < 1.0 + DELTA_EPS:
         raise ConfigError("eps_max must allow at least one increment")
     pts = grid.centers()
     excluded = np.zeros(grid.n_voxels, dtype=bool)
@@ -429,14 +414,13 @@ def optimize(grid0, emitters, config):
     entries = [IterationEntry(
         n=0, target_value=state.target_value, accepted_count=0,
         couplings=state.couplings, convergence_mismatch=0.0,
-        delta_eps_used=config.delta_eps,
+        delta_eps_used=DELTA_EPS,
     )]
 
-    delta_eps = config.delta_eps
+    delta_eps = DELTA_EPS
     n = 0
     while n < config.max_iterations:
-        swept, sum_dq, accepted = sweep_once(state, config, orbits,
-                                             delta_eps=delta_eps)
+        swept, sum_dq, accepted = sweep_once(state, config, orbits, delta_eps)
         if accepted == 0:
             break
         new_state, mismatch = verify_convergence(state, sum_dq, swept, config)

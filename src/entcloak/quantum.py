@@ -236,7 +236,7 @@ def _check_state(m, L, norm_L):
         )
 
 
-def steady_state_svd(params, check=True):
+def steady_state_svd(params, check):
     """Independent steady-state oracle: the kernel of the 16x16 Liouvillian.
 
     Takes the smallest right singular vector of build_liouvillian(params)

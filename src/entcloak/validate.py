@@ -154,8 +154,8 @@ def check_vacuum_power_ratio(rng):
     g = vie.PermittivityGrid.vacuum((5, 5, 5), 1.0 / 16.0)
     out = vie.scattered_green_pair(g, (0, 0, -0.3), (0, 0, 0.3), method="dense")
     cs = emcore.couplings_from_green(out[0], out[1], out[2])
-    ok = cs.purcell == 1.0 and cs.purcell2 == 1.0
-    return ok, f"emitted power ratios ({cs.purcell}, {cs.purcell2}) (expect exactly 1)"
+    ok = cs.gamma11 == 1.0 and cs.gamma22 == 1.0
+    return ok, f"emitted power ratios ({cs.gamma11}, {cs.gamma22}) (expect exactly 1)"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from entcloak import cli, emcore, quantum, validate, vie
+from entcloak import cli, emcore, optimizer, quantum, validate, vie
 from entcloak.optimizer import (
     DesignConfig,
     born_delta_green,
@@ -213,7 +213,7 @@ def test_criterion_9_witness_target_first_sweep_agreement(toy_instance):
                            exclusion_radius=1.0)
         orbits = prepare_design(g, emitters, cfg)
         state = compute_state(g, emitters, cfg)
-        swept, _, _ = sweep_once(state, cfg, orbits)
+        swept, _, _ = sweep_once(state, cfg, orbits, optimizer.DELTA_EPS)
         sets[target] = frozenset(np.nonzero(swept.eps > 1.0)[0].tolist())
     diff = sets["concurrence"] ^ sets["negativity"]
     shared = sets["concurrence"] & sets["negativity"]

@@ -34,6 +34,10 @@ target = concurrence
 seed = 7
 """
 
+#: Config keys that no longer exist: a config that sets one exits 2.
+REMOVED_KEYS = {"origin", "delta_eps", "solver_rtol", "tol_accept",
+                "delta_eps_min", "sweep_mode", "bidirectional"}
+
 #: TINY_CONFIG on a 6^3 map.  The first state is vacuum and skips the
 #: Krylov solve; the swept map of the first iteration needs one.
 KRYLOV_CONFIG = TINY_CONFIG.replace("dims = 4,4,4", "dims = 6,6,6")
@@ -160,14 +164,13 @@ class TestConfigParsing:
         cfg = cli.parse_config(path)
         assert cfg.pump_list == (0.005, 0.05)
 
-    def test_explicit_origin(self, tmp_path):
-        path = write_config(tmp_path,
-                            "dims = 4,4,4\norigin = -0.1, -0.1, 0.03\n")
-        cfg = cli.parse_config(path)
-        # the emitter at z = 0.125 is 0.03 < spacing/2 from a center plane
+    def test_grid_centered_on_the_pair(self, tmp_path):
+        path = write_config(tmp_path, "dims = 4,4,4\nd12 = 0.2\n")
+        # the emitter at z = 0.1 is 0.00625 < spacing/2 from a center plane
         with pytest.warns(UserWarning, match="nearest voxel center plane"):
-            grid, _ = cli.build_grid(cfg)
-        assert np.allclose(grid.origin, [-0.1, -0.1, 0.03])
+            grid, emitters = cli.build_grid(cli.parse_config(path))
+        assert np.array_equal(grid.origin, [-0.09375] * 3)
+        assert np.array_equal(emitters[0] + emitters[1], np.zeros(3))
 
 
 class TestOptimizeCommand:
@@ -242,6 +245,7 @@ class TestOptimizeCommand:
         "delta_eps_min = 0", "exclusion_radius = -5", "max_iterations = -1",
         # keys that no longer exist
         "sweep_mode = frozen-reference", "bidirectional = true",
+        "delta_eps = 0.05",
     ], ids=["dims", "spacing", "origin", "solver_rtol", "rotation-dims",
             "mirror-off-axis", "max_iterations",
             "pump_ratio-nan", "d12-nan", "eta_converge-nan", "eps_max-inf",
@@ -249,7 +253,7 @@ class TestOptimizeCommand:
             "emitter-on-center-plane", "eta_converge-negative",
             "tol_accept-negative", "delta_eps_min-zero",
             "exclusion_radius-negative", "max_iterations-negative",
-            "sweep_mode-removed", "bidirectional"])
+            "sweep_mode-removed", "bidirectional", "delta_eps-removed"])
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, monkeypatch,
                                                 capsys, line):
         # a configuration error must surface before any field solve
@@ -264,10 +268,12 @@ class TestOptimizeCommand:
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        key = line.split(" =")[0]
-        if key in ("solver_rtol", "tol_accept", "delta_eps_min", "sweep_mode",
-                   "bidirectional"):
-            assert f"unknown config key '{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        keys = {part.split(" =")[0] for part in line.splitlines()}
+        for key in keys & REMOVED_KEYS:
+            assert f"unknown config key '{key}'" in err
+        if "z-axis-rotation-4fold" in line:  # a removed symmetry
+            assert "symmetry must be one of" in err
 
     @pytest.mark.parametrize("method", ["dens", "auto"])
     def test_unknown_solver_method_exit_2(self, tmp_path, capsys, method):
@@ -370,10 +376,13 @@ class TestResolutionWarning:
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_rejected_config_does_not_warn(self, tmp_path, command):
-        # a symmetry the layout cannot carry exits 2 before any warning
-        text = TINY_CONFIG.replace("dims = 4,4,4", "dims = 4,6,6")
-        text += "symmetry = z-axis-rotation-4fold\npump_list = 0.005,0.05\n"
+        # an eps_max with no room for one step exits 2 before any warning,
+        # on a grid coarse enough to warn at any eps_max
+        text = TINY_CONFIG.replace("spacing = 0.0625", "spacing = 0.125")
+        text += "eps_max = 1.0\npump_list = 0.005,0.05\n"
         cfg_path = write_config(tmp_path, text)
+        with pytest.warns(GridResolutionWarning):
+            cli._warn_if_coarse(cli.parse_config(cfg_path))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main([command, "--config", str(cfg_path),
@@ -541,14 +550,18 @@ class TestSweepCommand:
                              "--out", str(out)]) == 0
             assert len(read_csv(out / "failures.csv")) == n_failed
 
-    @pytest.mark.parametrize("line", [
-        "dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
-        "dims = 4,4,4\norigin = 0.03,-0.09375,-0.09375\nsymmetry = mirror-z",
+    @pytest.mark.parametrize("line, message", [
+        ("dims = 4,6,6\nsymmetry = z-axis-rotation-4fold",
+         "symmetry must be one of"),
+        ("dims = 4,4,4\norigin = 0.03,-0.09375,-0.09375\nsymmetry = mirror-z",
+         "unknown config key 'origin'"),
     ], ids=["rotation-dims", "mirror-off-axis"])
     def test_uncarriable_symmetry_exit_2_no_outputs(self, tmp_path, monkeypatch,
-                                                    line):
-        # the layout fails every point alike: a configuration error before
-        # any point starts, not one failures.csv row per point
+                                                    capsys, line, message):
+        # neither the removed 4-fold rotation nor a mirror-z grid moved
+        # off the emitter axis, which only the removed origin key could
+        # set, can be configured: a configuration error before any point
+        # starts, not one failures.csv row per point
         from entcloak import optimizer
 
         def no_solve(*args, **kwargs):
@@ -561,6 +574,7 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["pump_list = nan", "eps_max = 1.0"],
                              ids=["pump_list-nan", "eps_max-no-increment"])

@@ -109,7 +109,6 @@ class TestCouplingsFromGreen:
         assert cs.gamma22 == pytest.approx(1.0, rel=1e-12)
         assert cs.gamma12 == pytest.approx(3 / np.pi**2, rel=1e-12)
         assert cs.g12 == pytest.approx(-3 / (2 * np.pi**3), rel=1e-12)
-        assert cs.purcell == pytest.approx(1.0)
 
     def test_near_field_asymptotes(self):
         d = 1e-3

@@ -9,7 +9,8 @@ from entcloak.emcore import (
     free_space_green,
     project,
 )
-from entcloak.errors import DegenerateSteadyStateError, SolverInconsistencyError
+from entcloak.errors import (ConfigError, DegenerateSteadyStateError,
+                             SolverInconsistencyError)
 from entcloak.optimizer import (
     DesignConfig,
     born_delta_green,
@@ -209,7 +210,7 @@ class TestScoreQ:
         st = compute_state(grid, emitters, cfg)
         calls = count_calls(monkeypatch, optimizer, "score_q")
         states = count_calls(monkeypatch, quantum, "steady_state")
-        _, _, accepted = sweep_once(st, cfg, orbits)
+        _, _, accepted = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert (len(calls), accepted, len(states)) == (200, 110, 0)
 
 
@@ -366,7 +367,7 @@ class TestEvaluateCandidate:
         assert np.array_equal(free, ~zone)
         assert np.all(grid.eps[zone] == 1.0)
         st = compute_state(grid, emitters, cfg)
-        swept, _, accepted = sweep_once(st, cfg, orbits)
+        swept, _, accepted = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert accepted > 0
         assert np.all(swept.eps[zone] == 1.0)
 
@@ -378,21 +379,20 @@ class TestSweepOnce:
         grid, emitters, cfg = toy(dims=(4, 4, 4))
         orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
-        swept, sum_dq, accepted = sweep_once(st, cfg, orbits)
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert accepted == 0
         assert np.array_equal(swept.eps, grid.eps)
         assert np.all(sum_dq == 0)
 
     def test_leaves_state_unchanged_and_returns_the_swept_map(self, rng):
-        # dyadic eps and delta_eps make every sum and difference below
-        # exact, so the step map is recovered bitwise from the swept map
-        grid, emitters, cfg = toy(symmetry="mirror-z", exclusion_radius=1.0,
-                                  delta_eps=0.0625)
+        # dyadic eps and step make every sum and difference below exact,
+        # so the step map is recovered bitwise from the swept map
+        grid, emitters, cfg = toy(symmetry="mirror-z", exclusion_radius=1.0)
         orbits, free = prepared(grid, emitters, cfg)
         grid.eps[free] = rng.choice([1.0, 2.0], int(free.sum()))
         st = compute_state(grid, emitters, cfg)
         eps0, q0, s0 = st.grid.eps.copy(), st.q.copy(), st.s.copy()
-        swept, sum_dq, accepted = sweep_once(st, cfg, orbits)
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits, 0.0625)
         assert accepted > 0
         assert np.array_equal(st.grid.eps, eps0)
         assert np.array_equal(st.q, q0) and np.array_equal(st.s, s0)
@@ -412,16 +412,16 @@ class TestSweepOnce:
         current = st.target_value
         accepted_hand = []
         for kidx in orbits[:, 0]:
-            trial = q + _born_dq(cfg.delta_eps, st.s[kidx], hand.voxel_volume)
+            trial = q + _born_dq(optimizer.DELTA_EPS, st.s[kidx], hand.voxel_volume)
             value = score_q(*trial.tolist(), cfg.pump_ratio, cfg.target)
             if value is None or value - current <= optimizer.TOL_ACCEPT:
                 continue
             q = trial
             current = value
-            hand.eps[kidx] += cfg.delta_eps
+            hand.eps[kidx] += optimizer.DELTA_EPS
             accepted_hand.append(kidx)
 
-        swept, _, acc = sweep_once(st, cfg, orbits)
+        swept, _, acc = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert acc == len(accepted_hand)
         assert np.allclose(swept.eps, hand.eps, atol=0, rtol=0)
 
@@ -429,11 +429,11 @@ class TestSweepOnce:
         grid, emitters, cfg = toy(dims=(4, 4, 4), eps_max=1.06)
         orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
-        swept, _, _ = sweep_once(st, cfg, orbits)
+        swept, _, _ = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert np.all(swept.eps <= grid.eps_max + 1e-12)
         # second sweep, from the first one's map, cannot push past the cap
         st = compute_state(swept, emitters, cfg)
-        swept, _, _ = sweep_once(st, cfg, orbits)
+        swept, _, _ = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert np.all(swept.eps <= grid.eps_max + 1e-12)
         # free voxels just below the default bound: the sweep's headroom
         # is the grid's own eps_max, so the swept map stays a valid grid
@@ -441,7 +441,7 @@ class TestSweepOnce:
         orbits, free = prepared(grid, emitters, cfg)
         grid.eps[free] = grid.eps_max - 0.02
         st = compute_state(grid, emitters, cfg)
-        swept, _, _ = sweep_once(st, cfg, orbits)
+        swept, _, _ = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert swept.eps.max() <= grid.eps_max
         swept.copy()  # the copy re-checks eps against the grid's bound
 
@@ -453,7 +453,7 @@ class TestSweepOnce:
         orbits, free = prepared(grid, emitters, cfg)
         grid.eps[free & (grid.centers()[:, 0] > 0)] = 2.0
         st = compute_state(grid, emitters, cfg)
-        swept, sum_dq, _ = sweep_once(st, cfg, orbits)
+        swept, sum_dq, _ = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         delta = swept.eps - grid.eps
         changed = np.flatnonzero(delta)
         assert (delta >= 0).all() and (delta > 0).any()
@@ -481,7 +481,8 @@ def reference_sweep(state, cfg, orbits):
     for orbit in orbits:
         members = orbit[orbit >= 0]
         s = sum(state.s[m] for m in members)
-        step = min(cfg.delta_eps, min(grid.eps_max - grid.eps[m] for m in members))
+        step = min(optimizer.DELTA_EPS,
+                   min(grid.eps_max - grid.eps[m] for m in members))
         if abs(step) < 1e-15:
             continue
         dq = _born_dq(step, s, grid.voxel_volume).tolist()
@@ -501,8 +502,7 @@ class TestSweepEquivalence:
     LAYOUTS = {"even": ((6, 6, 6), 0.25), "odd": ((5, 5, 5), 0.1875)}
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("symmetry",
-                             ["none", "mirror-z", "z-axis-rotation-4fold"])
+    @pytest.mark.parametrize("symmetry", ["none", "mirror-z"])
     def test_matches_per_orbit_loop(self, rng, layout, symmetry):
         dims, d12 = self.LAYOUTS[layout]
         grid, emitters, cfg = toy(dims=dims, d12=d12, exclusion_radius=1.0,
@@ -515,7 +515,7 @@ class TestSweepEquivalence:
                                     int(free.sum()))
         st = compute_state(grid, emitters, cfg)
         eps_ref, sum_dq_ref, accepted_ref = reference_sweep(st, cfg, orbits)
-        swept, sum_dq, accepted = sweep_once(st, cfg, orbits)
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits, optimizer.DELTA_EPS)
         assert accepted_ref > 0
         assert accepted == accepted_ref
         assert np.array_equal(swept.eps, eps_ref)
@@ -525,7 +525,8 @@ class TestSweepEquivalence:
         grid, emitters, cfg = toy(exclusion_radius=1.0)
         orbits = prepare_design(grid, emitters, cfg)
         st = compute_state(grid, emitters, cfg)
-        swept, sum_dq, accepted = sweep_once(st, cfg, orbits[:0])
+        swept, sum_dq, accepted = sweep_once(st, cfg, orbits[:0],
+                                             optimizer.DELTA_EPS)
         assert accepted == 0
         assert np.array_equal(swept.eps, grid.eps)
         assert np.all(sum_dq == 0)
@@ -592,37 +593,33 @@ class TestOptimize:
             gap = abs(e.couplings.gamma11 - e.couplings.gamma22)
             assert gap / e.couplings.gamma11 <= 1e-6
 
-    def test_rotation_symmetry_produces_invariant_map(self):
-        grid, emitters, cfg = toy(dims=(6, 6, 6), max_iterations=2,
-                                  symmetry="z-axis-rotation-4fold",
-                                  exclusion_radius=1.0)
-        rec = optimize(grid, emitters, cfg)
-        eps = rec.final_grid.eps.reshape(rec.final_grid.dims)
-        rotated = np.rot90(eps, k=1, axes=(0, 1))
-        assert np.array_equal(eps, rotated)
-        assert rec.final_value > rec.initial_value
-
-    def test_rotation_symmetry_requires_square_section(self):
-        grid, emitters, _ = toy(dims=(4, 6, 6))
-        cfg = DesignConfig(symmetry="z-axis-rotation-4fold")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("origin, message", [
+        ((0.03, -0.09375, -0.09375), "central z axis"),
+        ((-0.09375, -0.09375, 0.03), "midplane"),
+    ], ids=["off-axis", "off-midplane"])
+    def test_mirror_needs_a_centered_layout(self, origin, message):
+        # a grid moved off the emitter pair cannot carry mirror-z: the
+        # pre-flight raises ConfigError, before any field solve
+        _, emitters, cfg = toy(dims=(4, 4, 4), symmetry="mirror-z")
+        grid = PermittivityGrid.vacuum((4, 4, 4), 1 / 16, origin=origin)
+        with pytest.raises(ConfigError, match=message):
             prepare_design(grid, emitters, cfg)
 
     def test_adaptive_halving_on_identity_violation(self, monkeypatch):
         # a coarse increment must trigger the safeguard, then proceed
         monkeypatch.setattr(optimizer, "DELTA_EPS_MIN", 0.3)
-        grid, emitters, cfg = toy(dims=(6, 6, 6), delta_eps=1.6,
-                                  max_iterations=3, exclusion_radius=1.0)
+        monkeypatch.setattr(optimizer, "DELTA_EPS", 1.6)
+        grid, emitters, cfg = toy(dims=(6, 6, 6), max_iterations=3,
+                                  exclusion_radius=1.0)
         rec = optimize(grid, emitters, cfg)
+        assert rec.entries[0].delta_eps_used == 1.6
         assert all(e.convergence_mismatch <= cfg.eta_converge for e in rec.entries)
         if len(rec.entries) > 1:
-            assert rec.entries[-1].delta_eps_used < cfg.delta_eps
+            assert rec.entries[-1].delta_eps_used < 1.6
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             DesignConfig(pump_ratio=0.0)
-        with pytest.raises(ValueError):
-            DesignConfig(delta_eps=-0.1)
         # the grid owns eps_max; optimize checks it before any solve
         grid, emitters, cfg = toy(dims=(4, 4, 4), eps_max=1.0)
         with pytest.raises(ValueError, match="eps_max"):
@@ -633,8 +630,8 @@ class TestOptimize:
             with pytest.raises(ValueError, match="iterative.*dense"):
                 DesignConfig(solver_method=method)
 
-    @pytest.mark.parametrize("field", ["delta_eps", "eta_converge",
-                                       "exclusion_radius", "pump_ratio"])
+    @pytest.mark.parametrize("field", ["eta_converge", "exclusion_radius",
+                                       "pump_ratio"])
     def test_nan_knob_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             DesignConfig(**{field: float("nan")})

@@ -462,7 +462,7 @@ class TestScatteredGreenPair:
         G11, G22, G12 = scattered_green_pair(g, r1, r2, method="dense")
         assert np.max(np.abs(G12 - emcore.free_space_green(r1, r2))) < 1e-14
         cs = emcore.couplings_from_green(G11, G22, G12)
-        assert cs.purcell == 1.0 and cs.purcell2 == 1.0
+        assert cs.gamma11 == 1.0 and cs.gamma22 == 1.0
 
     def test_reciprocity_random_grids(self, rng):
         for _ in range(20):
@@ -541,7 +541,7 @@ class TestScatteredGreenPair:
         def purcell(method):
             out = scattered_green_pair(g, r1, r2, method=method, rtol=1e-11)
             cs = emcore.couplings_from_green(out[0], out[1], out[2])
-            return cs.purcell
+            return cs.gamma11
 
         fd = purcell("dense")
         fi = purcell("iterative")
