@@ -468,7 +468,7 @@ def cmd_mems(out_dir):
     return 0
 
 
-def cmd_validate(seed=0):
+def cmd_validate(seed):
     # imported here, so the other commands do not load the check suite
     from . import validate
     ok = validate.run_all(seed=seed)

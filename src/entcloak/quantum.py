@@ -185,18 +185,18 @@ def x_block_steady_state(gamma11, gamma22, gamma12, g12, P):
           + 8.0 * P * g2 * (u * u + 4.0 * c * c) + 4.0 * g2 * u * d * d)
     D = n0 + n1 + n2 + n3
     if not D > _KERNEL_RTOL * S2 * S * T:
-        rho = steady_state_svd(MasterEqParams(a, b, c, g, P), check=False)
+        rho = steady_state_svd(MasterEqParams(a, b, c, g, P))
         return (rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
                 rho[3, 3].real, complex(rho[1, 2]))
     rho12 = complex(-P * c * (u - 2.0 * P) * T, -2.0 * P * g * d * S2) / D
     return n0 / D, n1 / D, n2 / D, n3 / D, rho12
 
 
-def steady_state(params, check=True):
+def steady_state(params):
     """Unique steady state of the master equation, as a (4, 4) array.
 
-    The X state of `x_block_steady_state`.  check=True verifies the
-    state and its residual against build_liouvillian.
+    The X state of `x_block_steady_state`, unchecked: `entcloak validate`
+    and the test suite hold it to the SVD and RK4 oracles.
 
     Raises
     ------
@@ -213,30 +213,10 @@ def steady_state(params, check=True):
     rho[3, 3] = rho33
     rho[1, 2] = rho12
     rho[2, 1] = rho12.conjugate()
-    if check:
-        L = build_liouvillian(params)
-        _check_state(rho, L, np.linalg.norm(L, 2))
     return rho
 
 
-def _check_state(m, L, norm_L):
-    """Raise ValueError unless the 4x4 array m is a density matrix, and
-    ConvergenceError unless ||L vec(m)|| <= 1e-10 max(1, norm_L)."""
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("density matrix not Hermitian within tolerance")
-    if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -1e-9:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
-    residual = np.linalg.norm(L @ m.reshape(-1, order="F"))
-    if residual > 1e-10 * max(1.0, norm_L):
-        raise ConvergenceError(
-            f"steady-state residual {residual:.3e} above tolerance",
-            residual=residual,
-        )
-
-
-def steady_state_svd(params, check):
+def steady_state_svd(params):
     """Independent steady-state oracle: the kernel of the 16x16 Liouvillian.
 
     Takes the smallest right singular vector of build_liouvillian(params)
@@ -260,20 +240,17 @@ def steady_state_svd(params, check):
     v = vh[-1].conj()
     rho = v.reshape(4, 4, order="F")
     rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    if check:
-        _check_state(rho, L, s[0])
-    return rho
+    return 0.5 * (rho + rho.conj().T)
 
 
-def propagate_to_steady(params, rho0=None, t_max=None, dt=None):
+def propagate_to_steady(params, rho0=None, t_max=None):
     """Independent steady-state oracle: fixed-step RK4 time integration.
 
     Integrates drho/dt = L rho from rho0 (default: both emitters in the
-    ground state) until ||L rho|| <= 1e-12, tested every 200 steps, then
-    returns the final (4, 4) state.  Because L is linear, any stable
-    fixed step converges to the exact kernel direction; dt only has to
-    satisfy the stated precondition dt <= 0.01 / max rate.
+    ground state) with the step dt = 0.01 / max rate until
+    ||L rho|| <= 1e-12, tested every 200 steps, then returns the final
+    (4, 4) state.  Because L is linear, any stable fixed step converges
+    to the exact kernel direction.
 
     Raises
     ------
@@ -283,10 +260,7 @@ def propagate_to_steady(params, rho0=None, t_max=None, dt=None):
     L = build_liouvillian(params)
     max_rate = max(params.gamma11, params.gamma22, abs(params.gamma12),
                    abs(params.g12), params.P, 1e-12)
-    if dt is None:
-        dt = 0.01 / max_rate
-    elif dt > 0.01 / max_rate:
-        raise ValueError(f"dt={dt} violates the bound 0.01/max_rate={0.01 / max_rate}")
+    dt = 0.01 / max_rate
     if t_max is None:
         # Slowest relevant timescale is set by the weakest mixing rate.
         slow = min(x for x in (params.P, params.gamma11, params.gamma22) if x > 0)

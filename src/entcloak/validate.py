@@ -175,7 +175,7 @@ def check_steady_state_invariants(rng):
     worst = {"herm": 0.0, "trace": 0.0, "eig": 0.0, "resid": 0.0, "x": 0.0}
     for _ in range(10_000):
         params = quantum.random_params(rng)
-        m = quantum.steady_state(params, check=False)
+        m = quantum.steady_state(params)
         worst["herm"] = max(worst["herm"], np.max(np.abs(m - m.conj().T)))
         worst["trace"] = max(worst["trace"], abs(np.trace(m) - 1.0))
         worst["eig"] = max(worst["eig"], max(0.0, -np.linalg.eigvalsh(m).min()))
@@ -218,8 +218,8 @@ def _near_degenerate_params(rng):
 
 
 def _svd_gap(params):
-    return np.max(np.abs(quantum.steady_state(params, check=False)
-                         - quantum.steady_state_svd(params, check=False)))
+    return np.max(np.abs(quantum.steady_state(params)
+                         - quantum.steady_state_svd(params)))
 
 
 def check_propagation_oracle(rng):
@@ -238,7 +238,7 @@ def check_witness_equivalence(rng):
     they take: steady states, then random X states (any populations and
     rho12 phase)."""
     worst_c = worst_n = 0.0
-    states = [quantum.steady_state(quantum.random_params(rng), check=False)
+    states = [quantum.steady_state(quantum.random_params(rng))
               for _ in range(10_000)]
     states += [quantum.random_x_state(rng) for _ in range(10_000)]
     for rho in states:
@@ -265,13 +265,13 @@ def check_sign_flip_invariance(rng):
     worst = 0.0
     for _ in range(200):
         params = quantum.random_params(rng)
-        c0 = quantum.concurrence(quantum.steady_state(params, check=False))
+        c0 = quantum.concurrence(quantum.steady_state(params))
         for flip in ("gamma12", "g12"):
             kw = {"gamma11": params.gamma11, "gamma22": params.gamma22,
                   "gamma12": params.gamma12, "g12": params.g12, "P": params.P}
             kw[flip] = -kw[flip]
             c1 = quantum.concurrence(
-                quantum.steady_state(quantum.MasterEqParams(**kw), check=False))
+                quantum.steady_state(quantum.MasterEqParams(**kw)))
             worst = max(worst, abs(c0 - c1))
     return worst <= 1e-10, f"max concurrence shift {worst:.2e} (tol 1e-10)"
 
@@ -282,7 +282,7 @@ def check_isolation_populations(rng):
         gam = rng.uniform(0.1, 3.0)
         P = rng.uniform(1e-4, 2.0)
         rho = quantum.steady_state(
-            quantum.MasterEqParams(gam, gam, 0.0, 0.0, P), check=False)
+            quantum.MasterEqParams(gam, gam, 0.0, 0.0, P))
         pop = rho[1, 1].real + rho[3, 3].real
         worst = max(worst, abs(pop - P / (P + gam)))
     return worst <= 1e-12, f"max |pop - P/(P+gamma)| = {worst:.2e} (tol 1e-12)"
@@ -402,7 +402,7 @@ def check_scalar_scorer_vs_oracles(rng):
                             for t in oracles)
             continue
         params = optimizer.pump_params(emcore.couplings_from_q(*q), ratio)
-        rho = quantum.steady_state_svd(params, check=False)
+        rho = quantum.steady_state_svd(params)
         for target, witness in oracles.items():
             worst = max(worst, abs(optimizer.score_q(*q, ratio, target)
                                    - witness(rho)))
@@ -437,7 +437,7 @@ CHECKS = [
 ]
 
 
-def run_all(seed=0):
+def run_all(seed):
     """Run every named check; returns True iff all pass.
 
     Prints one `PASS name (detail)` / `FAIL name (detail)` line per

@@ -92,7 +92,7 @@ def test_criterion_4_isolation_populations():
         gam = rng.uniform(0.05, 3.0)
         P = rng.uniform(1e-4, 2.0)
         rho = quantum.steady_state(
-            quantum.MasterEqParams(gam, gam, 0.0, 0.0, P), check=False)
+            quantum.MasterEqParams(gam, gam, 0.0, 0.0, P))
         worst = max(worst, abs(rho[1, 1].real + rho[3, 3].real - P / (P + gam)))
     ok = worst <= 1e-12
     detail = (f"max |pop - P/(P+gamma)| = {worst:.2e} over 100 random pairs, "
@@ -106,7 +106,7 @@ def test_criterion_5_witness_equivalence():
     t0 = time.time()
     worst_c = worst_n = 0.0
     for _ in range(10_000):
-        rho = quantum.steady_state(quantum.random_params(rng), check=False)
+        rho = quantum.steady_state(quantum.random_params(rng))
         worst_c = max(worst_c, abs(quantum.concurrence(rho)
                                    - quantum.concurrence_wootters(rho)))
         worst_n = max(worst_n, abs(quantum.negativity(rho)

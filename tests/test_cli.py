@@ -655,6 +655,28 @@ class TestFreespaceCommand:
                     expect, abs=1e-12)
 
 
+class TestClosedFormAtRuntime:
+    def test_commands_build_no_liouvillian(self, tmp_path, monkeypatch):
+        # the commands take the closed form unchecked; the Liouvillian is
+        # built only by its oracles and by the degenerate-kernel fallback
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a command built the Liouvillian")
+
+        monkeypatch.setattr(quantum, "build_liouvillian", forbidden)
+        # sweep points run in this process, so they see the patch
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        fs_cfg = Path(__file__).parents[1] / "configs" / "freespace.cfg"
+        assert cli.main(["freespace", "--config", str(fs_cfg),
+                         "--out", str(tmp_path / "fs")]) == 0
+        assert len(read_csv(tmp_path / "fs" / "freespace.csv")) == 100
+        text = TINY_CONFIG + "d12_list = 0.25,0.375\npump_list = 0.005\n"
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 0
+        assert len(read_csv(out / "sweep.csv")) == 2
+        assert read_csv(out / "failures.csv") == []
+
+
 class TestMemsCommand:
     def test_file_contents(self, tmp_path):
         out = tmp_path / "outm"

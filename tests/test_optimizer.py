@@ -124,7 +124,7 @@ def array_path_score(q, pump_ratio, target):
         params = pump_params(couplings_from_q(*q), pump_ratio)
     except SolverInconsistencyError:
         return None
-    return ARRAY_WITNESSES[target](quantum.steady_state(params, check=False))
+    return ARRAY_WITNESSES[target](quantum.steady_state(params))
 
 
 def born_step_q(state, voxel, delta_eps):

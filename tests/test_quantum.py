@@ -79,7 +79,7 @@ class TestSteadyState:
         for _ in range(100):
             gam = rng.uniform(0.1, 3.0)
             P = rng.uniform(1e-4, 2.0)
-            rho = steady_state(MasterEqParams(gam, gam, 0.0, 0.0, P), check=False)
+            rho = steady_state(MasterEqParams(gam, gam, 0.0, 0.0, P))
             assert rho[1, 1].real + rho[3, 3].real == pytest.approx(P / (P + gam), abs=1e-12)
 
     def test_balanced_pump_maximally_mixed(self):
@@ -108,8 +108,7 @@ class TestSteadyState:
             steady_state(MasterEqParams(1.0, 1.0, 1.0, 0.0, 0.0))
         assert err.value.kernel_dim > 1
         with pytest.raises(DegenerateSteadyStateError) as err:
-            steady_state_svd(MasterEqParams(1.0, 1.0, 1.0, 0.0, 0.0),
-                             check=False)
+            steady_state_svd(MasterEqParams(1.0, 1.0, 1.0, 0.0, 0.0))
         assert err.value.kernel_dim > 1
 
     def test_invariants_random_params(self, rng):
@@ -123,24 +122,25 @@ class TestSteadyState:
             assert abs(np.trace(rho) - 1) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-9
             assert np.max(np.abs(rho[~mask])) < 1e-10  # X structure
+            residual = build_liouvillian(params) @ rho.reshape(-1, order="F")
+            assert np.linalg.norm(residual) <= 1e-10
 
     def test_sign_flip_invariance(self, rng):
         for _ in range(50):
             p = random_params(rng)
-            c0 = concurrence(steady_state(p, check=False))
+            c0 = concurrence(steady_state(p))
             for flip in ("gamma12", "g12"):
                 kw = dict(gamma11=p.gamma11, gamma22=p.gamma22,
                           gamma12=p.gamma12, g12=p.g12, P=p.P)
                 kw[flip] = -kw[flip]
-                c1 = concurrence(steady_state(MasterEqParams(**kw), check=False))
+                c1 = concurrence(steady_state(MasterEqParams(**kw)))
                 assert abs(c0 - c1) < 1e-10
 
 
 class TestClosedFormVsSvd:
     @staticmethod
     def gap(params):
-        return np.max(np.abs(steady_state(params, check=False)
-                             - steady_state_svd(params, check=False)))
+        return np.max(np.abs(steady_state(params) - steady_state_svd(params)))
 
     def test_random_sets(self, rng):
         assert max(self.gap(random_params(rng)) for _ in range(10_000)) <= 1e-12
@@ -158,14 +158,14 @@ class TestClosedFormVsSvd:
         assert abs(rho[0, 0] - 1.0) < 1e-12
         assert self.gap(params) < 1e-12
 
-    def test_unchecked_path_builds_no_liouvillian(self, rng, monkeypatch):
+    def test_closed_form_builds_no_liouvillian(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the closed form must not build or factor L")
 
         monkeypatch.setattr(quantum, "build_liouvillian", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
         for _ in range(100):
-            steady_state(random_params(rng), check=False)
+            steady_state(random_params(rng))
 
 
 class TestPropagation:
@@ -198,11 +198,6 @@ class TestPropagation:
             v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             tr = v.reshape(4, 4, order="F").trace()
             assert abs(tr - 1.0) < 1e-10
-
-    def test_dt_precondition_enforced(self):
-        params = MasterEqParams(1.0, 1.0, 0.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            propagate_to_steady(params, dt=0.5)
 
     def test_t_max_exhaustion_raises_with_residual(self):
         from entcloak.errors import ConvergenceError
@@ -258,7 +253,7 @@ class TestWitnesses:
 
     def test_closed_forms_match_general_on_steady_states(self, rng):
         for _ in range(1000):
-            rho = steady_state(random_params(rng), check=False)
+            rho = steady_state(random_params(rng))
             assert abs(concurrence(rho) - concurrence_wootters(rho)) < 1e-10
             assert abs(negativity(rho)
                        - negativity_partial_transpose(rho)) < 1e-10
