@@ -26,9 +26,9 @@ re-radiates those blocks into a pair's (G11, G22, G12): the oracle that
 
 The solver needs numpy alone.  The iterative path (the default) applies
 the operator by FFT on the zero-padded grid, the three field components
-stacked into each transform call and the kernel product and the first
-inverse transform done a slab at a time, so beside the padded spectrum
-one application holds at most one half-padded array.  It solves with
+stacked into each transform call, in place in a padded spectrum that
+the operator owns and every application reuses, and the kernel product
+done a slab at a time.  It solves with
 the module's own `bicgstab`, capped at MAX_KRYLOV_ITER iterations per
 right-hand side (a ConvergenceError past it).  On maps of
 THREADED_MIN_VOXELS voxels or more it solves the right-hand sides side
@@ -194,18 +194,26 @@ def assemble_dense(grid):
 
 
 #: Padded spectrum points per component that `apply` multiplies by the
-#: kernel, or inverse-transforms along x, at a time (8 planes of a 16^3
-#: grid's 32^3 padding).
+#: kernel at a time (8 planes of a 16^3 grid's 32^3 padding).
 _SLAB_POINTS = 8 * 32 * 32
 
 
 class _FftInteraction:
     """Block-Toeplitz application of the off-diagonal G0 coupling via FFT.
 
-    The lag kernel lives on the (2nx, 2ny, 2nz) circulant embedding;
-    `khat` holds the transforms of its 6 symmetric components, each
-    taken one axis at a time in x, y, z order (`np.fft.fftn` walks the
-    axes in another order, which is not bitwise the same transform).
+    The lag kernel lives on the (2nx, 2ny, 2nz) circulant embedding,
+    whose lags along an axis of n voxels run 0..n-1, then -n..-1.  G0 is
+    even in each lag axis apart from the sign of its r_a r_b part, so it
+    is evaluated once, on the (nx+1)(ny+1)(nz+1) octant of lag
+    magnitudes.  Each of the 6 symmetric components is unfolded from
+    the octant onto the embedding by indexing with |lag|, its sign
+    flipped along axis i where exactly one of a, b is i; `khat` holds
+    the transforms of these components, each taken in place one axis at
+    a time in x, y, z order (`np.fft.fftn` walks the axes in another
+    order, which is not bitwise the same transform).  The unfolded
+    values are the ones G0 gives at the signed lags, but numpy's
+    vectorised `exp` rounds by element position, so on some grids the
+    kernel differs from a whole-embedding evaluation in the last place.
     `apply` pads and transforms one axis at a time, so no 1-D transform
     runs over a line that is all zero padding: forward, the weights are
     padded and transformed along x to 2nx, then y to 2ny, then z to 2nz;
@@ -215,50 +223,62 @@ class _FftInteraction:
     The three components are stacked component-major, so each of those
     steps is one transform call.  The axes go in the order of a full
     3-D transform, so on grids whose padded extents are powers of two
-    every kept value is bitwise the one the full transform gives.
+    every kept value is bitwise the one the full transform gives, given
+    the kernel.
     """
 
     def __init__(self, dims, spacing):
         self.dims = dims
-        nx, ny, nz = dims
-        px, py, pz = 2 * nx, 2 * ny, 2 * nz
-        lag = []
-        for n, p in zip(dims, (px, py, pz)):
-            idx = np.arange(p)
-            lag.append(np.where(idx < n, idx, idx - p))
-        LX, LY, LZ = np.meshgrid(*lag, indexing="ij")
-        G = dyadic_green(spacing * np.stack([LX, LY, LZ], axis=-1))
+        self.pad_shape = tuple(2 * n for n in dims)
+        lags = np.ix_(*(np.concatenate([np.arange(n), np.arange(-n, 0)])
+                        for n in dims))
+        octant = tuple(n + 1 for n in dims)
+        G = dyadic_green(spacing * np.moveaxis(np.indices(octant), 0, -1))
+        unfold = tuple(np.abs(lag) for lag in lags)
+        flip = [np.where(lag < 0, -1.0, 1.0) for lag in lags]
         self.khat = {}
         for a in range(3):
             for b in range(a, 3):
-                t = np.fft.fft(G[..., a, b], axis=0)
-                t = np.fft.fft(t, axis=1)
-                self.khat[(a, b)] = np.fft.fft(t, axis=2)
-        self.pad_shape = (px, py, pz)
+                t = G[..., a, b][unfold]
+                if a != b:
+                    t *= flip[a]
+                    t *= flip[b]
+                for axis in range(3):
+                    np.fft.fft(t, axis=axis, out=t)
+                self.khat[(a, b)] = t
 
-    def apply(self, x, weight):
+    def spectrum(self):
+        """A work buffer for `apply`: the padded spectrum of the three
+        field components."""
+        return np.empty((3,) + self.pad_shape, dtype=complex)
+
+    def apply(self, x, weight, t):
         """Convolve the (N, 3) voxel field x, scaled per voxel by the (N,)
-        `weight`, with the off-diagonal kernel.
+        `weight`, with the off-diagonal kernel, transforming in place in
+        `t`, a `spectrum()` of the caller's.
 
-        Every stage is bound to the one name `t`.  The product with the
+        The caller makes `t` once and hands it in on every call, so an
+        application allocates no padded array (allocating one per call
+        makes the allocator hand pages back to the OS and fault them in
+        again on every matvec of a side-by-side solve); two applications
+        that run at once need two spectra.  Each axis is padded with
+        zeros just before its own transform.  The product with the
         kernel is formed a slab of x-planes (_SLAB_POINTS points per
         component) at a time in a small buffer that is written back into
-        the spectrum, and the inverse x transform runs in place a slab of
-        y-planes at a time, so beside the padded spectrum an application
-        holds at most one half-padded array, and two solves can run side
-        by side.  Every value is the one whole-array steps give: the
-        products and sums are formed in the same order, and each line is
-        transformed alone either way."""
+        the spectrum.  The result is a fresh array, never a view of `t`,
+        so it outlives the next call.  Every value is the one whole-array
+        steps give: the products and sums are formed in the same order,
+        and each line is transformed alone either way."""
         nx, ny, nz = self.dims
+        np.multiply(x.T.reshape(3, nx, ny, nz), weight.reshape(nx, ny, nz),
+                    out=t[:, :nx, :ny, :nz])
+        t[:, nx:, :ny, :nz] = 0
+        np.fft.fft(t[:, :, :ny, :nz], axis=1, out=t[:, :, :ny, :nz])
+        t[:, :, ny:, :nz] = 0
+        np.fft.fft(t[..., :nz], axis=2, out=t[..., :nz])
+        t[..., nz:] = 0
+        np.fft.fft(t, axis=3, out=t)
         px, py, pz = self.pad_shape
-        # a copy, not a transposed view: np.fft keeps its input's memory
-        # layout, and interleaved components would make every line strided
-        t = np.ascontiguousarray(x.T)
-        t *= weight
-        t = t.reshape(3, nx, ny, nz)
-        t = np.fft.fft(t, n=px, axis=1)
-        t = np.fft.fft(t, n=py, axis=2)
-        t = np.fft.fft(t, n=pz, axis=3)
         slab = max(1, _SLAB_POINTS // (py * pz))
         acc = np.empty((3, min(slab, px), py, pz), dtype=complex)
         term = np.empty(acc.shape[1:], dtype=complex)
@@ -272,13 +292,11 @@ class _FftInteraction:
                     acc[a, :m] += np.multiply(self.khat[key][s:s + m], what[b],
                                               out=term[:m])
             what[...] = acc[:, :m]
-        del acc, term, what   # `what`, a view, would keep the spectrum alive
-        slab = max(1, _SLAB_POINTS // (px * pz))
-        for s in range(0, py, slab):
-            t[:, :, s:s + slab] = np.fft.ifft(t[:, :, s:s + slab], axis=1)
-        t = np.fft.ifft(t[:, :nx], axis=2)[:, :, :ny]
-        t = np.fft.ifft(t, axis=3)[..., :nz]
-        return t.transpose(1, 2, 3, 0).reshape(-1, 3)
+        np.fft.ifft(t, axis=1, out=t)
+        np.fft.ifft(t[:, :nx], axis=2, out=t[:, :nx])
+        np.fft.ifft(t[:, :nx, :ny], axis=3, out=t[:, :nx, :ny])
+        # a copy: a reshaped view could alias `t`, which the next call reuses
+        return t[:, :nx, :ny, :nz].transpose(1, 2, 3, 0).copy().reshape(-1, 3)
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,14 +305,18 @@ def _fft_kernel(dims, spacing):
 
 
 def _fft_operator(grid):
-    """[I - k^2 (G0 chi dV + self term)] on (N, 3) fields of one map."""
+    """[I - k^2 (G0 chi dV + self term)] on (N, 3) fields of one map.
+
+    The operator transforms in a padded spectrum of its own, so it serves
+    one thread: a side-by-side solve makes one operator per column."""
     kern = _fft_kernel(grid.dims, grid.spacing)
     chi = grid.chi()
     m = self_interaction(grid.spacing)
     weight = chi * grid.voxel_volume
+    t = kern.spectrum()
 
     def apply(xv):
-        return xv - K0**2 * (kern.apply(xv, weight) + m * chi[:, None] * xv)
+        return xv - K0**2 * (kern.apply(xv, weight, t) + m * chi[:, None] * xv)
 
     return apply
 
@@ -409,14 +431,20 @@ def bicgstab(matvec, b, rtol, maxiter, callback=None):
 
 
 def _solve_system(grid, B, method, rtol):
-    """Solve the VIE for each column of B ((N, 3, m) right-hand sides).
+    """Solve the VIE for each column of B, a sequence of m (N, 3)
+    right-hand sides; returns the (m, N, 3) stack of solutions.
+
+    The columns come first in both, so each right-hand side reaches
+    `bicgstab` as a flat view of its (contiguous) column, and each
+    solution X[c] is one contiguous field map.
 
     On the iterative path the columns are solved side by side: the
     calling thread solves column 0, and a thread pool that lives only
     for this call solves the rest, with at most one thread per usable
     core (numpy's FFTs and array loops release the GIL, so two 16^3
     solves take about two thirds of the time they take in turn).  Each
-    column runs its own `bicgstab` on the shared read-only operator, so
+    column runs its own `bicgstab` on an operator of its own (the cached
+    kernel is shared read-only; the padded spectrum is the column's), so
     every value is the one a solve in turn gives.  The columns are
     solved in turn on maps below THREADED_MIN_VOXELS voxels and on one
     usable core.  A column that does not converge raises
@@ -426,22 +454,23 @@ def _solve_system(grid, B, method, rtol):
     if method not in SOLVER_METHODS:
         raise ValueError(f"method must be one of {SOLVER_METHODS}, got {method!r}")
     n = grid.n_voxels
-    nrhs = B.shape[2]
+    nrhs = len(B)
     if method == "dense":
         A = assemble_dense(grid)
-        sol = np.linalg.solve(A, B.reshape(3 * n, nrhs))
-        return sol.reshape(n, 3, nrhs)
+        sol = np.linalg.solve(A, np.reshape(B, (nrhs, 3 * n)).T)
+        return np.ascontiguousarray(sol.T).reshape(nrhs, n, 3)
     if not grid.chi().any():
         # all vacuum: the operator is the identity
-        return B.copy()
-    X = np.empty_like(B)
-    apply = _fft_operator(grid)
-
-    def matvec(v):
-        return apply(v.reshape(n, 3)).ravel()
+        return np.array(B, dtype=complex)
+    X = np.empty((nrhs, n, 3), dtype=complex)
 
     def solve(c):
-        b = B[:, :, c].ravel()
+        apply = _fft_operator(grid)
+
+        def matvec(v):
+            return apply(v.reshape(n, 3)).ravel()
+
+        b = B[c].reshape(-1)
         x, info = bicgstab(matvec, b, rtol=rtol, maxiter=MAX_KRYLOV_ITER)
         if info != 0:
             res = _norm(matvec(x) - b) / _norm(b)
@@ -450,7 +479,7 @@ def _solve_system(grid, B, method, rtol):
                 f"residual {res:.3e}",
                 residual=res,
             )
-        X[:, :, c] = x.reshape(n, 3)
+        X[c] = x.reshape(n, 3)
 
     helpers = min(nrhs, _usable_cores()) - 1
     if helpers < 1 or n < THREADED_MIN_VOXELS:
@@ -517,8 +546,7 @@ def _fields_and_incident(grid, sources, method, rtol):
     origin = tuple(grid.origin.tolist())
     incident = [_incident_column(grid.dims, grid.spacing, origin,
                                  tuple(r.tolist())) for r in sources]
-    X = _solve_system(grid, np.stack(incident, axis=2), method, rtol)
-    return [X[:, :, i] for i in range(len(sources))], incident
+    return list(_solve_system(grid, incident, method, rtol)), incident
 
 
 def solve_green_block(grid, sources, method="iterative", rtol=KRYLOV_RTOL):
@@ -531,9 +559,12 @@ def solve_green_block(grid, sources, method="iterative", rtol=KRYLOV_RTOL):
     `method` is "iterative" (the default) or "dense" (the oracle).
     """
     sources = _source_positions(sources)
-    B = np.concatenate([_source_columns(grid, r) for r in sources], axis=2)
+    B = np.concatenate([_source_columns(grid, r).transpose(2, 0, 1)
+                        for r in sources])
     X = _solve_system(grid, B, method, rtol)
-    return [X[:, :, 3 * i:3 * i + 3] for i in range(len(sources))]
+    # X[3 i + c] is the field of orientation c of source i
+    X = X.reshape(len(sources), 3, grid.n_voxels, 3)
+    return list(X.transpose(0, 2, 3, 1))
 
 
 def _reradiated(grid, r, block):

@@ -40,6 +40,16 @@ def filled_grid(rng, dims, eps=1.5):
 PAIR = (np.array([0.01, 0.0, -0.6]), np.array([0.0, 0.02, 0.6]))
 
 
+def peak_traced(f, *args):
+    """The tracemalloc peak, in bytes, of one call f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def thread_recording(threads):
     """vie.bicgstab, noting the thread of each call in `threads`."""
     real = vie.bicgstab
@@ -154,6 +164,53 @@ class TestAssembleDense:
         assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.05)
 
 
+def full_lag_kernel(dims, spacing):
+    """Reference `khat`: G0 evaluated over the whole (2nx, 2ny, 2nz) lag
+    embedding (lags 0..n-1, then -n..-1), each component transformed
+    along x, then y, then z."""
+    lag = []
+    for n in dims:
+        idx = np.arange(2 * n)
+        lag.append(np.where(idx < n, idx, idx - 2 * n))
+    LX, LY, LZ = np.meshgrid(*lag, indexing="ij")
+    G = emcore.dyadic_green(spacing * np.stack([LX, LY, LZ], axis=-1))
+    khat = {}
+    for a in range(3):
+        for b in range(a, 3):
+            t = np.fft.fft(G[..., a, b], axis=0)
+            t = np.fft.fft(t, axis=1)
+            khat[(a, b)] = np.fft.fft(t, axis=2)
+    return khat
+
+
+class TestFftKernel:
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (16, 16, 16), (5, 2, 7), (1, 4, 3)])
+    def test_unfolded_octant_matches_full_lag_kernel(self, dims):
+        # the octant unfolding is exact; only numpy's vectorised exp,
+        # which rounds by element position, may move the last place
+        khat = vie._FftInteraction(dims, 1 / 16).khat
+        ref = full_lag_kernel(dims, 1 / 16)
+        assert khat.keys() == ref.keys()
+        for key, r in ref.items():
+            scale = np.max(np.abs(r))
+            assert scale > 0
+            assert np.max(np.abs(khat[key] - r)) <= 1e-15 * scale, key
+
+    def test_build_peak_memory(self):
+        # the build holds the octant of G0 and one component being
+        # unfolded beside the kernel: 4.06 MB with numpy 2.4 at 16^3 for
+        # 3.15 MB of kernel, where G0 over the whole embedding took 10.1 MB
+        dims = (16, 16, 16)
+        vie._FftInteraction(dims, 0.0625)   # numpy's FFT set-up done outside
+        used = peak_traced(vie._FftInteraction, dims, 0.0625)
+        complex_bytes = np.dtype(complex).itemsize
+        padded = np.prod([2 * n for n in dims]) * complex_bytes
+        octant = 9 * np.prod([n + 1 for n in dims]) * complex_bytes
+        # six kernel components, the octant, the component being unfolded,
+        # and 4 kB for array headers and index arrays
+        assert used <= 6 * padded + octant + padded + 4096
+
+
 class TestFftMatvec:
     def test_delta_polarization_matches_dense_column(self, rng):
         g = random_grid(rng, (4, 3, 5))
@@ -185,28 +242,46 @@ class TestFftMatvec:
         assert np.linalg.norm(y1 - y2) / np.linalg.norm(y1) < 1e-12
 
     def test_one_application_peak_memory(self, rng):
-        # an application holds at most what the last forward transform
-        # needs, the padded spectrum of the three components and whatever
-        # numpy's FFT allocates on the way, beside its one half-padded
-        # input: 2.36 MB with numpy 2.4 at 16^3, where whole-array
-        # steps took 6.29 MB
-        def peak(f, *args):
-            tracemalloc.start()
-            try:
-                f(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        # an operator transforms in the padded spectrum it made, so an
+        # application allocates only the kernel-product buffers (4 slabs
+        # of _SLAB_POINTS points) and its result: 0.72 MB with numpy 2.4
+        # at 16^3, where a spectrum made per call took 2.36 MB
         g = filled_grid(rng, (16, 16, 16), eps=5.0)
         x = rng.standard_normal((g.n_voxels, 3)) + 1j * rng.standard_normal((g.n_voxels, 3))
-        apply = vie._fft_operator(g)   # kernel and per-voxel arrays built outside
+        apply = vie._fft_operator(g)   # kernel, spectrum, per-voxel arrays built outside
         apply(x)
-        px, py, pz = (2 * d for d in g.dims)
-        half_padded = np.ones((3, px, py, g.dims[2]), dtype=complex)
-        last_forward = peak(np.fft.fft, half_padded, pz, 3)
+        slabs = 4 * vie._SLAB_POINTS * np.dtype(complex).itemsize
         # 4 kB for array headers and slices
-        assert peak(apply, x) <= last_forward + half_padded.nbytes + 4096
+        assert peak_traced(apply, x) <= slabs + x.nbytes + 4096
+
+    def test_one_matvec_peak_memory(self, rng):
+        # a matvec makes one operator: its per-voxel chi and weight and
+        # one padded three-component spectrum, beside what an application
+        # allocates
+        g = filled_grid(rng, (16, 16, 16), eps=5.0)
+        x = rng.standard_normal((g.n_voxels, 3)) + 1j * rng.standard_normal((g.n_voxels, 3))
+        fft_matvec(g, x)   # kernel cached and numpy's FFT set-up done outside
+        spectrum = 3 * np.prod([2 * n for n in g.dims]) * np.dtype(complex).itemsize
+        per_voxel = 2 * g.eps.nbytes
+        slabs = 4 * vie._SLAB_POINTS * np.dtype(complex).itemsize
+        used = peak_traced(fft_matvec, g, x)
+        assert used <= spectrum + per_voxel + slabs + x.nbytes + 4096
+
+    @pytest.mark.parametrize("dims", [(1, 1, 5), (4, 3, 5)],
+                             ids=["one-line", "anisotropic"])
+    def test_result_outlives_the_next_application(self, rng, dims):
+        # every application reuses the spectrum it is handed; on a
+        # one-line grid the cropped result could be reshaped as a view of
+        # it, and would then change under the next call
+        g = random_grid(rng, dims)
+        kern = vie._fft_kernel(g.dims, g.spacing)
+        weight = g.chi() * g.voxel_volume
+        t = kern.spectrum()
+        x, y = (rng.standard_normal((g.n_voxels, 3)) + 0j for _ in range(2))
+        first = kern.apply(x, weight, t)
+        kept = first.copy()
+        kern.apply(y, weight, t)
+        assert np.array_equal(first, kept)
 
     def test_linearity(self, rng):
         g = random_grid(rng, (4, 4, 4))
