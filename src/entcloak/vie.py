@@ -51,6 +51,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2 loads numpy.fft on its first use; load it with the module, so
+# that worker processes forked after the import inherit it loaded
+import numpy.fft  # noqa: F401
 
 from .emcore import (COINCIDENT_THRESHOLD, K0, P_HAT, as_position,
                      dyadic_green, free_space_green, vacuum_self_green)
@@ -245,6 +248,7 @@ class _FftInteraction:
                     t *= flip[b]
                 for axis in range(3):
                     np.fft.fft(t, axis=axis, out=t)
+                t.flags.writeable = False
                 self.khat[(a, b)] = t
 
     def spectrum(self):
@@ -316,7 +320,12 @@ def _fft_operator(grid):
     t = kern.spectrum()
 
     def apply(xv):
-        return xv - K0**2 * (kern.apply(xv, weight, t) + m * chi[:, None] * xv)
+        # xv - K0**2 * (G0 term + self term), in the fresh array that
+        # kern.apply returns, in the same order of operations
+        y = kern.apply(xv, weight, t)
+        y += m * chi[:, None] * xv
+        y *= K0**2
+        return np.subtract(xv, y, out=y)
 
     return apply
 
@@ -444,8 +453,9 @@ def _solve_system(grid, B, method, rtol):
     core (numpy's FFTs and array loops release the GIL, so two 16^3
     solves take about two thirds of the time they take in turn).  Each
     column runs its own `bicgstab` on an operator of its own (the cached
-    kernel is shared read-only; the padded spectrum is the column's), so
-    every value is the one a solve in turn gives.  The columns are
+    kernel, which the calling thread builds before any column starts, is
+    shared read-only; the padded spectrum is the column's), so every
+    value is the one a solve in turn gives.  The columns are
     solved in turn on maps below THREADED_MIN_VOXELS voxels and on one
     usable core.  A column that does not converge raises
     ConvergenceError: the lowest such column's, as in turn, and no
@@ -486,6 +496,9 @@ def _solve_system(grid, B, method, rtol):
         for c in range(nrhs):
             solve(c)
         return X
+    # columns that start together would each miss the kernel cache and
+    # build the kernel: build it here, before the first column starts
+    _fft_kernel(grid.dims, grid.spacing)
     with ThreadPoolExecutor(max_workers=helpers) as pool:
         rest = [pool.submit(solve, c) for c in range(1, nrhs)]
         try:

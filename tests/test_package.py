@@ -159,6 +159,20 @@ def test_cli_start_up_leaves_the_check_suite_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_start_up_loads_numpy_fft():
+    # numpy 2 loads numpy.fft on first use; loaded at import, it is
+    # inherited by every sweep worker the CLI forks, not imported by each
+    code = (
+        "import sys\n"
+        "import entcloak.cli\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
+
+
 def test_every_definition_has_a_program_caller():
     # a top-level function or class that only the tests name is surface
     # no command runs; a name counts wherever the package or the

@@ -196,6 +196,13 @@ class TestFftKernel:
             assert scale > 0
             assert np.max(np.abs(khat[key] - r)) <= 1e-15 * scale, key
 
+    def test_cached_kernel_is_read_only(self):
+        # the side-by-side solve columns share the cached kernel
+        khat = vie._fft_kernel((4, 3, 5), 1 / 16).khat
+        for key, component in khat.items():
+            with pytest.raises(ValueError):
+                component[0, 0, 0] = 0.0
+
     def test_build_peak_memory(self):
         # the build holds the octant of G0 and one component being
         # unfolded beside the kernel: 4.06 MB with numpy 2.4 at 16^3 for
@@ -266,6 +273,19 @@ class TestFftMatvec:
         slabs = 4 * vie._SLAB_POINTS * np.dtype(complex).itemsize
         used = peak_traced(fft_matvec, g, x)
         assert used <= spectrum + per_voxel + slabs + x.nbytes + 4096
+
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (5, 2, 7)])
+    def test_in_place_operator_equals_out_of_place_formula(self, rng, dims):
+        # the operator forms its result in the array the kernel's apply
+        # returns, in the order of operations of the formula below
+        g = random_grid(rng, dims)
+        x = rng.standard_normal((g.n_voxels, 3)) + 1j * rng.standard_normal((g.n_voxels, 3))
+        kern = vie._fft_kernel(g.dims, g.spacing)
+        chi = g.chi()
+        m = self_interaction(g.spacing)
+        coupled = kern.apply(x, chi * g.voxel_volume, kern.spectrum())
+        expected = x - emcore.K0**2 * (coupled + m * chi[:, None] * x)
+        assert np.array_equal(vie._fft_operator(g)(x), expected)
 
     @pytest.mark.parametrize("dims", [(1, 1, 5), (4, 3, 5)],
                              ids=["one-line", "anisotropic"])
@@ -372,6 +392,28 @@ class TestConcurrentSolves:
         for f, block, r in zip(fields, blocks, PAIR, strict=True):
             assert np.array_equal(f, solve_fields(g, [r])[0])
             assert np.array_equal(block, solve_green_block(g, [r])[0])
+
+    @pytest.mark.parametrize("solve", [solve_fields, solve_green_block])
+    def test_kernel_built_once_per_threaded_solve(self, rng, monkeypatch,
+                                                  report_cores, solve):
+        # the columns start together; were each to look the kernel up
+        # first, each would miss the cache and build it
+        builds = []
+        real = vie._FftInteraction
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vie, "_FftInteraction", counting)
+        report_cores(2)
+        g = filled_grid(rng, (10, 10, 10))
+        vie._fft_kernel.cache_clear()
+        try:
+            solve(g, PAIR)
+        finally:
+            vie._fft_kernel.cache_clear()
+        assert builds == [(g.dims, g.spacing)]
 
     @pytest.mark.parametrize("dims, cores, n_threads", [
         ((10, 10, 10), 2, 2),
