@@ -25,8 +25,8 @@ Normative keys and defaults:
 
 All emitted numbers are dimensionless (lambda, gamma0 units); column
 headers carry the unit names.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error, 3 solver failure, 4 degenerate steady
-state.
+failure, 2 configuration error or an --out that cannot be written,
+3 solver failure, 4 degenerate steady state.
 
 The resolution rule, spacing <= lambda/(10 sqrt(eps_max)), is checked
 here and nowhere else: `optimize` and `sweep` issue one
@@ -264,13 +264,22 @@ def build_grid(cfg, d12=None):
 def _atomic_open(path, newline=None):
     """Text file handle whose contents replace `path` only when the block
     completes; on any error `path` is left as it was and the temporary
-    file beside it is removed."""
+    file beside it is removed.  The directory is made if missing; an
+    OSError in making it or in writing the file is a ConfigError that
+    names the path (exit 2)."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path.parent}: {exc}") from exc
     try:
         with open(tmp, "w", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -336,7 +345,6 @@ def cmd_optimize(cfg, out_dir):
     prepare_design(grid.copy(), emitters, cfg.design)
     _warn_if_coarse(cfg)
     record = optimize(grid, emitters, cfg.design)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_grid_csv(record.final_grid, out_dir / "design.eps.csv")
     save_meta(cfg, record.final_grid, emitters, out_dir / "design.meta.json")
     save_trace_csv(record, out_dir / "trace.csv")
@@ -378,7 +386,6 @@ def cmd_sweep(cfg, out_dir, threads):
     failures = [[d12, pump, out] for (_, d12, pump), out in zip(tasks, outcomes)
                 if isinstance(out, str)]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = ["d12_over_lambda", "P_over_gamma", "C", "C0", "C_minus_C0",
               "gamma12_over_gamma", "g12_over_gamma", "purcell",
               "S_L", "S_L0", "N", "N0"]
@@ -437,7 +444,6 @@ def _pool_outcomes(tasks, threads):
 
 
 def cmd_freespace(cfg, out_dir):
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = ["d12_over_lambda", "gamma12_over_gamma0", "g12_over_gamma0"]
     header += [f"C0_P_over_gamma_{p:g}" for p in cfg.pump_list]
     with _atomic_open(out_dir / "freespace.csv", newline="") as fh:
@@ -457,7 +463,6 @@ def cmd_freespace(cfg, out_dir):
 
 
 def cmd_mems(out_dir):
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _atomic_open(out_dir / "mems.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["r", "C", "S_L"])

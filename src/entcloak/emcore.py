@@ -36,8 +36,6 @@ __all__ = [
     "rates_from_q",
     "is_physical",
     "couplings_from_green",
-    "aligned_gamma12",
-    "aligned_g12",
     "COINCIDENT_THRESHOLD",
     "K0",
     "P_HAT",
@@ -224,21 +222,3 @@ def couplings_from_green(G11, G22, G12):
         |gamma12| <= sqrt(gamma11 gamma22) is violated beyond tolerance.
     """
     return couplings_from_q(project(G11), project(G22), project(G12)).validate()
-
-
-def aligned_gamma12(d):
-    """Closed-form gamma12/gamma0 for z-aligned dipoles separated by d along z.
-
-    3 (sin x - x cos x) / x^3 with x = K0 d.
-    """
-    x = np.asarray(d, dtype=float) * K0
-    return 3.0 * (np.sin(x) - x * np.cos(x)) / x**3
-
-
-def aligned_g12(d):
-    """Closed-form g12/gamma0 for the same configuration.
-
-    (3/2) (cos x + x sin x) / x^3 with x = K0 d.
-    """
-    x = np.asarray(d, dtype=float) * K0
-    return 1.5 * (np.cos(x) + x * np.sin(x)) / x**3

@@ -55,7 +55,6 @@ __all__ = [
     "DesignConfig",
     "IterationEntry",
     "DesignRecord",
-    "born_delta_green",
     "pump_params",
     "score_q",
     "sweep_once",
@@ -151,17 +150,6 @@ class DesignRecord:
     @property
     def initial_value(self):
         return self.entries[0].target_value
-
-
-def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume):
-    """First-Born Green's-tensor increment of one voxel perturbation.
-
-    K0^2 G(r_i, r_k) . delta_eps . G(r_k, r_j) . dV, the `_born_dq`
-    prefactor on the tensor product; exactly linear in delta_eps.
-    Broadcasts over leading axes: stacks of (3, 3) tensors with
-    delta_eps shaped (..., 1, 1) give one increment per voxel.
-    """
-    return _born_dq(delta_eps, np.asarray(G_ik) @ np.asarray(G_kj), voxel_volume)
 
 
 def _born_dq(delta_eps, s, voxel_volume):

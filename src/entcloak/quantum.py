@@ -18,11 +18,13 @@ scalar kernels on plain floats: `x_block_steady_state` (the populations
 and rho12 of the steady state), `concurrence_x` and `negativity_x`.
 `steady_state`, `concurrence` and `negativity` are their wrappers on
 (4, 4) arrays, so the witnesses take X states only.  The optimizer's
-candidate scorer calls the kernels directly.  The general constructions
-take any state and are kept as independent oracles, cross-checked in
-the test suite and by `entcloak validate`: the 16x16 Liouvillian kernel
-(`steady_state_svd`), RK4 time propagation (`propagate_to_steady`), and
-the Wootters and partial-transpose witnesses.
+candidate scorer calls the kernels directly.  This module holds the
+runtime closed forms, plus the 16x16 Liouvillian kernel
+(`steady_state_svd`), which the closed form falls back to when its
+denominator degenerates.  The reference implementations that take any
+state, RK4 time propagation and the Wootters and partial-transpose
+witnesses, live with the named checks in `entcloak.validate`, which
+holds the closed forms to them.
 """
 
 import math
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emcore import CouplingSet
-from .errors import ConvergenceError, DegenerateSteadyStateError
+from .errors import DegenerateSteadyStateError
 
 __all__ = [
     "MasterEqParams",
@@ -39,18 +41,12 @@ __all__ = [
     "x_block_steady_state",
     "steady_state",
     "steady_state_svd",
-    "propagate_to_steady",
     "concurrence_x",
     "concurrence",
-    "concurrence_wootters",
     "negativity_x",
     "negativity",
-    "negativity_partial_transpose",
     "linear_entropy",
     "mems_curve",
-    "random_density_matrix",
-    "random_x_state",
-    "random_params",
 ]
 
 
@@ -243,56 +239,6 @@ def steady_state_svd(params):
     return 0.5 * (rho + rho.conj().T)
 
 
-def propagate_to_steady(params, rho0=None, t_max=None):
-    """Independent steady-state oracle: fixed-step RK4 time integration.
-
-    Integrates drho/dt = L rho from rho0 (default: both emitters in the
-    ground state) with the step dt = 0.01 / max rate until
-    ||L rho|| <= 1e-12, tested every 200 steps, then returns the final
-    (4, 4) state.  Because L is linear, any stable fixed step converges
-    to the exact kernel direction.
-
-    Raises
-    ------
-    ConvergenceError
-        If t_max is reached first.
-    """
-    L = build_liouvillian(params)
-    max_rate = max(params.gamma11, params.gamma22, abs(params.gamma12),
-                   abs(params.g12), params.P, 1e-12)
-    dt = 0.01 / max_rate
-    if t_max is None:
-        # Slowest relevant timescale is set by the weakest mixing rate.
-        slow = min(x for x in (params.P, params.gamma11, params.gamma22) if x > 0)
-        t_max = 60.0 / slow
-
-    if rho0 is None:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-    else:
-        rho = np.array(rho0, dtype=complex)
-    v = rho.reshape(-1, order="F")
-
-    n_steps = int(np.ceil(t_max / dt))
-    for step in range(n_steps):
-        k1 = L @ v
-        k2 = L @ (v + 0.5 * dt * k1)
-        k3 = L @ (v + 0.5 * dt * k2)
-        k4 = L @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % 200 == 0 and np.linalg.norm(L @ v) <= 1e-12:
-            break
-    else:
-        residual = float(np.linalg.norm(L @ v))
-        raise ConvergenceError(
-            f"time propagation hit t_max={t_max} with residual {residual:.3e}",
-            residual=residual,
-        )
-    rho = v.reshape(4, 4, order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho)
-
-
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
@@ -320,24 +266,9 @@ def concurrence(rho):
 
     Reads only the diagonal and rho12, so `rho` must be an X state with
     the single coherence rho12, as every steady state of this model is;
-    `concurrence_wootters` takes any state.
+    `validate.concurrence_wootters` takes any state.
     """
     return concurrence_x(*_x_entries(rho))
-
-
-_SY2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
-
-
-def concurrence_wootters(rho):
-    """General two-qubit concurrence from the spin-flipped spectrum.
-
-    max{0, l1 - l2 - l3 - l4} with l_i the decreasing square roots of
-    the eigenvalues of rho (sy x sy) rho* (sy x sy).
-    """
-    R = rho @ _SY2 @ rho.conj() @ _SY2
-    ev = np.linalg.eigvals(R).real
-    lam = np.sqrt(np.abs(np.sort(ev)[::-1]))
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def negativity_x(rho00, rho33, rho12):
@@ -356,16 +287,9 @@ def negativity(rho):
 
     Reads only the diagonal and rho12, so `rho` must be an X state with
     the single coherence rho12, as every steady state of this model is;
-    `negativity_partial_transpose` takes any state.
+    `validate.negativity_partial_transpose` takes any state.
     """
     return negativity_x(*_x_entries(rho))
-
-
-def negativity_partial_transpose(rho):
-    """Negativity from the partial transpose: 2 sum |negative eigenvalues|."""
-    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    ev = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
-    return float(2.0 * np.sum(np.abs(ev[ev < 0])))
 
 
 def linear_entropy(rho):
@@ -392,39 +316,3 @@ def mems_curve(r):
     else:
         sl = 8.0 / 9.0 - (2.0 / 3.0) * r**2
     return r, sl
-
-
-# ---------------------------------------------------------------------------
-# Random-state sampling for test oracles
-# ---------------------------------------------------------------------------
-
-def random_density_matrix(rng):
-    """Ginibre-induced random two-qubit density matrix (normalized A A+)."""
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = A @ A.conj().T
-    return m / np.trace(m).real
-
-
-def random_x_state(rng):
-    """Random X-type density matrix with only the rho12 coherence."""
-    pops = rng.dirichlet(np.ones(4))
-    c = rng.uniform(0, 1) * np.sqrt(pops[1] * pops[2])
-    phase = np.exp(2j * np.pi * rng.uniform())
-    m = np.diag(pops).astype(complex)
-    m[1, 2] = c * phase
-    m[2, 1] = np.conj(m[1, 2])
-    return m
-
-
-def random_params(rng, pump_range=(0.02, 1.0)):
-    """Random valid MasterEqParams for property tests."""
-    g11 = rng.uniform(0.2, 2.0)
-    g22 = rng.uniform(0.2, 2.0)
-    s = rng.uniform(-0.999, 0.999)
-    return MasterEqParams(
-        gamma11=g11,
-        gamma22=g22,
-        gamma12=s * np.sqrt(g11 * g22),
-        g12=rng.uniform(-2.0, 2.0),
-        P=rng.uniform(*pump_range),
-    )

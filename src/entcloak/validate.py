@@ -1,5 +1,13 @@
 """Named invariant suite covering every module; backs the `validate` command.
 
+The runtime modules hold the closed forms and fast paths that the
+commands run.  This module holds the checks and the independent
+reference implementations that only they and the tests call, each in
+the section of the module it checks: the aligned-dipole closed forms
+(emcore), RK4 propagation, the Wootters and partial-transpose witnesses
+and the random-state samplers (quantum), and the tensor first-Born
+update (optimizer).  No runtime command imports it.
+
 Each check returns (ok, detail).  `run_all` executes all of them, prints
 one PASS/FAIL line per check to stdout, and reports overall success.
 """
@@ -9,6 +17,7 @@ import time
 import numpy as np
 
 from . import emcore, optimizer, quantum, vie
+from .errors import ConvergenceError
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -16,6 +25,24 @@ __all__ = ["run_all", "CHECKS"]
 # ---------------------------------------------------------------------------
 # em-core
 # ---------------------------------------------------------------------------
+
+def aligned_gamma12(d):
+    """Closed-form gamma12/gamma0 for z-aligned dipoles separated by d along z.
+
+    3 (sin x - x cos x) / x^3 with x = K0 d.
+    """
+    x = np.asarray(d, dtype=float) * emcore.K0
+    return 3.0 * (np.sin(x) - x * np.cos(x)) / x**3
+
+
+def aligned_g12(d):
+    """Closed-form g12/gamma0 for the same configuration.
+
+    (3/2) (cos x + x sin x) / x^3 with x = K0 d.
+    """
+    x = np.asarray(d, dtype=float) * emcore.K0
+    return 1.5 * (np.cos(x) + x * np.sin(x)) / x**3
+
 
 def check_aligned_closed_forms(rng):
     ds = np.geomspace(0.05, 5.0, 100)
@@ -25,8 +52,8 @@ def check_aligned_closed_forms(rng):
         G = emcore.free_space_green((0, 0, 0), (0, 0, d))
         cs = emcore.couplings_from_green(vac, vac, G)
         worst = max(worst,
-                    abs(cs.gamma12 / emcore.aligned_gamma12(d) - 1.0),
-                    abs(cs.g12 / emcore.aligned_g12(d) - 1.0))
+                    abs(cs.gamma12 / aligned_gamma12(d) - 1.0),
+                    abs(cs.g12 / aligned_g12(d) - 1.0))
     return worst <= 1e-10, f"max rel err {worst:.2e} (tol 1e-10)"
 
 
@@ -162,6 +189,110 @@ def check_vacuum_power_ratio(rng):
 # quantum
 # ---------------------------------------------------------------------------
 
+def propagate_to_steady(params, rho0=None, t_max=None):
+    """Independent steady-state oracle: fixed-step RK4 time integration.
+
+    Integrates drho/dt = L rho from rho0 (default: both emitters in the
+    ground state) with the step dt = 0.01 / max rate until
+    ||L rho|| <= 1e-12, tested every 200 steps, then returns the final
+    (4, 4) state.  Because L is linear, any stable fixed step converges
+    to the exact kernel direction.
+
+    Raises
+    ------
+    ConvergenceError
+        If t_max is reached first.
+    """
+    L = quantum.build_liouvillian(params)
+    max_rate = max(params.gamma11, params.gamma22, abs(params.gamma12),
+                   abs(params.g12), params.P, 1e-12)
+    dt = 0.01 / max_rate
+    if t_max is None:
+        # Slowest relevant timescale is set by the weakest mixing rate.
+        slow = min(x for x in (params.P, params.gamma11, params.gamma22) if x > 0)
+        t_max = 60.0 / slow
+
+    if rho0 is None:
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+    else:
+        rho = np.array(rho0, dtype=complex)
+    v = rho.reshape(-1, order="F")
+
+    n_steps = int(np.ceil(t_max / dt))
+    for step in range(n_steps):
+        k1 = L @ v
+        k2 = L @ (v + 0.5 * dt * k1)
+        k3 = L @ (v + 0.5 * dt * k2)
+        k4 = L @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % 200 == 0 and np.linalg.norm(L @ v) <= 1e-12:
+            break
+    else:
+        residual = float(np.linalg.norm(L @ v))
+        raise ConvergenceError(
+            f"time propagation hit t_max={t_max} with residual {residual:.3e}",
+            residual=residual,
+        )
+    rho = v.reshape(4, 4, order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho)
+
+
+_SY2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+
+
+def concurrence_wootters(rho):
+    """General two-qubit concurrence from the spin-flipped spectrum.
+
+    max{0, l1 - l2 - l3 - l4} with l_i the decreasing square roots of
+    the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    """
+    R = rho @ _SY2 @ rho.conj() @ _SY2
+    ev = np.linalg.eigvals(R).real
+    lam = np.sqrt(np.abs(np.sort(ev)[::-1]))
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def negativity_partial_transpose(rho):
+    """Negativity from the partial transpose: 2 sum |negative eigenvalues|."""
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    ev = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
+    return float(2.0 * np.sum(np.abs(ev[ev < 0])))
+
+
+def random_density_matrix(rng):
+    """Ginibre-induced random two-qubit density matrix (normalized A A+)."""
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = A @ A.conj().T
+    return m / np.trace(m).real
+
+
+def random_x_state(rng):
+    """Random X-type density matrix with only the rho12 coherence."""
+    pops = rng.dirichlet(np.ones(4))
+    c = rng.uniform(0, 1) * np.sqrt(pops[1] * pops[2])
+    phase = np.exp(2j * np.pi * rng.uniform())
+    m = np.diag(pops).astype(complex)
+    m[1, 2] = c * phase
+    m[2, 1] = np.conj(m[1, 2])
+    return m
+
+
+def random_params(rng, pump_range=(0.02, 1.0)):
+    """Random valid MasterEqParams for property tests."""
+    g11 = rng.uniform(0.2, 2.0)
+    g22 = rng.uniform(0.2, 2.0)
+    s = rng.uniform(-0.999, 0.999)
+    return quantum.MasterEqParams(
+        gamma11=g11,
+        gamma22=g22,
+        gamma12=s * np.sqrt(g11 * g22),
+        g12=rng.uniform(-2.0, 2.0),
+        P=rng.uniform(*pump_range),
+    )
+
+
 #: True everywhere but the diagonal and rho12, rho21: the entries an X
 #: state leaves zero.
 _OFF_X = np.ones((4, 4), dtype=bool)
@@ -174,7 +305,7 @@ def check_steady_state_invariants(rng):
     X-type and in the kernel of build_liouvillian (the residual)."""
     worst = {"herm": 0.0, "trace": 0.0, "eig": 0.0, "resid": 0.0, "x": 0.0}
     for _ in range(10_000):
-        params = quantum.random_params(rng)
+        params = random_params(rng)
         m = quantum.steady_state(params)
         worst["herm"] = max(worst["herm"], np.max(np.abs(m - m.conj().T)))
         worst["trace"] = max(worst["trace"], abs(np.trace(m) - 1.0))
@@ -195,7 +326,7 @@ def check_steady_state_vs_svd(rng):
     within 1e-9 of sqrt(gamma11 gamma22), P down to 1e-6)."""
     worst_random = worst_near = 0.0
     for _ in range(10_000):
-        params = quantum.random_params(rng)
+        params = random_params(rng)
         worst_random = max(worst_random, _svd_gap(params))
     for _ in range(1_000):
         params = _near_degenerate_params(rng)
@@ -226,9 +357,9 @@ def check_propagation_oracle(rng):
     """Closed-form steady state against RK4 time propagation."""
     worst = 0.0
     for _ in range(100):
-        params = quantum.random_params(rng, pump_range=(0.05, 1.0))
+        params = random_params(rng, pump_range=(0.05, 1.0))
         a = quantum.steady_state(params)
-        b = quantum.propagate_to_steady(params)
+        b = propagate_to_steady(params)
         worst = max(worst, np.max(np.abs(a - b)))
     return worst <= 1e-8, f"max entrywise gap {worst:.2e} (tol 1e-8)"
 
@@ -238,14 +369,14 @@ def check_witness_equivalence(rng):
     they take: steady states, then random X states (any populations and
     rho12 phase)."""
     worst_c = worst_n = 0.0
-    states = [quantum.steady_state(quantum.random_params(rng))
+    states = [quantum.steady_state(random_params(rng))
               for _ in range(10_000)]
-    states += [quantum.random_x_state(rng) for _ in range(10_000)]
+    states += [random_x_state(rng) for _ in range(10_000)]
     for rho in states:
         worst_c = max(worst_c, abs(quantum.concurrence(rho)
-                                   - quantum.concurrence_wootters(rho)))
+                                   - concurrence_wootters(rho)))
         worst_n = max(worst_n, abs(quantum.negativity(rho)
-                                   - quantum.negativity_partial_transpose(rho)))
+                                   - negativity_partial_transpose(rho)))
     ok = worst_c <= 1e-10 and worst_n <= 1e-10
     return ok, (f"concurrence gap {worst_c:.1e}, negativity gap {worst_n:.1e}"
                 " on 10^4 steady and 10^4 random X states")
@@ -253,7 +384,7 @@ def check_witness_equivalence(rng):
 
 def check_witness_threshold_agreement(rng):
     for _ in range(10_000):
-        m = quantum.random_x_state(rng)
+        m = random_x_state(rng)
         c = quantum.concurrence(m)
         n = quantum.negativity(m)
         if (c > 0) != (n > 0):
@@ -264,7 +395,7 @@ def check_witness_threshold_agreement(rng):
 def check_sign_flip_invariance(rng):
     worst = 0.0
     for _ in range(200):
-        params = quantum.random_params(rng)
+        params = random_params(rng)
         c0 = quantum.concurrence(quantum.steady_state(params))
         for flip in ("gamma12", "g12"):
             kw = {"gamma11": params.gamma11, "gamma22": params.gamma22,
@@ -301,9 +432,9 @@ def check_mems_bound(rng):
     curve_sl = np.array([quantum.mems_curve(r)[1] for r in rs])
     violations = 0
     for _ in range(100_000):
-        m = quantum.random_density_matrix(rng)
+        m = random_density_matrix(rng)
         sl = quantum.linear_entropy(m)
-        c = quantum.concurrence_wootters(m)
+        c = concurrence_wootters(m)
         idx = np.abs(curve_sl - sl) <= 0.005
         if np.any(idx) and c > rs[idx].max() + 1e-9:
             violations += 1
@@ -313,6 +444,18 @@ def check_mems_bound(rng):
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
+
+def born_delta_green(G_ik, G_kj, delta_eps, voxel_volume):
+    """First-Born Green's-tensor increment of one voxel perturbation.
+
+    K0^2 G(r_i, r_k) . delta_eps . G(r_k, r_j) . dV, the
+    `optimizer._born_dq` prefactor on the tensor product; exactly linear
+    in delta_eps.  Broadcasts over leading axes: stacks of (3, 3) tensors
+    with delta_eps shaped (..., 1, 1) give one increment per voxel.
+    """
+    return optimizer._born_dq(delta_eps, np.asarray(G_ik) @ np.asarray(G_kj),
+                              voxel_volume)
+
 
 def _toy_setup(dims=(6, 6, 6), **cfg_kw):
     grid = vie.PermittivityGrid.vacuum(dims, 1.0 / 16.0)
@@ -325,9 +468,9 @@ def _toy_setup(dims=(6, 6, 6), **cfg_kw):
 def check_born_linearity(rng):
     G1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     G2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    zero = optimizer.born_delta_green(G1, G2, 0.0, 1e-4)
-    one = optimizer.born_delta_green(G1, G2, 0.05, 1e-4)
-    two = optimizer.born_delta_green(G1, G2, 0.10, 1e-4)
+    zero = born_delta_green(G1, G2, 0.0, 1e-4)
+    one = born_delta_green(G1, G2, 0.05, 1e-4)
+    two = born_delta_green(G1, G2, 0.10, 1e-4)
     ok = np.all(zero == 0.0) and np.array_equal(two, 2.0 * one)
     return ok, "zero at delta_eps=0 and exactly linear"
 
@@ -385,8 +528,8 @@ def check_scalar_scorer_vs_oracles(rng):
     state and the general witnesses (Wootters, partial transpose) on
     2000 random physical coupling sets, each scored under both targets,
     and None on 200 sets beyond the positivity bound."""
-    oracles = {"concurrence": quantum.concurrence_wootters,
-               "negativity": quantum.negativity_partial_transpose}
+    oracles = {"concurrence": concurrence_wootters,
+               "negativity": negativity_partial_transpose}
     worst = 0.0
     rejected = 0
     for n in range(2_200):

@@ -13,7 +13,6 @@ import pytest
 from entcloak import cli, emcore, optimizer, quantum, validate, vie
 from entcloak.optimizer import (
     DesignConfig,
-    born_delta_green,
     compute_state,
     optimize,
     prepare_design,
@@ -75,8 +74,8 @@ def test_criterion_3_free_space_coupling_curves():
         G = emcore.free_space_green((0, 0, 0), (0, 0, d))
         q = complex(ZHAT @ G @ ZHAT)
         worst = max(worst,
-                    abs((6 * np.pi / K) * q.imag / emcore.aligned_gamma12(d) - 1),
-                    abs((3 * np.pi / K) * q.real / emcore.aligned_g12(d) - 1))
+                    abs((6 * np.pi / K) * q.imag / validate.aligned_gamma12(d) - 1),
+                    abs((3 * np.pi / K) * q.real / validate.aligned_g12(d) - 1))
     ok = worst <= 1e-10
     detail = (f"max relative error {worst:.2e} over 100 log-spaced distances "
               f"in (0.05, 5) lambda, required <= 1e-10 [{time.time() - t0:.2f}s]")
@@ -106,11 +105,11 @@ def test_criterion_5_witness_equivalence():
     t0 = time.time()
     worst_c = worst_n = 0.0
     for _ in range(10_000):
-        rho = quantum.steady_state(quantum.random_params(rng))
+        rho = quantum.steady_state(validate.random_params(rng))
         worst_c = max(worst_c, abs(quantum.concurrence(rho)
-                                   - quantum.concurrence_wootters(rho)))
+                                   - validate.concurrence_wootters(rho)))
         worst_n = max(worst_n, abs(quantum.negativity(rho)
-                                   - quantum.negativity_partial_transpose(rho)))
+                                   - validate.negativity_partial_transpose(rho)))
     ok = worst_c <= 1e-10 and worst_n <= 1e-10
     detail = (f"closed form vs general: concurrence gap {worst_c:.2e}, "
               f"negativity gap {worst_n:.2e} on 10^4 random steady states, "
@@ -151,9 +150,9 @@ def test_criterion_7_born_update_fidelity():
     _, _, G12 = vie.scattered_green_pair(grid, r1, r2, method="dense")
     dG_full = G12 - emcore.free_space_green(r1, r2)
     rk = grid.centers()[kidx]
-    dG_born = born_delta_green(emcore.free_space_green(r1, rk),
-                               emcore.free_space_green(rk, r2),
-                               0.1, grid.voxel_volume)
+    dG_born = validate.born_delta_green(emcore.free_space_green(r1, rk),
+                                        emcore.free_space_green(rk, r2),
+                                        0.1, grid.voxel_volume)
     born_rel = np.linalg.norm(dG_born - dG_full) / np.linalg.norm(dG_full)
 
     # (b) accumulated-vs-resolved mismatch after one accepted voxel

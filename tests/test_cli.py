@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import functools
 import json
 import multiprocessing
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 from entcloak import cli, quantum, vie
-from entcloak.emcore import CouplingSet, aligned_g12, aligned_gamma12
+from entcloak.emcore import CouplingSet
 from entcloak.errors import ConfigError, DegenerateSteadyStateError
 from entcloak.optimizer import IterationEntry
+from entcloak.validate import aligned_g12, aligned_gamma12
 from entcloak.vie import GridResolutionWarning, PermittivityGrid
 
 TINY_CONFIG = """
@@ -728,6 +730,70 @@ class TestAtomicWrites:
         cli.save_trace_csv(self.record(3), path)
         assert len(read_csv(path)) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+class TestUnwritableOut:
+    """An --out that cannot be made or written into exits 2 with one
+    `cannot write output` line and leaves no temporary file."""
+
+    @pytest.fixture
+    def afile(self, tmp_path):
+        path = tmp_path / "afile"
+        path.write_text("")
+        return path
+
+    def assert_one_line_naming(self, err, path):
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: cannot write output ")
+        assert str(path) in err
+
+    def test_mems_to_a_path_under_a_file_exit_2(self, tmp_path, afile):
+        # through the console entry point, so a traceback would be seen
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "entcloak.cli", "mems",
+             "--out", str(afile / "sub")],
+            env=env, capture_output=True, text=True)
+        assert out.returncode == 2 and out.stdout == ""
+        self.assert_one_line_naming(out.stderr, afile / "sub")
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_optimize_to_a_file_exit_2(self, tmp_path, capsys, afile, under):
+        out = afile / "sub" if under else afile
+        rc = cli.main(["optimize", "--config", str(write_config(tmp_path)),
+                       "--out", str(out)])
+        assert rc == 2
+        self.assert_one_line_naming(capsys.readouterr().err, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+        assert afile.read_text() == ""
+
+    def test_failed_write_exit_2_no_temp_file(self, tmp_path, capsys,
+                                              monkeypatch):
+        def full_disk(record):
+            yield from []
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_trace_rows", full_disk)
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(write_config(tmp_path)),
+                       "--out", str(out)])
+        assert rc == 2
+        self.assert_one_line_naming(capsys.readouterr().err, out / "trace.csv")
+        assert sorted(p.name for p in out.iterdir()) == ["design.eps.csv",
+                                                         "design.meta.json"]
+
+    def test_other_os_errors_are_not_caught(self, tmp_path, monkeypatch):
+        # only the writes are mapped: an OSError elsewhere, here from
+        # starting the sweep's worker pool, still propagates
+        def no_fork(max_workers):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_fork)
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            cli.main(["sweep", "--config", str(write_config(tmp_path)),
+                      "--out", str(tmp_path / "out")])
 
 
 class TestValidateCommand:

@@ -13,7 +13,6 @@ from entcloak.errors import (ConfigError, DegenerateSteadyStateError,
                              SolverInconsistencyError)
 from entcloak.optimizer import (
     DesignConfig,
-    born_delta_green,
     compute_state,
     optimize,
     prepare_design,
@@ -33,6 +32,7 @@ from entcloak.vie import (
     solve_fields,
     solve_green_block,
 )
+from entcloak.validate import born_delta_green
 
 K = 2 * np.pi
 

@@ -159,6 +159,35 @@ def test_cli_start_up_leaves_the_check_suite_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_runtime_commands_leave_the_check_suite_unloaded(tmp_path):
+    # the oracles live in entcloak.validate; no runtime command may reach
+    # them, so each of the four runs in one child interpreter, the sweep
+    # point in-process (a thread pool in place of the process pool)
+    # where a forked worker's imports would go unseen
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("dims = 4,4,4\nspacing = 0.0625\nd12 = 0.25\n"
+                   "max_iterations = 1\nexclusion_radius = 1.0\n")
+    freespace = Path(__file__).resolve().parents[1] / "configs" / "freespace.cfg"
+    code = (
+        "import sys, warnings\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import entcloak.cli as cli\n"
+        "warnings.simplefilter('ignore')\n"
+        "cli.ProcessPoolExecutor = ThreadPoolExecutor\n"
+        "cfg, fs, out = sys.argv[1:]\n"
+        "runs = [['mems'], ['freespace', '--config', fs],\n"
+        "        ['optimize', '--config', cfg], ['sweep', '--config', cfg]]\n"
+        "codes = [cli.main(argv + ['--out', f'{out}/{argv[0]}']) for argv in runs]\n"
+        "print(codes, 'entcloak.validate' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(freespace),
+                          str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert (tmp_path / "sweep" / "sweep.csv").read_text().count("\n") == 2
+
+
 def test_cli_start_up_loads_numpy_fft():
     # numpy 2 loads numpy.fft on first use; loaded at import, it is
     # inherited by every sweep worker the CLI forks, not imported by each

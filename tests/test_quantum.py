@@ -7,19 +7,21 @@ from entcloak.quantum import (
     MasterEqParams,
     build_liouvillian,
     concurrence,
-    concurrence_wootters,
     linear_entropy,
     mems_curve,
     negativity,
+    steady_state,
+    steady_state_svd,
+)
+from entcloak.validate import (
+    _near_degenerate_params,
+    concurrence_wootters,
     negativity_partial_transpose,
     propagate_to_steady,
     random_density_matrix,
     random_params,
     random_x_state,
-    steady_state,
-    steady_state_svd,
 )
-from entcloak.validate import _near_degenerate_params
 
 
 def collective_rate_steady_state(gamma, gamma12, P):
